@@ -90,7 +90,8 @@ main(int argc, char **argv)
     // A container with fewer hardware threads than --jobs cannot show
     // a real parallel speedup; label the artifact machine-readably so
     // trajectory tooling skips the bogus ratio instead of footnoting it.
-    bool parallelValid = ThreadPool::defaultConcurrency() > opts.jobs;
+    // One job per hardware thread is a valid setup.
+    bool parallelValid = ThreadPool::defaultConcurrency() >= opts.jobs;
 
     auto passJson = [](JsonWriter &w, const PassResult &pass) {
         w.beginObject()
@@ -148,7 +149,8 @@ main(int argc, char **argv)
                     parallel.simsPerSec(), parallel.accessesPerSec());
         std::printf("parallel speedup: %.2fx (on %u hardware threads%s)\n",
                     speedup, ThreadPool::defaultConcurrency(),
-                    parallelValid ? "" : "; NOT VALID - too few threads");
+                    parallelValid ? ""
+                                  : "; NOT VALID - more jobs than threads");
         std::printf("bit-identical results: %s\n",
                     identical ? "yes" : "NO - DETERMINISM BUG");
         std::printf("wrote %s\n", outPath.c_str());

@@ -5,7 +5,9 @@ Usage: check_perf_smoke.py <benchmark-json> <reference-json>
 
 The benchmark JSON is google-benchmark's --benchmark_format=json
 output; the reference (bench/perf_reference.json) carries per-leg
-real_time nanoseconds and the relative tolerance. A gated leg fails
+real_time nanoseconds and the relative tolerance. The gated legs are
+exactly the reference's: BM_DramAccess, BM_XtaLookup, BM_RemapLookup
+and BM_SramCacheAccess. A gated leg fails
 when measured > reference * (1 + tolerance); a gated leg missing from
 the benchmark output also fails (a renamed or deleted leg must update
 the reference, not silently drop out of the gate). Exit 0 = all legs

@@ -46,30 +46,6 @@ BM_RemapLookup(benchmark::State &state)
 }
 BENCHMARK(BM_RemapLookup);
 
-/**
- * A/B leg for the FlatMap64 pre-reserve fix: the RemapTable reserves
- * its override maps up-front from the design bound (cache + NM-flat
- * sectors), so lookup latency must stay flat as migration overrides
- * accumulate — no mid-run rehash, stable probe distances. Compare the
- * per-Arg timings: a growth-policy regression shows up as lookup cost
- * climbing with the fill level.
- */
-void
-BM_RemapLookupPreReserved(benchmark::State &state)
-{
-    core::RemapTable t(1 << 23, 1 << 19, 1 << 15, (1 << 23) - (1 << 19));
-    Rng rng(2);
-    const u64 fill = static_cast<u64>(state.range(0));
-    for (u64 i = 0; i < fill; ++i)
-        t.update(rng.below(1 << 23), core::Loc{false, rng.below(1 << 20)});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(t.lookup(rng.below(1 << 23)));
-}
-BENCHMARK(BM_RemapLookupPreReserved)
-    ->Arg(1 << 10)
-    ->Arg(1 << 14)
-    ->Arg(1 << 18);
-
 void
 BM_DramAccess(benchmark::State &state)
 {

@@ -23,6 +23,9 @@ std::string to_string(ReplPolicy policy);
 /**
  * Select the victim way among @p ways entries.
  *
+ * SetAssocCache::insert applies this rule inside its own single scan
+ * of the set; tests use this function as the reference it must match.
+ *
  * @param stamps   per-way recency/insertion stamps (smaller = older)
  * @param valids   per-way valid flags; an invalid way wins immediately
  * @param ways     number of ways

@@ -1,6 +1,9 @@
 #include "cache/set_assoc_cache.h"
 
+#include <algorithm>
+
 #include "common/log.h"
+#include "common/rng.h"
 
 namespace h2::cache {
 
@@ -22,102 +25,120 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
         setMask = sets - 1;
     }
     u64 n = u64(sets) * cfg.ways;
-    tagLane.assign(n, kInvalidTag);
-    stampLane.assign(n, 0);
+    lane.resize(2 * n);
+    for (u32 set = 0; set < sets; ++set)
+        std::fill_n(lane.begin() + setBase(set), cfg.ways, kInvalidTag);
     dirtyLane.assign(n, 0);
 }
 
-u64
+SetAssocCache::Slot
 SetAssocCache::findSlot(Addr addr) const
 {
     u64 block = blockIndex(addr);
-    u32 set = setIndex(block);
     u64 tag = tagOf(block);
-    u64 base = u64(set) * cfg.ways;
+    u64 base = setBase(setIndex(block));
     for (u32 w = 0; w < cfg.ways; ++w)
-        if (tagLane[base + w] == tag)
-            return base + w;
-    return npos;
+        if (lane[base + w] == tag)
+            return {base, w};
+    return {base, kNoWay};
 }
 
 bool
 SetAssocCache::access(Addr addr, AccessType type)
 {
-    u64 slot = findSlot(addr);
-    if (slot == npos) {
+    Slot slot = findSlot(addr);
+    if (slot.way == kNoWay) {
         ++nMisses;
         return false;
     }
     ++nHits;
     if (cfg.repl == ReplPolicy::Lru)
-        stampLane[slot] = ++clock;
+        stampAt(slot) = ++clock;
     if (type == AccessType::Write)
-        dirtyLane[slot] = 1;
+        dirtyAt(slot) = 1;
     return true;
 }
 
 bool
 SetAssocCache::probe(Addr addr) const
 {
-    return findSlot(addr) != npos;
+    return findSlot(addr).way != kNoWay;
 }
 
 bool
 SetAssocCache::probeDirty(Addr addr) const
 {
-    u64 slot = findSlot(addr);
-    return slot != npos && dirtyLane[slot];
+    Slot slot = findSlot(addr);
+    return slot.way != kNoWay && dirtyAt(slot);
 }
 
 std::optional<Eviction>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
-    h2_assert(!probe(addr), cfg.name, ": double insert of addr ", addr);
     u64 block = blockIndex(addr);
     u32 set = setIndex(block);
-    u64 base = u64(set) * cfg.ways;
+    u64 tag = tagOf(block);
+    u64 base = setBase(set);
+    const u64 *tags = &lane[base];
+    const u64 *stamps = tags + cfg.ways;
 
-    bool valids[64];
-    h2_assert(cfg.ways <= 64, cfg.name, ": >64 ways unsupported");
-    for (u32 w = 0; w < cfg.ways; ++w)
-        valids[w] = tagLane[base + w] != kInvalidTag;
-    u32 victim = selectVictim(cfg.repl, &stampLane[base], valids,
-                              cfg.ways, ++clock);
+    // One pass over the set: the double-insert check, the first
+    // invalid way, and the lowest-index smallest stamp. The victim
+    // rule is selectVictim()'s: first invalid way, else the Random
+    // hash, else the oldest stamp. It draws one clock tick for the
+    // tiebreak and one for the new stamp, whatever the policy.
+    u32 invalid = kNoWay;
+    u32 oldest = 0;
+    for (u32 w = 0; w < cfg.ways; ++w) {
+        h2_assert(tags[w] != tag, cfg.name, ": double insert of addr ",
+                  addr);
+        if (tags[w] == kInvalidTag) {
+            if (invalid == kNoWay)
+                invalid = w;
+        } else if (stamps[w] < stamps[oldest]) {
+            oldest = w;
+        }
+    }
+    u64 tiebreak = ++clock;
+    u32 victim = invalid != kNoWay ? invalid
+        : cfg.repl == ReplPolicy::Random
+            ? static_cast<u32>(splitmix64(tiebreak) % cfg.ways)
+            : oldest;
 
     std::optional<Eviction> evicted;
-    u64 slot = base + victim;
-    if (tagLane[slot] != kInvalidTag) {
+    Slot slot{base, victim};
+    if (tagAt(slot) != kInvalidTag) {
         ++nEvictions;
-        if (dirtyLane[slot])
+        if (dirtyAt(slot))
             ++nDirtyEvictions;
-        evicted = Eviction{lineAddr(set, tagLane[slot]),
-                           dirtyLane[slot] != 0};
+        evicted = Eviction{lineAddr(set, tagAt(slot)), dirtyAt(slot) != 0};
     }
-    tagLane[slot] = tagOf(block);
-    dirtyLane[slot] = dirty ? 1 : 0;
-    stampLane[slot] = ++clock;
+    tagAt(slot) = tag;
+    dirtyAt(slot) = dirty ? 1 : 0;
+    stampAt(slot) = ++clock;
     return evicted;
 }
 
 std::optional<bool>
 SetAssocCache::invalidate(Addr addr)
 {
-    u64 slot = findSlot(addr);
-    if (slot == npos)
+    Slot slot = findSlot(addr);
+    if (slot.way == kNoWay)
         return std::nullopt;
-    bool wasDirty = dirtyLane[slot] != 0;
-    tagLane[slot] = kInvalidTag;
-    dirtyLane[slot] = 0;
-    stampLane[slot] = 0;
+    bool wasDirty = dirtyAt(slot) != 0;
+    tagAt(slot) = kInvalidTag;
+    dirtyAt(slot) = 0;
+    stampAt(slot) = 0;
     return wasDirty;
 }
 
 void
 SetAssocCache::setDirty(Addr addr)
 {
-    u64 slot = findSlot(addr);
-    h2_assert(slot != npos, cfg.name, ": setDirty on absent line ", addr);
-    dirtyLane[slot] = 1;
+    Slot slot = findSlot(addr);
+    h2_assert(slot.way != kNoWay, cfg.name, ": setDirty on absent line ",
+              addr);
+    dirtyAt(slot) = 1;
 }
 
 u32
@@ -134,9 +155,10 @@ u64
 SetAssocCache::numValidLines() const
 {
     u64 n = 0;
-    for (u64 tag : tagLane)
-        if (tag != kInvalidTag)
-            ++n;
+    for (u32 set = 0; set < sets; ++set)
+        for (u32 w = 0; w < cfg.ways; ++w)
+            if (lane[setBase(set) + w] != kInvalidTag)
+                ++n;
     return n;
 }
 

@@ -87,8 +87,13 @@ class SetAssocCache
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
-    /** Slot index meaning "not present". */
-    static constexpr u64 npos = ~u64(0);
+    /** A way located by findSlot(). */
+    struct Slot
+    {
+        u64 base;  ///< set-major lane offset of the way's set
+        u32 way;   ///< way index within the set, or kNoWay
+    };
+    static constexpr u32 kNoWay = ~u32(0);
     /** Tag-lane value of an invalid way. Real tags are block/sets and
      *  stay far below 2^64 for any addressable capacity, so the
      *  all-ones pattern is free to mean "invalid" — the hit scan then
@@ -118,7 +123,14 @@ class SetAssocCache
     {
         return (tag * sets + set) * u64(cfg.lineBytes);
     }
-    u64 findSlot(Addr addr) const;
+    /** Offset of @p set's tags in `lane`; its stamps follow at
+     *  + ways. Its dirty flags start at half of it in `dirtyLane`. */
+    u64 setBase(u32 set) const { return u64(set) * 2 * cfg.ways; }
+    u64 &tagAt(Slot s) { return lane[s.base + s.way]; }
+    u64 &stampAt(Slot s) { return lane[s.base + cfg.ways + s.way]; }
+    u8 &dirtyAt(Slot s) { return dirtyLane[s.base / 2 + s.way]; }
+    u8 dirtyAt(Slot s) const { return dirtyLane[s.base / 2 + s.way]; }
+    Slot findSlot(Addr addr) const;
 
     CacheParams cfg;
     u32 sets;
@@ -127,11 +139,12 @@ class SetAssocCache
     u32 lineShift = 0;
     u32 setShift = 0;
     u64 setMask = 0;
-    // Struct-of-arrays tag store, sets * ways each, way-major within a
-    // set: the hit scan touches only the contiguous tag lane; dirty
-    // and recency live in parallel lanes paid for only on hit/victim.
-    std::vector<u64> tagLane;
-    std::vector<u64> stampLane;
+    // Set-major tag store: each set's `ways` tags are followed by its
+    // `ways` recency stamps in one lane, so a fill's hit scan, victim
+    // scan and stamp write stay within the set's own cache lines.
+    // Dirty flags (touched on writes and evictions only) keep their
+    // own sets * ways lane.
+    std::vector<u64> lane;
     std::vector<u8> dirtyLane;
     u64 clock = 0; ///< recency stamp source
     u64 nHits = 0;

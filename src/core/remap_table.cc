@@ -7,29 +7,33 @@ namespace h2::core {
 RemapTable::RemapTable(u64 flatSectors, u64 nmFlatSectors, u64 cacheSectors,
                        u64 fmSectors)
     : nFlat(flatSectors), nNmFlat(nmFlatSectors), nCache(cacheSectors),
-      nFm(fmSectors), remapOverride(cacheSectors + nmFlatSectors),
-      invOverride(cacheSectors + nmFlatSectors)
+      nFm(fmSectors)
 {
     h2_assert(nFlat == nNmFlat + nFm,
               "flat space must be NM flat region + FM");
-    // Migration churn is NM-scale: the steady-state override
-    // population tracks the NM sector count, which the layout passed
-    // in here knows exactly. Reserving it up-front means the tables
-    // never rehash mid-run (the table still grows if a long run
-    // accumulates stale FM-resident overrides past the bound).
-    remapOverride.reserveExact(nCache + nNmFlat);
-    invOverride.reserveExact(nCache + nNmFlat);
+    // Entries are u32: 31 index bits (plus the in-NM flag forward, and
+    // the all-ones no-occupant value inverse). nFm <= nFlat, so these
+    // two bounds cover every index either table stores.
+    h2_assert(nFlat <= kInNm && nCache + nNmFlat <= kInNm,
+              "remap table indices need more than 31 bits: ", nFlat,
+              " flat sectors, ", nCache + nNmFlat,
+              " NM locations (limit 2^31 each; use larger sectors)");
+    forward.resize(nFlat);
+    for (u64 s = 0; s < nNmFlat; ++s)
+        forward[s] = kInNm | static_cast<u32>(nCache + s);
+    for (u64 s = nNmFlat; s < nFlat; ++s)
+        forward[s] = static_cast<u32>(s - nNmFlat);
+    inverse.assign(nCache + nNmFlat, kNoOccupant);
+    for (u64 l = nCache; l < nCache + nNmFlat; ++l)
+        inverse[l] = static_cast<u32>(l - nCache);
 }
 
 Loc
 RemapTable::lookup(u64 flatSector) const
 {
     h2_assert(flatSector < nFlat, "remap lookup out of range: ", flatSector);
-    if (const Loc *loc = remapOverride.find(flatSector))
-        return *loc;
-    if (flatSector < nNmFlat)
-        return Loc{true, nCache + flatSector};
-    return Loc{false, flatSector - nNmFlat};
+    u32 e = forward[flatSector];
+    return Loc{(e & kInNm) != 0, e & kIdxMask};
 }
 
 void
@@ -41,18 +45,18 @@ RemapTable::update(u64 flatSector, Loc loc)
                   "remap to bad NM location ", loc.idx);
     else
         h2_assert(loc.idx < nFm, "remap to bad FM location ", loc.idx);
-    remapOverride.set(flatSector, loc);
+    forward[flatSector] =
+        (loc.inNm ? kInNm : 0) | static_cast<u32>(loc.idx);
 }
 
 std::optional<u64>
 RemapTable::invLookup(u64 nmLoc) const
 {
     h2_assert(nmLoc < nCache + nNmFlat, "invLookup out of range: ", nmLoc);
-    if (const std::optional<u64> *sector = invOverride.find(nmLoc))
-        return *sector;
-    if (nmLoc >= nCache)
-        return nmLoc - nCache;
-    return std::nullopt;
+    u32 e = inverse[nmLoc];
+    if (e == kNoOccupant)
+        return std::nullopt;
+    return e;
 }
 
 void
@@ -61,7 +65,8 @@ RemapTable::invUpdate(u64 nmLoc, std::optional<u64> flatSector)
     h2_assert(nmLoc < nCache + nNmFlat, "invUpdate out of range");
     if (flatSector)
         h2_assert(*flatSector < nFlat, "invUpdate to bad flat sector");
-    invOverride.set(nmLoc, flatSector);
+    inverse[nmLoc] =
+        flatSector ? static_cast<u32>(*flatSector) : kNoOccupant;
 }
 
 } // namespace h2::core

@@ -5,20 +5,26 @@
  * Hybrid2 keeps an all-to-all sector remap table (processor physical
  * sector -> current NM/FM location) plus an inverted table (NM location
  * -> resident processor sector) in a reserved slice of NM. This module
- * implements both *functionally* with sparse overrides over the initial
- * identity layout; the DCMC charges NM traffic for each logical access.
+ * models both as the dense, sector-indexed arrays the paper describes;
+ * the DCMC charges NM traffic for each logical access.
  *
  * Initial layout: flat sectors [0, nmFlatSectors) live in the NM flat
  * region (NM locations [cacheSectors, nmLocs)); the remaining flat
  * sectors live in FM identity-mapped. NM locations [0, cacheSectors)
  * start as the DRAM cache's boot data region and hold no flat sector.
+ *
+ * Entries are 32 bits wide: a forward entry spends bit 31 on "in NM"
+ * and 31 bits on the NM location or FM sector index, and an inverse
+ * entry reserves all-ones for "no occupant". Every flat sector and
+ * every NM location must therefore fit in 31 bits (2^31 sectors, e.g.
+ * 4 TiB of 2 KB sectors); the constructor rejects larger geometries.
  */
 
 #pragma once
 
 #include <optional>
+#include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace h2::core {
@@ -35,7 +41,7 @@ struct Loc
     }
 };
 
-/** Combined remap + inverted remap tables with lazy identity defaults. */
+/** Combined remap + inverted remap tables, dense and identity-filled. */
 class RemapTable
 {
   public:
@@ -65,22 +71,19 @@ class RemapTable
     u64 fmSectors() const { return nFm; }
     u64 cacheSectors() const { return nCache; }
 
-    /** Number of explicitly overridden (non-identity) entries. */
-    u64 overrides() const { return remapOverride.size(); }
-
   private:
+    static constexpr u32 kInNm = u32(1) << 31;
+    static constexpr u32 kIdxMask = kInNm - 1;
+    static constexpr u32 kNoOccupant = ~u32(0);
+
     u64 nFlat;
     u64 nNmFlat;
     u64 nCache;
     u64 nFm;
-    /** Sparse overrides of the identity layout, keyed by flat sector /
-     *  NM location. Open-addressed flat tables (see common/flat_map.h)
-     *  sized to the NM sector count: migrations churn at NM scale, so
-     *  that is the steady-state override population. */
-    FlatMap64<Loc> remapOverride;
-    /** value = resident flat sector; nullopt stored explicitly so a
-     *  tombstone masks the identity default. */
-    FlatMap64<std::optional<u64>> invOverride;
+    /** Per flat sector: kInNm | NM location, or the FM sector index. */
+    std::vector<u32> forward;
+    /** Per NM location: resident flat sector, or kNoOccupant. */
+    std::vector<u32> inverse;
 };
 
 } // namespace h2::core

@@ -127,15 +127,12 @@ DramDevice::access(Addr addr, u32 bytes, AccessType type, Tick now)
 }
 
 Tick
-DramDevice::probeChunkDone(Addr addr, u32 bytes, Tick start) const
+DramDevice::probeChunkDone(u32 ch, u64 bank, u64 row, u32 bytes,
+                           Tick start) const
 {
-    u32 chIdx;
-    u64 bankIdx, row;
-    decode(addr, chIdx, bankIdx, row);
-    const ChannelState &ch = channels[chIdx];
-    const BankState &bank = ch.banks[bankIdx];
-    return chunkDone(bank, row, ch.busUntil,
-                     bytes, std::max(start, bank.readyAt));
+    const ChannelState &c = channels[ch];
+    const BankState &b = c.banks[bank];
+    return chunkDone(b, row, c.busUntil, bytes, std::max(start, b.readyAt));
 }
 
 Tick

@@ -131,26 +131,25 @@ class DramDevice
         return channels.at(ch).banks.at(bank).readyAt;
     }
 
-    /** Would a chunk at @p addr hit the currently open row? (FR-FCFS
-     *  scheduling hint for mem::MemController.) */
+    /** Is @p row the open row of bank @p bank on channel @p ch? (FR-FCFS
+     *  scheduling hint for mem::MemController, which keeps its queued
+     *  chunks decoded.) */
     bool
-    wouldRowHit(Addr addr) const
+    rowOpen(u32 ch, u64 bank, u64 row) const
     {
-        u32 ch;
-        u64 bank, row;
-        decode(addr, ch, bank, row);
         const BankState &b = channels[ch].banks[bank];
         return b.open && b.row == row;
     }
 
     /**
-     * Completion tick of a single interleave chunk (@p bytes must not
-     * cross an interleave boundary from @p addr) started at @p start,
-     * against current device state, without mutating it. Used by the
-     * controller to decide whether a queued write fits into an idle
-     * gap.
+     * Completion tick of a single interleave chunk of @p bytes to
+     * (@p ch, @p bank, @p row) — as decode() resolves it — started at
+     * @p start, against current device state, without mutating it.
+     * Used by the controller to decide whether a queued write fits
+     * into an idle gap.
      */
-    Tick probeChunkDone(Addr addr, u32 bytes, Tick start) const;
+    Tick probeChunkDone(u32 ch, u64 bank, u64 row, u32 bytes,
+                        Tick start) const;
 
     /**
      * Resolve an address to channel index / bank / row.

@@ -30,24 +30,17 @@ MemController::MemController(dram::DramDevice &device,
 }
 
 size_t
-MemController::pickFrFcfs(const std::vector<QueuedWrite> &q,
-                          bool &bypass) const
+MemController::pickFrFcfs(u32 ch, bool &bypass) const
 {
-    size_t oldest = 0;
-    size_t oldestHit = q.size(); // sentinel: none
+    const auto &q = writeQ[ch];
     for (size_t i = 0; i < q.size(); ++i) {
-        if (q[i].seq < q[oldest].seq)
-            oldest = i;
-        if (dev.wouldRowHit(q[i].addr) &&
-            (oldestHit == q.size() || q[i].seq < q[oldestHit].seq))
-            oldestHit = i;
-    }
-    if (oldestHit != q.size() && oldestHit != oldest) {
-        bypass = true;
-        return oldestHit;
+        if (dev.rowOpen(ch, q[i].bank, q[i].row)) {
+            bypass = i != 0;
+            return i;
+        }
     }
     bypass = false;
-    return oldestHit != q.size() ? oldestHit : oldest;
+    return 0;
 }
 
 Tick
@@ -66,15 +59,19 @@ void
 MemController::idleDrain(u32 ch, Tick now)
 {
     auto &q = writeQ[ch];
-    while (!q.empty()) {
+    const Tick clockPs = dev.params().clockPs;
+    // A chunk's data burst ends at least one clock after the bus
+    // frees, so while busUntil + clockPs > now every probe below
+    // would exceed `now`: skip the pick it would break on.
+    while (!q.empty() && dev.channelBusUntil(ch) + clockPs <= now) {
         bool bypass = false;
-        size_t idx = pickFrFcfs(q, bypass);
+        size_t idx = pickFrFcfs(ch, bypass);
         const QueuedWrite &w = q[idx];
         Tick issueTick = std::min(w.readyAt, now);
         // Dispatch only writes that fit entirely into the idle gap
         // before `now`: the drain must never delay the demand access
         // it runs in front of (read priority).
-        if (dev.probeChunkDone(w.addr, w.bytes, issueTick) > now)
+        if (dev.probeChunkDone(ch, w.bank, w.row, w.bytes, issueTick) > now)
             break;
         if (bypass)
             ++rowHitBypassCh[ch];
@@ -89,7 +86,7 @@ MemController::forcedDrain(u32 ch, Tick now)
     auto &q = writeQ[ch];
     while (q.size() > cfg.writeLowWatermark) {
         bool bypass = false;
-        size_t idx = pickFrFcfs(q, bypass);
+        size_t idx = pickFrFcfs(ch, bypass);
         if (bypass)
             ++rowHitBypassCh[ch];
         dispatchWrite(ch, idx, now);
@@ -99,17 +96,16 @@ MemController::forcedDrain(u32 ch, Tick now)
 void
 MemController::trackInflight(u32 ch, Tick doneAt)
 {
-    inflight[ch].push_back(doneAt);
+    inflight[ch].push(doneAt);
 }
 
 void
 MemController::sampleReadDepth(u32 ch, Tick now)
 {
-    auto &v = inflight[ch];
-    v.erase(std::remove_if(v.begin(), v.end(),
-                           [now](Tick t) { return t <= now; }),
-            v.end());
-    double depth = double(v.size());
+    auto &h = inflight[ch];
+    while (!h.empty() && h.top() <= now)
+        h.pop();
+    double depth = double(h.size());
     readDepth[ch].sample(depth);
     readDepthDist.sample(depth);
 }
@@ -188,7 +184,7 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
         double depth = double(q.size());
         writeDepth[ch].sample(depth);
         writeDepthDist.sample(depth);
-        q.push_back({cur, take, readyAt, nextSeq++});
+        q.push_back({cur, take, bank, row, readyAt});
         if (q.size() >= cfg.writeHighWatermark)
             forcedDrain(ch, readyAt);
         cur += take;
@@ -204,7 +200,7 @@ MemController::drainChannel(u32 ch, Tick now)
     auto &q = writeQ[ch];
     while (!q.empty()) {
         bool bypass = false;
-        size_t idx = pickFrFcfs(q, bypass);
+        size_t idx = pickFrFcfs(ch, bypass);
         if (bypass)
             ++rowHitBypassCh[ch];
         Tick issueTick = std::max(now, q[idx].readyAt);

@@ -30,6 +30,12 @@
  *    finds the channel idle, the next high-watermark drain, or
  *    drainAll() — it cannot be starved forever.
  *
+ * Host cost per access is O(1) in the common case: queued chunks are
+ * decoded once at enqueue, the idle drain returns without scanning
+ * while the channel's bus is busy within one burst clock of the
+ * access (no write could fit — exact), and completed in-flight chunks
+ * pop off a per-channel min-heap.
+ *
  * `queue=off` (QueueParams::enabled = false) bypasses all of the
  * above: access() forwards verbatim to DramDevice::access and posted
  * writes dispatch at their ready tick, reproducing the pre-controller
@@ -45,6 +51,8 @@
 
 #pragma once
 
+#include <functional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -163,19 +171,26 @@ class MemController
     }
 
   private:
+    /** One queued chunk, decoded once at enqueue: the FR-FCFS pick and
+     *  the idle-gap probe read (bank, row) from here instead of
+     *  re-decoding the address for every scan. The channel is the
+     *  queue's own. */
     struct QueuedWrite
     {
         Addr addr;     ///< chunk address (never crosses interleave)
         u32 bytes;
+        u64 bank;
+        u64 row;
         Tick readyAt;  ///< when the data was latched (enqueue tick)
-        u64 seq;       ///< global arrival order, FCFS tie-break
     };
 
-    /** FR-FCFS pick from non-empty @p q: oldest row-hit if any, else
-     *  oldest. @p bypass reports whether the pick skipped an older
-     *  row-miss (counted only if the caller dispatches it). */
-    size_t pickFrFcfs(const std::vector<QueuedWrite> &q,
-                      bool &bypass) const;
+    /** FR-FCFS pick from channel @p ch's non-empty queue: oldest
+     *  row-hit if any, else oldest. Queues are appended in arrival
+     *  order and erase keeps it, so "oldest" is index order and the
+     *  pick is the first row-hit, else entry 0. @p bypass reports
+     *  whether the pick skipped an older row-miss (counted only if the
+     *  caller dispatches it). */
+    size_t pickFrFcfs(u32 ch, bool &bypass) const;
 
     /** Dispatch queue entry @p idx of channel @p ch into the device
      *  at @p issueTick; returns the completion tick. Queue residency
@@ -183,7 +198,10 @@ class MemController
     Tick dispatchWrite(u32 ch, size_t idx, Tick issueTick);
 
     /** Issue queued writes of @p ch that complete by @p now into the
-     *  idle gap in front of a demand access. */
+     *  idle gap in front of a demand access. Returns without picking
+     *  while channelBusUntil(ch) + clockPs > now: any chunk completes
+     *  at least one burst clock after the channel's bus frees, so no
+     *  queued write could fit — the exit is exact, not a heuristic. */
     void idleDrain(u32 ch, Tick now);
 
     /** Forced drain of @p ch down to the low watermark, issuing at
@@ -198,7 +216,8 @@ class MemController
     Tick drainChannel(u32 ch, Tick now);
 
     /** Record the in-flight depth channel @p ch shows at @p now and
-     *  drop completed entries. */
+     *  drop completed entries (popped off the min-heap, so only the
+     *  entries that completed are touched). */
     void sampleReadDepth(u32 ch, Tick now);
 
     /** Track a dispatched chunk completing at @p doneAt on @p ch. */
@@ -209,8 +228,10 @@ class MemController
     ThreadPool *pool; ///< optional workers for drainAll; may be null
     u64 ilvMask;      ///< interleaveBytes - 1 (device asserts pow2)
     std::vector<std::vector<QueuedWrite>> writeQ; ///< per channel
-    std::vector<std::vector<Tick>> inflight; ///< chunk completions
-    u64 nextSeq = 0;
+    /** Per channel: completion ticks of dispatched chunks, earliest on
+     *  top. */
+    std::vector<std::priority_queue<Tick, std::vector<Tick>,
+                                    std::greater<Tick>>> inflight;
 
     u64 nReads = 0;
     u64 nDrainEpisodes = 0;

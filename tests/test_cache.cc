@@ -1,12 +1,18 @@
 /**
  * @file
- * Tests for replacement policies and the generic set-associative cache.
+ * Tests for replacement policies and the generic set-associative cache,
+ * including op-by-op equality with a reference tag store.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace h2::cache {
@@ -176,6 +182,205 @@ TEST(SetAssocCacheDeath, SetDirtyOnAbsent)
 {
     SetAssocCache c(smallCache());
     EXPECT_DEATH(c.setDirty(0x40), "absent");
+}
+
+// ---------------------------------------------------------------------
+// reference model: separate tag / stamp / dirty lanes
+// ---------------------------------------------------------------------
+
+/** The tag store as first written: way-major tag, stamp and dirty
+ *  lanes of sets * ways each, plain div/mod indexing, and the victim
+ *  rule applied through selectVictim(). */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheParams &params)
+        : cfg(params),
+          sets(params.sizeBytes / (u64(params.ways) * params.lineBytes)),
+          tagLane(sets * params.ways, kInvalid),
+          stampLane(sets * params.ways, 0), dirtyLane(sets * params.ways, 0)
+    {
+    }
+
+    bool
+    access(Addr addr, AccessType type)
+    {
+        u64 slot = findSlot(addr);
+        if (slot == kNone) {
+            ++misses;
+            return false;
+        }
+        ++hits;
+        if (cfg.repl == ReplPolicy::Lru)
+            stampLane[slot] = ++clock;
+        if (type == AccessType::Write)
+            dirtyLane[slot] = 1;
+        return true;
+    }
+
+    bool probe(Addr addr) const { return findSlot(addr) != kNone; }
+
+    bool
+    probeDirty(Addr addr) const
+    {
+        u64 slot = findSlot(addr);
+        return slot != kNone && dirtyLane[slot];
+    }
+
+    std::optional<Eviction>
+    insert(Addr addr, bool dirty)
+    {
+        u64 block = addr / cfg.lineBytes;
+        u64 set = block % sets;
+        u64 base = set * cfg.ways;
+        bool valids[64];
+        for (u32 w = 0; w < cfg.ways; ++w)
+            valids[w] = tagLane[base + w] != kInvalid;
+        u32 victim = selectVictim(cfg.repl, &stampLane[base], valids,
+                                  cfg.ways, ++clock);
+        std::optional<Eviction> evicted;
+        u64 slot = base + victim;
+        if (tagLane[slot] != kInvalid) {
+            ++evictions;
+            if (dirtyLane[slot])
+                ++dirtyEvictions;
+            evicted = Eviction{(tagLane[slot] * sets + set) * cfg.lineBytes,
+                               dirtyLane[slot] != 0};
+        }
+        tagLane[slot] = block / sets;
+        dirtyLane[slot] = dirty ? 1 : 0;
+        stampLane[slot] = ++clock;
+        return evicted;
+    }
+
+    std::optional<bool>
+    invalidate(Addr addr)
+    {
+        u64 slot = findSlot(addr);
+        if (slot == kNone)
+            return std::nullopt;
+        bool wasDirty = dirtyLane[slot] != 0;
+        tagLane[slot] = kInvalid;
+        dirtyLane[slot] = 0;
+        stampLane[slot] = 0;
+        return wasDirty;
+    }
+
+    void setDirty(Addr addr) { dirtyLane[findSlot(addr)] = 1; }
+
+    u64
+    numValidLines() const
+    {
+        u64 n = 0;
+        for (u64 tag : tagLane)
+            n += tag != kInvalid;
+        return n;
+    }
+
+    u64 hits = 0, misses = 0, evictions = 0, dirtyEvictions = 0;
+
+  private:
+    static constexpr u64 kInvalid = ~u64(0);
+    static constexpr u64 kNone = ~u64(0);
+
+    u64
+    findSlot(Addr addr) const
+    {
+        u64 block = addr / cfg.lineBytes;
+        u64 base = (block % sets) * cfg.ways;
+        for (u32 w = 0; w < cfg.ways; ++w)
+            if (tagLane[base + w] == block / sets)
+                return base + w;
+        return kNone;
+    }
+
+    CacheParams cfg;
+    u64 sets;
+    std::vector<u64> tagLane;
+    std::vector<u64> stampLane;
+    std::vector<u8> dirtyLane;
+    u64 clock = 0;
+};
+
+/** Drive SetAssocCache and RefCache with one seeded op stream,
+ *  asserting equal results, evictions and counters after every op. */
+void
+runAgainstReference(const CacheParams &p, u64 seed)
+{
+    SetAssocCache c(p);
+    RefCache ref(p);
+    // A working set of ~3x capacity keeps every set under replacement
+    // pressure; sub-line offsets alias.
+    const u64 lines = 3 * p.sizeBytes / p.lineBytes;
+    Rng rng(seed);
+    for (int op = 0; op < 4000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        Addr a = rng.below(lines) * p.lineBytes + rng.below(p.lineBytes);
+        ASSERT_EQ(c.probe(a), ref.probe(a));
+        bool present = ref.probe(a);
+        switch (rng.below(6)) {
+          case 0:
+          case 1: {
+            AccessType t =
+                rng.chance(0.3) ? AccessType::Write : AccessType::Read;
+            ASSERT_EQ(c.access(a, t), ref.access(a, t));
+            break;
+          }
+          case 2:
+          case 3:
+            if (!present) {
+                bool dirty = rng.chance(0.4);
+                auto got = c.insert(a, dirty);
+                auto want = ref.insert(a, dirty);
+                ASSERT_EQ(got.has_value(), want.has_value());
+                if (want) {
+                    ASSERT_EQ(got->addr, want->addr);
+                    ASSERT_EQ(got->dirty, want->dirty);
+                }
+            }
+            break;
+          case 4:
+            ASSERT_EQ(c.invalidate(a), ref.invalidate(a));
+            break;
+          default:
+            if (present && rng.chance(0.5)) {
+                c.setDirty(a);
+                ref.setDirty(a);
+            }
+            ASSERT_EQ(c.probeDirty(a), ref.probeDirty(a));
+            break;
+        }
+        ASSERT_EQ(c.hits(), ref.hits);
+        ASSERT_EQ(c.misses(), ref.misses);
+        ASSERT_EQ(c.evictions(), ref.evictions);
+        ASSERT_EQ(c.dirtyEvictions(), ref.dirtyEvictions);
+    }
+    EXPECT_EQ(c.numValidLines(), ref.numValidLines());
+    EXPECT_GT(c.evictions(), 0u);
+}
+
+TEST(SetAssocCache, MatchesReferenceModel)
+{
+    u64 seed = 0;
+    for (ReplPolicy repl :
+         {ReplPolicy::Lru, ReplPolicy::Fifo, ReplPolicy::Random}) {
+        for (u32 ways : {1u, 3u, 8u, 16u}) {
+            for (u32 sets : {16u, 12u, 1u}) { // pow2, not pow2, single
+                CacheParams p;
+                p.name = "ref";
+                p.ways = ways;
+                p.sizeBytes = u64(sets) * ways * p.lineBytes;
+                p.repl = repl;
+                SCOPED_TRACE(to_string(repl) + " ways=" +
+                             std::to_string(ways) +
+                             " sets=" + std::to_string(sets));
+                ASSERT_EQ(SetAssocCache(p).numSets(), sets);
+                runAgainstReference(p, ++seed);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
 }
 
 struct GeometryParam

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the common substrate: units, stats, RNG, permutation, log,
- * the open-addressed flat map, and the thread pool.
+ * and the thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
-#include "common/flat_map.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -256,45 +254,6 @@ TEST(Log, QuietFlagRoundTrip)
 TEST(LogDeath, AssertPanics)
 {
     EXPECT_DEATH(h2_assert(false, "boom"), "boom");
-}
-
-TEST(FlatMap64, InsertFindOverwrite)
-{
-    FlatMap64<u64> m;
-    EXPECT_EQ(m.find(3), nullptr);
-    m.set(3, 30);
-    m.set(7, 70);
-    ASSERT_NE(m.find(3), nullptr);
-    EXPECT_EQ(*m.find(3), 30u);
-    EXPECT_EQ(*m.find(7), 70u);
-    m.set(3, 31);
-    EXPECT_EQ(*m.find(3), 31u);
-    EXPECT_EQ(m.size(), 2u);
-}
-
-TEST(FlatMap64, GrowsPastInitialCapacityAndMatchesReference)
-{
-    FlatMap64<u64> m(4);
-    std::unordered_map<u64, u64> ref;
-    Rng rng(5);
-    for (int i = 0; i < 20000; ++i) {
-        u64 key = rng.below(5000);
-        u64 value = rng.next();
-        m.set(key, value);
-        ref[key] = value;
-    }
-    EXPECT_EQ(m.size(), ref.size());
-    for (const auto &[key, value] : ref) {
-        ASSERT_NE(m.find(key), nullptr);
-        ASSERT_EQ(*m.find(key), value);
-    }
-    EXPECT_EQ(m.find(999'999), nullptr);
-}
-
-TEST(FlatMap64Death, ReservedKey)
-{
-    FlatMap64<u64> m;
-    EXPECT_DEATH(m.set(~u64(0), 1), "reserved");
 }
 
 TEST(ThreadPool, RunsAllTasksAcrossWorkers)

@@ -41,7 +41,7 @@ TEST(RemapTable, UpdateOverridesIdentity)
     auto t = makeTable();
     t.update(100, Loc{true, 5});
     EXPECT_EQ(t.lookup(100), (Loc{true, 5}));
-    EXPECT_EQ(t.overrides(), 1u);
+    EXPECT_EQ(t.lookup(101), (Loc{false, 1})) << "neighbours untouched";
     t.update(100, Loc{false, 17});
     EXPECT_EQ(t.lookup(100), (Loc{false, 17}));
 }
@@ -109,15 +109,36 @@ TEST(RemapTableDeath, MismatchedSizes)
     EXPECT_DEATH(RemapTable(500, 99, 20, 400), "NM flat region");
 }
 
+TEST(RemapTableDeath, IndicesBeyond31Bits)
+{
+    // Entries are u32 with 31 index bits; the check fires before any
+    // table is allocated.
+    const u64 big = u64(1) << 31;
+    EXPECT_DEATH(RemapTable(big + 1, 1, 0, big), "more than 31 bits");
+    EXPECT_DEATH(RemapTable(big, big / 2, big / 2 + 1, big / 2),
+                 "more than 31 bits");
+}
+
 TEST(RemapTable, RandomizedAgainstReferenceModel)
 {
-    // The open-addressed override tables must behave exactly like the
-    // std::unordered_map implementation they replaced, across enough
-    // churn to force several growth rehashes.
+    // The dense tables must behave exactly like sparse overrides of
+    // the identity layout kept in std::unordered_map.
     const u64 flat = 5000, nmFlat = 1000, cache = 200, fm = 4000;
     RemapTable t(flat, nmFlat, cache, fm);
     std::unordered_map<u64, Loc> remapRef;
     std::unordered_map<u64, std::optional<u64>> invRef;
+    auto expectedLoc = [&](u64 fs) {
+        auto it = remapRef.find(fs);
+        return it != remapRef.end() ? it->second
+            : fs < nmFlat ? Loc{true, cache + fs}
+                          : Loc{false, fs - nmFlat};
+    };
+    auto expectedOccupant = [&](u64 nmLoc) {
+        auto it = invRef.find(nmLoc);
+        return it != invRef.end() ? it->second
+            : nmLoc >= cache ? std::optional<u64>(nmLoc - cache)
+                             : std::nullopt;
+    };
     Rng rng(99);
     for (int i = 0; i < 50000; ++i) {
         switch (rng.below(4)) {
@@ -141,26 +162,22 @@ TEST(RemapTable, RandomizedAgainstReferenceModel)
           }
           case 2: {
             u64 fs = rng.below(flat);
-            auto it = remapRef.find(fs);
-            Loc expected = it != remapRef.end() ? it->second
-                : fs < nmFlat ? Loc{true, cache + fs}
-                              : Loc{false, fs - nmFlat};
-            ASSERT_EQ(t.lookup(fs), expected);
+            ASSERT_EQ(t.lookup(fs), expectedLoc(fs));
             break;
           }
           default: {
             u64 nmLoc = rng.below(cache + nmFlat);
-            auto it = invRef.find(nmLoc);
-            std::optional<u64> expected = it != invRef.end()
-                ? it->second
-                : nmLoc >= cache ? std::optional<u64>(nmLoc - cache)
-                                 : std::nullopt;
-            ASSERT_EQ(t.invLookup(nmLoc), expected);
+            ASSERT_EQ(t.invLookup(nmLoc), expectedOccupant(nmLoc));
             break;
           }
         }
     }
-    EXPECT_EQ(t.overrides(), remapRef.size());
+    // Every entry of both tables, touched or not, matches the model.
+    for (u64 fs = 0; fs < flat; ++fs)
+        ASSERT_EQ(t.lookup(fs), expectedLoc(fs)) << "flat sector " << fs;
+    for (u64 nmLoc = 0; nmLoc < cache + nmFlat; ++nmLoc)
+        ASSERT_EQ(t.invLookup(nmLoc), expectedOccupant(nmLoc))
+            << "NM location " << nmLoc;
 }
 
 TEST(RemapTable, RoundTripSwap)
