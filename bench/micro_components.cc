@@ -15,7 +15,6 @@
 #include "core/remap_table.h"
 #include "core/xta.h"
 #include "dram/dram_device.h"
-#include "sim/runner.h"
 #include "workloads/workload_registry.h"
 
 namespace {
@@ -125,31 +124,6 @@ BM_PagePermutation(benchmark::State &state)
         benchmark::DoNotOptimize(perm.map(rng.below(1 << 22)));
 }
 BENCHMARK(BM_PagePermutation);
-
-/**
- * A/B leg for the batched scheduler: one small multi-core simulation
- * end to end, Arg = SystemConfig::stepBatch. Arg(1) is the scalar
- * pick-one-record-per-dispatch loop, Arg(64) the batched default;
- * both produce bit-identical Metrics (pinned by the equivalence
- * suite), so the timing delta is pure dispatch overhead.
- */
-void
-BM_BatchedDispatch(benchmark::State &state)
-{
-    const workloads::Workload &w = workloads::findWorkload("mcf");
-    sim::RunConfig cfg;
-    cfg.numCores = 4;
-    cfg.instrPerCore = 20'000;
-    cfg.warmupInstrPerCore = 0;
-    cfg.seed = 42;
-    cfg.stepBatch = static_cast<u32>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim::simulateOne(cfg, w, "hybrid2"));
-}
-BENCHMARK(BM_BatchedDispatch)
-    ->Arg(1)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -65,7 +65,6 @@ DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
     decode(addr, chIdx, bankIdx, row);
     ChannelState &ch = channels[chIdx];
     BankState &bank = ch.banks[bankIdx];
-    DramStats &counters = ch.stats;
 
     Tick start = std::max(now, bank.readyAt);
     if (bank.open && bank.row == row) {
@@ -83,10 +82,10 @@ DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
     bank.open = true;
     bank.row = row;
     ch.busUntil = dataEnd;
-    ch.busyAccum += burstClocks(bytes) * cfg.clockPs;
+    busyAccum += burstClocks(bytes) * cfg.clockPs;
     bank.readyAt = dataEnd;
-    if (dataEnd > ch.lastTick)
-        ch.lastTick = dataEnd;
+    if (dataEnd > lastTick)
+        lastTick = dataEnd;
 
     if (type == AccessType::Read) {
         ++counters.reads;
@@ -202,40 +201,11 @@ DramDevice::probeLatency(Addr addr, u32 bytes, Tick now,
     return done - now;
 }
 
-DramStats
-DramDevice::stats() const
-{
-    DramStats s;
-    for (const ChannelState &ch : channels) {
-        s.reads += ch.stats.reads;
-        s.writes += ch.stats.writes;
-        s.bytesRead += ch.stats.bytesRead;
-        s.bytesWritten += ch.stats.bytesWritten;
-        s.rowHits += ch.stats.rowHits;
-        s.rowMisses += ch.stats.rowMisses;
-        s.rowEmpty += ch.stats.rowEmpty;
-        s.activations += ch.stats.activations;
-        s.readEnergyPj += ch.stats.readEnergyPj;
-        s.writeEnergyPj += ch.stats.writeEnergyPj;
-        s.actEnergyPj += ch.stats.actEnergyPj;
-    }
-    return s;
-}
-
-Tick
-DramDevice::lastActivity() const
-{
-    Tick t = 0;
-    for (const ChannelState &ch : channels)
-        t = std::max(t, ch.lastTick);
-    return t;
-}
-
 double
 DramDevice::dynamicEnergyPj() const
 {
-    DramStats s = stats();
-    return s.readEnergyPj + s.writeEnergyPj + s.actEnergyPj;
+    return counters.readEnergyPj + counters.writeEnergyPj +
+           counters.actEnergyPj;
 }
 
 u64
@@ -269,30 +239,24 @@ DramDevice::busUtilization(Tick now) const
 {
     if (now <= statsSince)
         return 0.0;
-    Tick busy = 0;
-    for (const auto &ch : channels)
-        busy += ch.busyAccum;
-    return double(busy) / (double(now - statsSince) * channels.size());
+    return double(busyAccum) / (double(now - statsSince) * channels.size());
 }
 
 void
 DramDevice::resetStats()
 {
-    for (auto &ch : channels) {
-        ch.stats = DramStats{};
-        ch.busyAccum = 0;
-    }
+    counters = DramStats{};
+    busyAccum = 0;
     std::fill(wearBytes.begin(), wearBytes.end(), 0);
     // The utilization window restarts with the busy accumulator: a
     // warm-up reset must not divide post-warm-up busy time by a
     // denominator that still spans warm-up.
-    statsSince = lastActivity();
+    statsSince = lastTick;
 }
 
 void
 DramDevice::collectStats(StatSet &out, const std::string &prefix) const
 {
-    DramStats counters = stats();
     out.add(prefix + ".reads", double(counters.reads));
     out.add(prefix + ".writes", double(counters.writes));
     out.add(prefix + ".bytesRead", double(counters.bytesRead));

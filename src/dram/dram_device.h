@@ -40,44 +40,9 @@ struct DramStats
     u64 totalBytes() const { return bytesRead + bytesWritten; }
 };
 
-/** One bank's open-row and availability state. */
-struct BankState
-{
-    bool open = false;
-    u64 row = 0;
-    Tick readyAt = 0;
-};
-
-/**
- * Per-channel shard of a DramDevice's mutable state: bus occupancy,
- * bank state, and this channel's slice of the traffic/energy counters.
- *
- * The shard is the device's threading seam. An access chunk touches
- * exactly one shard (chunks never cross an interleave boundary), so
- * the controller may advance the write queues of *different* channels
- * from different threads without synchronization — each worker mutates
- * only its own shard. Aggregation (DramDevice::stats() and friends)
- * walks the shards in channel order on the coordinating thread, so
- * serial and sharded execution produce identical totals.
- *
- * Internals are reachable only from src/dram and src/mem (enforced by
- * h2lint rule R1): everything else reads the aggregated DramStats.
- */
-struct ChannelState
-{
-    Tick busUntil = 0;
-    Tick busyAccum = 0; ///< total data-bus occupancy, for utilization
-    Tick lastTick = 0;  ///< latest chunk completion on this channel
-    std::vector<BankState> banks;
-    DramStats stats;    ///< this channel's slice of the device counters
-};
-
 /**
  * One DRAM device: a group of channels sharing geometry and timing.
- * No internal synchronization, but all mutable state is sharded per
- * channel (ChannelState); callers that never touch the same channel
- * from two threads at once — the queued controller's parallel drain —
- * may advance channels concurrently.
+ * Not thread-safe; one simulation drives it from one thread.
  */
 class DramDevice
 {
@@ -185,10 +150,8 @@ class DramDevice
 
     const DramParams &params() const { return cfg; }
 
-    /** Aggregate traffic/energy counters: the per-channel slices
-     *  summed in channel order (deterministic regardless of how many
-     *  threads advanced the shards). */
-    DramStats stats() const;
+    /** Traffic/energy counters since the last resetStats(). */
+    const DramStats &stats() const { return counters; }
 
     /**
      * Dynamic energy consumed since the last resetStats(), in
@@ -223,7 +186,7 @@ class DramDevice
     /** busUtilization over [statsSince, last activity seen] — the
      *  window stats collection uses when no external clock is at
      *  hand. */
-    double busUtilization() const { return busUtilization(lastActivity()); }
+    double busUtilization() const { return busUtilization(lastTick); }
 
     /** Tick stats have accumulated since (last resetStats, or 0). */
     Tick statsSinceTick() const { return statsSince; }
@@ -234,6 +197,21 @@ class DramDevice
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
+    /** One bank's open-row and availability state. */
+    struct BankState
+    {
+        bool open = false;
+        u64 row = 0;
+        Tick readyAt = 0;
+    };
+
+    /** One channel's data-bus horizon and its banks. */
+    struct ChannelState
+    {
+        Tick busUntil = 0;
+        std::vector<BankState> banks;
+    };
+
     /** Shift/mask view of the geometry, precomputed at construction. */
     struct Geometry
     {
@@ -267,16 +245,14 @@ class DramDevice
     Tick chunkDone(const BankState &bank, u64 row, Tick busUntil,
                    u32 bytes, Tick start) const;
 
-    /** Latest activity (chunk completion) across all shards. */
-    Tick lastActivity() const;
-
     DramParams cfg;
     Geometry geo;
     std::vector<ChannelState> channels;
+    DramStats counters;
+    Tick busyAccum = 0;  ///< data-bus occupancy summed over channels
+    Tick lastTick = 0;   ///< latest chunk completion on any channel
     /** Per-bank written-bytes wear counters, indexed
-     *  [channel * banksPerChannel + bank]; empty unless trackWear.
-     *  Flat but shard-safe: a channel's workers touch only its own
-     *  index range. */
+     *  [channel * banksPerChannel + bank]; empty unless trackWear. */
     std::vector<u64> wearBytes;
     Tick statsSince = 0; ///< window start for busUtilization
 };

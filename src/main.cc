@@ -92,17 +92,6 @@ void printUsage(std::FILE *out)
         "                       baseline\n"
         "  --run-timeout <ms>   per-run wall-clock watchdog; a run past\n"
         "                       the deadline fails its sweep point [0=off]\n"
-        "  --step-batch <n>     max trace records one core drains per\n"
-        "                       scheduler dispatch; host-side knob,\n"
-        "                       results are bit-identical for any n>=1\n"
-        "                       [64]\n"
-        "  --sim-threads <n>    worker threads advancing independent\n"
-        "                       per-channel controller queues inside one\n"
-        "                       simulation; results are bit-identical\n"
-        "                       across values [1]\n"
-        "  --batch-stats        emit sim.batchesDispatched and\n"
-        "                       sim.avgBatchFill scheduler diagnostics\n"
-        "                       into the detail metrics\n"
         "  --retries <n>        re-run a failed sweep point up to <n>\n"
         "                       times [0]\n"
         "  --journal <path>     append each completed sweep point to\n"
@@ -259,17 +248,6 @@ int main(int argc, char **argv)
             experiment.config.runTimeoutMs =
                 parseU64("--run-timeout", next("--run-timeout"));
             configFlagSeen = true;
-        } else if (arg == "--step-batch") {
-            experiment.config.stepBatch = static_cast<u32>(
-                parseU64("--step-batch", next("--step-batch")));
-            configFlagSeen = true;
-        } else if (arg == "--sim-threads") {
-            experiment.config.simThreads = static_cast<u32>(
-                parseU64("--sim-threads", next("--sim-threads")));
-            configFlagSeen = true;
-        } else if (arg == "--batch-stats") {
-            experiment.config.batchStats = true;
-            configFlagSeen = true;
         } else if (arg == "--retries") {
             experiment.config.retries = static_cast<u32>(
                 parseU64("--retries", next("--retries")));
@@ -342,8 +320,7 @@ int main(int argc, char **argv)
             usageError("--experiment is mutually exclusive with the "
                        "config flags (--nm-mib, --fm-mib, --cores, "
                        "--instr, --warmup, --seed, --queue, --fm, "
-                       "--run-timeout, --retries, --step-batch, "
-                       "--sim-threads, --batch-stats); set them in the "
+                       "--run-timeout, --retries); set them in the "
                        "experiment file instead");
         // CLI-only fields survive the file load (the file cannot set
         // them).

@@ -11,10 +11,8 @@ HybridMemory::HybridMemory(const MemSystemParams &params,
     : sys(params),
       nm(std::make_unique<dram::DramDevice>(nmParams)),
       fm(std::make_unique<dram::DramDevice>(fmParams)),
-      nmCtrl(std::make_unique<MemController>(*nm, params.queue,
-                                             params.simPool)),
-      fmCtrl(std::make_unique<MemController>(*fm, params.queue,
-                                             params.simPool))
+      nmCtrl(std::make_unique<MemController>(*nm, params.queue)),
+      fmCtrl(std::make_unique<MemController>(*fm, params.queue))
 {
 }
 
@@ -22,8 +20,7 @@ HybridMemory::HybridMemory(const MemSystemParams &params,
                            const dram::DramParams &fmParams)
     : sys(params), nm(nullptr),
       fm(std::make_unique<dram::DramDevice>(fmParams)),
-      fmCtrl(std::make_unique<MemController>(*fm, params.queue,
-                                             params.simPool))
+      fmCtrl(std::make_unique<MemController>(*fm, params.queue))
 {
 }
 

@@ -54,16 +54,6 @@ struct MemSystemParams
     /** Memory-controller queueing model (queue.enabled = false
      *  restores the pre-controller analytic dispatch). */
     QueueParams queue;
-    /**
-     * Optional worker pool for intra-simulation parallelism, owned by
-     * the caller (sim::System when --sim-threads > 1). Handed to the
-     * controllers, whose drainAll() then advances per-channel device
-     * shards on separate workers; null (the default) keeps every
-     * drain on the calling thread. Either way results are
-     * bit-identical — parallel work is partitioned by ChannelState
-     * shard and reduced in fixed channel order.
-     */
-    ThreadPool *simPool = nullptr;
 };
 
 /** Outcome of one 64 B request into the memory organization. */

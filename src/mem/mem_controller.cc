@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
 
 namespace h2::mem {
 
 MemController::MemController(dram::DramDevice &device,
-                             const QueueParams &params,
-                             ThreadPool *workerPool)
-    : dev(device), cfg(params), pool(workerPool),
+                             const QueueParams &params)
+    : dev(device), cfg(params),
       ilvMask(u64(device.params().interleaveBytes) - 1)
 {
     h2_assert(cfg.writeLowWatermark < cfg.writeHighWatermark,
@@ -19,8 +17,6 @@ MemController::MemController(dram::DramDevice &device,
     u32 n = dev.channelCount();
     writeQ.resize(n);
     inflight.resize(n);
-    rowHitBypassCh.assign(n, 0);
-    writeDelayCh.resize(n);
     readDepth.reserve(n);
     writeDepth.reserve(n);
     for (u32 c = 0; c < n; ++c) {
@@ -48,7 +44,7 @@ MemController::dispatchWrite(u32 ch, size_t idx, Tick issueTick)
 {
     QueuedWrite w = writeQ[ch][idx];
     writeQ[ch].erase(writeQ[ch].begin() + idx);
-    writeDelayCh[ch].sample(
+    writeDelay.sample(
         double(issueTick > w.readyAt ? issueTick - w.readyAt : 0));
     Tick done = dev.access(w.addr, w.bytes, AccessType::Write, issueTick);
     trackInflight(ch, done);
@@ -74,7 +70,7 @@ MemController::idleDrain(u32 ch, Tick now)
         if (dev.probeChunkDone(ch, w.bank, w.row, w.bytes, issueTick) > now)
             break;
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         dispatchWrite(ch, idx, issueTick);
     }
 }
@@ -88,7 +84,7 @@ MemController::forcedDrain(u32 ch, Tick now)
         bool bypass = false;
         size_t idx = pickFrFcfs(ch, bypass);
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         dispatchWrite(ch, idx, now);
     }
 }
@@ -202,7 +198,7 @@ MemController::drainChannel(u32 ch, Tick now)
         bool bypass = false;
         size_t idx = pickFrFcfs(ch, bypass);
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         Tick issueTick = std::max(now, q[idx].readyAt);
         last = std::max(last, dispatchWrite(ch, idx, issueTick));
     }
@@ -212,28 +208,9 @@ MemController::drainChannel(u32 ch, Tick now)
 Tick
 MemController::drainAll(Tick now)
 {
-    u32 n = static_cast<u32>(writeQ.size());
-    std::vector<Tick> lastPerCh(n, now);
-    if (pool && pool->size() > 1 && n > 1) {
-        // Each worker advances exactly one channel: its write queue,
-        // its ChannelState shard inside the device, and its stat
-        // shards. Queued entries never cross an interleave boundary,
-        // so no dispatch touches another channel's state; every stat
-        // a drain mutates is per-channel, so the only shared step is
-        // the fixed-order reduction below — identical to the serial
-        // path bit for bit.
-        for (u32 ch = 0; ch < n; ++ch)
-            pool->submit([this, ch, now, &lastPerCh] {
-                lastPerCh[ch] = drainChannel(ch, now);
-            });
-        pool->drain();
-    } else {
-        for (u32 ch = 0; ch < n; ++ch)
-            lastPerCh[ch] = drainChannel(ch, now);
-    }
     Tick last = now;
-    for (Tick t : lastPerCh)
-        last = std::max(last, t);
+    for (u32 ch = 0; ch < writeQ.size(); ++ch)
+        last = std::max(last, drainChannel(ch, now));
     return last;
 }
 
@@ -244,29 +221,6 @@ MemController::queuedWrites() const
     for (const auto &q : writeQ)
         n += q.size();
     return n;
-}
-
-u64
-MemController::rowHitBypasses() const
-{
-    u64 n = 0;
-    for (u64 c : rowHitBypassCh)
-        n += c;
-    return n;
-}
-
-double
-MemController::avgWriteQueueDelayPs() const
-{
-    // Counts and tick sums are exact (integer-valued doubles), so the
-    // channel-order merge reproduces the chronological mean exactly.
-    u64 n = 0;
-    double total = 0.0;
-    for (const Distribution &d : writeDelayCh) {
-        n += d.count();
-        total += d.sum();
-    }
-    return n ? total / n : 0.0;
 }
 
 const Histogram &
@@ -286,10 +240,9 @@ MemController::resetStats()
 {
     nReads = 0;
     nDrainEpisodes = 0;
-    std::fill(rowHitBypassCh.begin(), rowHitBypassCh.end(), 0);
+    nRowHitBypasses = 0;
     readDelay.reset();
-    for (auto &d : writeDelayCh)
-        d.reset();
+    writeDelay.reset();
     readDepthDist.reset();
     writeDepthDist.reset();
     for (auto &h : readDepth)
@@ -304,7 +257,7 @@ MemController::collectStats(StatSet &out, const std::string &prefix) const
     out.add(prefix + ".avgReadQueueDelayPs", avgReadQueueDelayPs());
     out.add(prefix + ".avgWriteQueueDelayPs", avgWriteQueueDelayPs());
     out.add(prefix + ".drainEpisodes", double(nDrainEpisodes));
-    out.add(prefix + ".rowHitBypasses", double(rowHitBypasses()));
+    out.add(prefix + ".rowHitBypasses", double(nRowHitBypasses));
     out.add(prefix + ".queuedWrites", double(queuedWrites()));
     out.add(prefix + ".readDepthMean", readDepthDist.mean());
     out.add(prefix + ".readDepthMax", readDepthDist.max());

@@ -60,10 +60,6 @@
 #include "common/types.h"
 #include "dram/dram_device.h"
 
-namespace h2 {
-class ThreadPool;
-}
-
 namespace h2::mem {
 
 /** Queueing knobs shared by the NM and FM controllers of a design. */
@@ -82,16 +78,7 @@ struct QueueParams
 class MemController
 {
   public:
-    /**
-     * @param pool optional worker pool for drainAll(): with a pool the
-     *   final queue drains advance each channel's ChannelState shard
-     *   on its own worker. All per-channel stats (write residency,
-     *   row-hit bypasses) accumulate in per-channel shards whether or
-     *   not a pool is given, and aggregate in channel order — so
-     *   pooled and serial execution are bit-identical.
-     */
-    MemController(dram::DramDevice &device, const QueueParams &params,
-                  ThreadPool *pool = nullptr);
+    MemController(dram::DramDevice &device, const QueueParams &params);
 
     MemController(const MemController &) = delete;
     MemController &operator=(const MemController &) = delete;
@@ -136,19 +123,16 @@ class MemController
 
     u64 demandAccesses() const { return nReads; }
     u64 drainEpisodes() const { return nDrainEpisodes; }
-    /** FR-FCFS bypasses across all channels (per-channel shards summed
-     *  in channel order). */
-    u64 rowHitBypasses() const;
+    /** FR-FCFS bypasses across all channels. */
+    u64 rowHitBypasses() const { return nRowHitBypasses; }
 
     /** Mean serialized queueing wait (ps) of access() requests. */
     double avgReadQueueDelayPs() const { return readDelay.mean(); }
     /** Mean queue residency (ps) of posted writes, from enqueue to
      *  device issue. Idle-gap drains issue retroactively into the gap
      *  (at the write's ready tick), so uncontended writes record ~0;
-     *  forced drains issue at the drain decision tick. Samples live in
-     *  per-channel shards; counts and integer-tick sums merge exactly,
-     *  so the mean matches a chronological accumulator bit for bit. */
-    double avgWriteQueueDelayPs() const;
+     *  forced drains issue at the drain decision tick. */
+    double avgWriteQueueDelayPs() const { return writeDelay.mean(); }
 
     /** Write-queue depth-at-enqueue histogram of channel @p ch. */
     const Histogram &writeDepthHist(u32 ch) const;
@@ -209,10 +193,8 @@ class MemController
     void forcedDrain(u32 ch, Tick now);
 
     /** Dispatch every queued write of @p ch (drainAll's per-channel
-     *  body). Touches only channel-@p ch state — its write queue, its
-     *  ChannelState shard in the device, and its stat shards — so
-     *  distinct channels may drain on different threads. @return
-     *  completion of the channel's last write, or @p now. */
+     *  body). @return completion of the channel's last write, or
+     *  @p now. */
     Tick drainChannel(u32 ch, Tick now);
 
     /** Record the in-flight depth channel @p ch shows at @p now and
@@ -225,8 +207,7 @@ class MemController
 
     dram::DramDevice &dev;
     QueueParams cfg;
-    ThreadPool *pool; ///< optional workers for drainAll; may be null
-    u64 ilvMask;      ///< interleaveBytes - 1 (device asserts pow2)
+    u64 ilvMask; ///< interleaveBytes - 1 (device asserts pow2)
     std::vector<std::vector<QueuedWrite>> writeQ; ///< per channel
     /** Per channel: completion ticks of dispatched chunks, earliest on
      *  top. */
@@ -235,13 +216,11 @@ class MemController
 
     u64 nReads = 0;
     u64 nDrainEpisodes = 0;
+    u64 nRowHitBypasses = 0;
     Distribution readDelay;
+    Distribution writeDelay;
     Distribution readDepthDist;
     Distribution writeDepthDist;
-    /** Per-channel shards, merged in channel order for reporting so a
-     *  pooled drainAll never races on a shared accumulator. */
-    std::vector<u64> rowHitBypassCh;
-    std::vector<Distribution> writeDelayCh;
     std::vector<Histogram> readDepth;  ///< per channel, at arrival
     std::vector<Histogram> writeDepth; ///< per channel, at enqueue
 };

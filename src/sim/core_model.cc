@@ -77,17 +77,6 @@ CoreModel::step()
         memory.access(*res.writeback, AccessType::Write, clock);
 }
 
-u32
-CoreModel::stepBatch(u64 instrTarget, Tick nowLimit, u32 maxSteps)
-{
-    u32 n = 0;
-    while (n < maxSteps && instrs < instrTarget && clock < nowLimit) {
-        step();
-        ++n;
-    }
-    return n;
-}
-
 void
 CoreModel::beginMeasurement()
 {

@@ -81,20 +81,6 @@ class CoreModel
     /** Process one trace record. */
     void step();
 
-    /**
-     * Batched stepping: process trace records until the instruction
-     * budget @p instrTarget is met, the local clock reaches
-     * @p nowLimit, or @p maxSteps records have been consumed —
-     * whichever comes first.
-     *
-     * The caller (System::runUntil) computes @p nowLimit as the point
-     * where the global earliest-core schedule would switch to another
-     * core, so a batch of any size replays the exact scalar
-     * interleaving: results are bit-identical for every batch cap.
-     * @return the number of records processed (>= 0).
-     */
-    u32 stepBatch(u64 instrTarget, Tick nowLimit, u32 maxSteps);
-
     /** Wait for all outstanding misses (end of simulation). */
     void drain();
 

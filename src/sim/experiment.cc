@@ -168,20 +168,6 @@ ExperimentSpec::parse(std::string_view text, std::string *error)
                             detail::concat("bad value for run-timeout: '",
                                            value,
                                            "' (expected milliseconds)"));
-        } else if (key == "step-batch" || key == "step_batch") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v == 0 || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for step-batch: '",
-                                        value, "'"));
-            spec.config.stepBatch = static_cast<u32>(v);
-        } else if (key == "sim-threads" || key == "sim_threads") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v == 0 || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for sim-threads: '",
-                                        value, "'"));
-            spec.config.simThreads = static_cast<u32>(v);
         } else if (key == "retries") {
             u64 v = 0;
             if (!tryParseU64(value, v) || v > ~u32(0))

@@ -49,10 +49,6 @@ validateRunConfig(const RunConfig &cfg)
     if (cfg.instrPerCore == 0)
         return "instrPerCore must be at least 1 (zero-instruction runs "
                "produce no metrics)";
-    if (cfg.stepBatch == 0)
-        return "stepBatch must be at least 1";
-    if (cfg.simThreads == 0)
-        return "simThreads must be at least 1";
     if (cfg.nmBytes == 0)
         return "nmBytes must be non-zero (use the 'baseline' design for "
                "an FM-only system)";
@@ -78,9 +74,6 @@ makeSystemConfig(const RunConfig &cfg)
     sc.mem.queue.enabled = cfg.queue;
     sc.mem.fmTech = cfg.fm;
     sc.runTimeoutMs = cfg.runTimeoutMs;
-    sc.stepBatch = cfg.stepBatch;
-    sc.simThreads = cfg.simThreads;
-    sc.batchStats = cfg.batchStats;
     return sc;
 }
 

@@ -55,17 +55,6 @@ struct RunConfig
      *  deadline is cancelled with SimTimeoutError and its sweep point
      *  recorded as a timed-out failure (h2sim --run-timeout). */
     u64 runTimeoutMs = 0;
-    /** Scheduler batch cap (h2sim --step-batch): max trace records one
-     *  core drains per dispatch. Host-side knob only — results are
-     *  bit-identical for every value >= 1. */
-    u32 stepBatch = 64;
-    /** Intra-simulation worker threads for per-channel controller
-     *  drains (h2sim --sim-threads); 1 = serial, results are
-     *  bit-identical across values. */
-    u32 simThreads = 1;
-    /** Emit sim.batchesDispatched / sim.avgBatchFill diagnostics into
-     *  Metrics.detail (h2sim --batch-stats). */
-    bool batchStats = false;
     /** Retries per sweep point after a failure (h2sim --retries);
      *  attempt counts land in RunOutcome and the result journal. */
     u32 retries = 0;

@@ -33,10 +33,6 @@ validateSystemConfig(const SystemConfig &cfg)
     if (cfg.instrPerCore == 0)
         return "instrPerCore must be at least 1 (zero-instruction runs "
                "produce no metrics)";
-    if (cfg.stepBatch == 0)
-        return "stepBatch must be at least 1";
-    if (cfg.simThreads == 0)
-        return "simThreads must be at least 1";
     if (cfg.mem.nmBytes == 0)
         return "mem.nmBytes must be non-zero";
     if (cfg.mem.nmBytes >= cfg.mem.fmBytes)

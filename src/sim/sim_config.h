@@ -33,21 +33,6 @@ struct SystemConfig
      *  remap state warm up; all counters then reset). */
     u64 warmupInstrPerCore = 0;
     u64 seed = 42;
-    /** Max trace records one core drains per scheduler dispatch.
-     *  Purely a host-side batching knob: System::runUntil bounds each
-     *  batch so the scalar earliest-core interleaving is replayed
-     *  exactly, making results bit-identical for every value >= 1. */
-    u32 stepBatch = 64;
-    /** Worker threads advancing independent per-channel controller
-     *  queues inside one simulation (1 = serial). Results are
-     *  bit-identical across values; see README "Hot-path
-     *  architecture". */
-    u32 simThreads = 1;
-    /** Emit scheduler batching counters (sim.batchesDispatched,
-     *  sim.avgBatchFill) into Metrics.detail. Off by default: the
-     *  values depend on the stepBatch host knob, so they are excluded
-     *  from golden/equivalence comparisons unless asked for. */
-    bool batchStats = false;
     /** Wall-clock watchdog for one run in milliseconds; 0 disables.
      *  System::run polls cooperatively in its stepping loop and throws
      *  SimTimeoutError past the deadline, so a runaway simulation can

@@ -1,7 +1,6 @@
 #include "sim/system.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/log.h"
 #include "sim/interrupt.h"
@@ -14,7 +13,6 @@ namespace {
 // cancelled run stops within milliseconds, rare enough that the
 // success path stays within measurement noise.
 constexpr u32 kCancelCheckStride = 2048;
-constexpr Tick kTickMax = std::numeric_limits<Tick>::max();
 } // namespace
 
 System::System(const SystemConfig &config,
@@ -28,9 +26,6 @@ System::System(const SystemConfig &config,
     cfg.hier.numCores = cfg.numCores;
     hier = std::make_unique<cache::CacheHierarchy>(cfg.hier);
     llcView = std::make_unique<HierarchyLlcView>(*hier);
-    if (cfg.simThreads > 1)
-        simPool = std::make_unique<ThreadPool>(cfg.simThreads);
-    cfg.mem.simPool = simPool.get();
     mem = factory(cfg.mem, *llcView);
     h2_assert(mem, "design factory returned nothing");
 
@@ -68,67 +63,20 @@ System::checkCancellation() const
 void
 System::runUntil(u64 instrTarget)
 {
-    // Advance the globally earliest core, so cross-core memory
-    // contention is observed in (approximate) time order. The picked
-    // core drains a batch of records instead of a single one: it keeps
-    // stepping while it would still be the scheduler's choice, so the
-    // scalar earliest-core interleaving is replayed exactly and the
-    // dispatch overhead is paid once per batch, not once per record.
-    //
-    // The scheduler state lives in flat lanes (clock, eligibility)
-    // refreshed only for the core that just ran, so one contiguous
-    // pass both picks the earliest core and derives the batch limit.
+    // Advance the globally earliest core (lowest index on ties), so
+    // cross-core memory contention is observed in (approximate) time
+    // order.
     u32 untilCheck = kCancelCheckStride;
-    size_t n = cores.size();
-    std::vector<Tick> nowLane(n);
-    std::vector<u8> eligible(n);
-    for (size_t i = 0; i < n; ++i) {
-        nowLane[i] = cores[i]->now();
-        eligible[i] = cores[i]->instructions() < instrTarget;
-    }
-    constexpr size_t kNone = ~size_t(0);
     while (true) {
-        // Fused pick + limit scan. The pick is the first index with
-        // the minimum clock (lower indices win ties); it remains the
-        // scheduler's choice while its clock stays strictly below
-        // every eligible lower index (candLow) and at-or-below every
-        // eligible higher index (candHigh), so the batch may run
-        // until min(candLow, candHigh + 1).
-        size_t pick = kNone;
-        Tick best = 0;
-        Tick candLow = kTickMax;  // min clock among eligible j < pick
-        Tick candHigh = kTickMax; // min clock among eligible j > pick
-        for (size_t i = 0; i < n; ++i) {
-            if (!eligible[i])
-                continue;
-            Tick t = nowLane[i];
-            if (pick == kNone) {
-                pick = i;
-                best = t;
-            } else if (t < best) {
-                // Everything seen so far sits at a lower index than
-                // the new pick.
-                candLow = std::min(candLow, std::min(candHigh, best));
-                candHigh = kTickMax;
-                pick = i;
-                best = t;
-            } else {
-                candHigh = std::min(candHigh, t);
-            }
-        }
-        if (pick == kNone)
+        CoreModel *pick = nullptr;
+        for (const auto &core : cores)
+            if (core->instructions() < instrTarget &&
+                (!pick || core->now() < pick->now()))
+                pick = core.get();
+        if (!pick)
             break;
-        Tick limit = std::min(
-            candLow, candHigh == kTickMax ? kTickMax : candHigh + 1);
-        u32 maxSteps = std::min(cfg.stepBatch, untilCheck);
-        u32 executed = cores[pick]->stepBatch(instrTarget, limit, maxSteps);
-        nowLane[pick] = cores[pick]->now();
-        if (cores[pick]->instructions() >= instrTarget)
-            eligible[pick] = 0;
-        ++nBatches;
-        batchFillSum += executed;
-        untilCheck -= executed;
-        if (untilCheck == 0) {
+        pick->step();
+        if (--untilCheck == 0) {
             untilCheck = kCancelCheckStride;
             checkCancellation();
         }
@@ -202,12 +150,6 @@ System::metrics() const
     m.footprintBytes = wl.footprintBytes;
     hier->collectStats(m.detail);
     mem->collectStats(m.detail);
-    if (cfg.batchStats) {
-        m.detail.add("sim.batchesDispatched", double(nBatches));
-        m.detail.add("sim.avgBatchFill",
-                     nBatches ? double(batchFillSum) / double(nBatches)
-                              : 0.0);
-    }
     return m;
 }
 

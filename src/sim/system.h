@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sim/core_model.h"
 #include "sim/metrics.h"
 #include "workloads/workload_registry.h"
@@ -93,15 +92,10 @@ class System
     workloads::Workload wl;
     std::unique_ptr<cache::CacheHierarchy> hier;
     std::unique_ptr<HierarchyLlcView> llcView;
-    /** Intra-simulation workers (cfg.simThreads > 1); declared before
-     *  `mem` so the controllers that borrow it die first. */
-    std::unique_ptr<ThreadPool> simPool;
     std::unique_ptr<mem::HybridMemory> mem;
     std::unique_ptr<AddressMap> map;
     std::vector<std::unique_ptr<workloads::TraceSource>> traces;
     std::vector<std::unique_ptr<CoreModel>> cores;
-    u64 nBatches = 0;     ///< scheduler dispatches (batched stepping)
-    u64 batchFillSum = 0; ///< records drained across all batches
     bool ran = false;
 };
 

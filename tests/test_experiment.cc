@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <fstream>
 
 #include "common/units.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
+
+#ifndef H2SIM_BIN
+#error "H2SIM_BIN must point at the h2sim executable"
+#endif
 
 namespace h2::sim {
 namespace {
@@ -70,6 +77,15 @@ TEST(ExperimentParse, ErrorsNameTheOffendingLine)
         "design dfc\nworkload lbm\nfrobnicate 3\n", &err));
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
     EXPECT_NE(err.find("frobnicate"), std::string::npos);
+
+    // Directives of knobs that no longer exist get the same message.
+    for (std::string key : {"step_batch", "sim-threads"}) {
+        EXPECT_FALSE(ExperimentSpec::parse(
+            "design dfc\nworkload lbm\n" + key + " 4\n", &err));
+        EXPECT_NE(err.find("line 3: unknown directive '" + key + "'"),
+                  std::string::npos)
+            << err;
+    }
 
     EXPECT_FALSE(
         ExperimentSpec::parse("design frobcache\nworkload lbm\n", &err));
@@ -230,6 +246,25 @@ TEST(ReportWrite, WritesToFile)
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     EXPECT_EQ(content, "{\"ok\": true}\n");
+}
+
+/** A flag the CLI does not know, such as a removed knob, is a usage
+ *  error: exit 2 with a message that names it. */
+TEST(H2simCli, UnknownFlagExitsTwoNamingIt)
+{
+    std::string cmd = std::string(H2SIM_BIN) +
+                      " --sim-threads 4 --design hybrid2 --workload lbm 2>&1";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[256];
+    while (size_t n = std::fread(buf, 1, sizeof buf, pipe))
+        out.append(buf, n);
+    int rc = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2);
+    EXPECT_NE(out.find("unknown option '--sim-threads'"), std::string::npos)
+        << out;
 }
 
 } // namespace

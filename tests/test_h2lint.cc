@@ -140,28 +140,6 @@ TEST(LintR1, DoesNotApplyUnderMemOrDram)
         lintFileContents("tests/test_dram.cc", text, Options{}).empty());
 }
 
-TEST(LintR1, FlagsShardTypesOutsideSeam)
-{
-    auto fs = lintFixture("r1_shard_bad.cc", "src/baselines/peek.cc");
-    EXPECT_EQ(linesOf(fs, "R1"), (std::vector<int>{13, 14, 20, 25}));
-    // Each diagnostic names the sanctioned aggregate accessors.
-    for (const Finding &f : fs)
-        EXPECT_NE(f.message.find("stats()"), std::string::npos)
-            << formatFinding(f);
-}
-
-TEST(LintR1, ShardTypesAllowedInsideSeamAndWithSuppression)
-{
-    std::string text = readFixture("r1_shard_bad.cc");
-    EXPECT_TRUE(
-        lintFileContents("src/mem/impl.cc", text, Options{}).empty());
-    EXPECT_TRUE(
-        lintFileContents("src/dram/impl.cc", text, Options{}).empty());
-    auto fs =
-        lintFixture("r1_shard_suppressed.cc", "src/baselines/sup.cc");
-    EXPECT_TRUE(fs.empty()) << formatFinding(fs.front());
-}
-
 // --------------------------------------------------------------- R2
 
 TEST(LintR2, FlagsBannedCalls)

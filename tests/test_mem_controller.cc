@@ -324,8 +324,8 @@ class RefController
         u32 n = dev.channelCount();
         writeQ.resize(n);
         inflight.resize(n);
-        rowHitBypassCh.assign(n, 0);
-        writeDelayCh.resize(n);
+        bypassesPerCh.assign(n, 0);
+        writeDelayPerCh.resize(n);
         for (u32 c = 0; c < n; ++c) {
             readDepth.emplace_back(cfg.depthHistBuckets, 1.0);
             writeDepth.emplace_back(cfg.depthHistBuckets, 1.0);
@@ -382,7 +382,7 @@ class RefController
                 bool bypass = false;
                 size_t idx = pickFrFcfs(q, bypass);
                 if (bypass)
-                    ++rowHitBypassCh[ch];
+                    ++bypassesPerCh[ch];
                 Tick issueTick = std::max(now, q[idx].readyAt);
                 last = std::max(last, dispatchWrite(ch, idx, issueTick));
             }
@@ -395,9 +395,9 @@ class RefController
     {
         nReads = 0;
         nDrainEpisodes = 0;
-        std::fill(rowHitBypassCh.begin(), rowHitBypassCh.end(), 0);
+        std::fill(bypassesPerCh.begin(), bypassesPerCh.end(), 0);
         readDelay.reset();
-        for (auto &d : writeDelayCh)
+        for (auto &d : writeDelayPerCh)
             d.reset();
         readDepthDist.reset();
         writeDepthDist.reset();
@@ -412,11 +412,11 @@ class RefController
     {
         u64 n = 0, bypasses = 0, queued = 0;
         double total = 0.0;
-        for (const Distribution &d : writeDelayCh) {
+        for (const Distribution &d : writeDelayPerCh) {
             n += d.count();
             total += d.sum();
         }
-        for (u64 c : rowHitBypassCh)
+        for (u64 c : bypassesPerCh)
             bypasses += c;
         for (const auto &q : writeQ)
             queued += q.size();
@@ -487,7 +487,7 @@ class RefController
     {
         QueuedWrite w = writeQ[ch][idx];
         writeQ[ch].erase(writeQ[ch].begin() + idx);
-        writeDelayCh[ch].sample(
+        writeDelayPerCh[ch].sample(
             double(issueTick > w.readyAt ? issueTick - w.readyAt : 0));
         Tick done = dev.access(w.addr, w.bytes, AccessType::Write, issueTick);
         inflight[ch].push_back(done);
@@ -509,7 +509,7 @@ class RefController
             if (dev.probeChunkDone(wCh, bank, row, w.bytes, issueTick) > now)
                 break;
             if (bypass)
-                ++rowHitBypassCh[ch];
+                ++bypassesPerCh[ch];
             dispatchWrite(ch, idx, issueTick);
         }
     }
@@ -523,7 +523,7 @@ class RefController
             bool bypass = false;
             size_t idx = pickFrFcfs(q, bypass);
             if (bypass)
-                ++rowHitBypassCh[ch];
+                ++bypassesPerCh[ch];
             dispatchWrite(ch, idx, now);
         }
     }
@@ -550,8 +550,8 @@ class RefController
     Distribution readDelay;
     Distribution readDepthDist;
     Distribution writeDepthDist;
-    std::vector<u64> rowHitBypassCh;
-    std::vector<Distribution> writeDelayCh;
+    std::vector<u64> bypassesPerCh;
+    std::vector<Distribution> writeDelayPerCh;
 };
 
 void

@@ -18,10 +18,8 @@ namespace {
 
 const std::vector<RuleInfo> kRules = {
     {"R1", "device-seam",
-     "no direct DramDevice access()/post() and no naming of the "
-     "ChannelState/BankState shard types outside src/mem/ + src/dram/ "
-     "— route traffic through nmc()/fmc()/ctrlFor() and consume the "
-     "device's aggregate accessors"},
+     "no direct DramDevice access()/post() outside src/mem/ + "
+     "src/dram/ — route traffic through nmc()/fmc()/ctrlFor()"},
     {"R2", "banned-call",
      "no std::sto*/rand/time/strtok in checked code, no printf outside "
      "src/main.cc and bench/ — each diagnostic names the sanctioned "
@@ -355,23 +353,6 @@ checkDeviceSeam(const std::string &relPath, const ScrubbedFile &sf,
                                         kQualified);
          it != std::sregex_iterator(); ++it)
         flag(size_t(it->position(0)), (*it)[1].str());
-
-    // The per-channel shard is the device's private threading seam:
-    // naming its types outside src/mem/ + src/dram/ couples callers to
-    // the bank/bus layout that --sim-threads parallelism depends on.
-    // (Comment mentions never trip this — the scan runs on scrubbed
-    // code.)
-    static const std::regex kShard(R"(\b(ChannelState|BankState)\b)");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                        kShard);
-         it != std::sregex_iterator(); ++it)
-        emit(out, sf, "R1", relPath,
-             detail::lineOf(code, size_t(it->position(0))),
-             "dram::" + (*it)[1].str() +
-                 " named outside src/mem/ + src/dram/ — the channel "
-                 "shard is the device's private threading seam; read "
-                 "DramDevice::stats()/busUtilization() aggregates "
-                 "instead");
 }
 
 // ---------------------------------------------------------------- R2

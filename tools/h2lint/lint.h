@@ -5,14 +5,10 @@
  * Token/regex-level checks (no libclang) that lock in the structural
  * invariants PRs 5-7 established by convention:
  *
- *   R1 device-seam      no direct DramDevice access()/post() and no
- *                       naming of the ChannelState/BankState shard
- *                       types outside src/mem/ + src/dram/ — designs
- *                       must route traffic through nmc()/fmc()/
- *                       ctrlFor() so FR-FCFS queueing applies, and
- *                       must consume the device's aggregate accessors
- *                       so the per-channel threading seam stays free
- *                       to change.
+ *   R1 device-seam      no direct DramDevice access()/post() outside
+ *                       src/mem/ + src/dram/ — designs must route
+ *                       traffic through nmc()/fmc()/ctrlFor() so
+ *                       FR-FCFS queueing applies.
  *   R2 banned-call      crash- or determinism-hostile stdlib calls
  *                       (std::sto*, rand, time, strtok, printf outside
  *                       src/main.cc and bench/) with the sanctioned
