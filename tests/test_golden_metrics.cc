@@ -50,6 +50,33 @@ goldenConfig()
     return cfg;
 }
 
+sim::RunConfig
+noQueueConfig()
+{
+    sim::RunConfig cfg = goldenConfig();
+    cfg.queue = false;
+    return cfg;
+}
+
+sim::RunConfig
+pcmConfig()
+{
+    sim::RunConfig cfg = goldenConfig();
+    cfg.fm = dram::FarMemTech::Pcm;
+    return cfg;
+}
+
+sim::RunConfig
+migrationConfig()
+{
+    // Ten times the default budget: enough 50 us intervals pass for
+    // the migration baselines to reach their swap path.
+    sim::RunConfig cfg = goldenConfig();
+    cfg.instrPerCore = 300'000;
+    cfg.warmupInstrPerCore = 100'000;
+    return cfg;
+}
+
 bool
 updateRequested()
 {
@@ -57,19 +84,19 @@ updateRequested()
     return env && *env && std::string(env) != "0";
 }
 
+/** Snapshot file of @p design x @p workload under the golden
+ *  directory's @p variant subdirectory ("" = the default grid). */
 std::string
 goldenPath(const std::string &design, const std::string &workload,
-           bool queue, dram::FarMemTech fm)
+           const std::string &variant)
 {
     std::string file = design + "_" + workload + ".json";
     for (char &c : file)
         if (c == ':' || c == '+' || c == '/')
             c = '-';
     std::string dir = std::string(H2_GOLDEN_DIR);
-    if (!queue)
-        dir += "/noqueue";
-    if (fm == dram::FarMemTech::Pcm)
-        dir += "/pcm";
+    if (!variant.empty())
+        dir += "/" + variant;
     return dir + "/" + file;
 }
 
@@ -138,18 +165,21 @@ compareJson(const std::string &want, const std::string &got)
     return {};
 }
 
+/**
+ * Run @p design x @p workloadSpec under @p cfg and compare against its
+ * snapshot in the @p variant subdirectory. A variant is a subdirectory
+ * plus the RunConfig that produced it, so a new one costs a config
+ * function, not a parameter.
+ */
 void
 checkGolden(const std::string &design, const std::string &workloadSpec,
-            bool queue = true,
-            dram::FarMemTech fm = dram::FarMemTech::Dram)
+            const std::string &variant = "",
+            const sim::RunConfig &cfg = goldenConfig())
 {
-    sim::RunConfig cfg = goldenConfig();
-    cfg.queue = queue;
-    cfg.fm = fm;
     sim::Metrics m = sim::simulateOne(
         cfg, workloads::resolveWorkloadOrFatal(workloadSpec), design);
     std::string got = m.toJson();
-    std::string path = goldenPath(design, workloadSpec, queue, fm);
+    std::string path = goldenPath(design, workloadSpec, variant);
 
     if (updateRequested()) {
         std::ofstream out(path);
@@ -216,19 +246,19 @@ TEST(GoldenMetrics, MempodLbm) { checkGolden("mempod", "lbm"); }
 
 TEST(GoldenMetricsNoQueue, BaselineLbm)
 {
-    checkGolden("baseline", "lbm", /*queue=*/false);
+    checkGolden("baseline", "lbm", "noqueue", noQueueConfig());
 }
 TEST(GoldenMetricsNoQueue, DfcMcf)
 {
-    checkGolden("dfc", "mcf", /*queue=*/false);
+    checkGolden("dfc", "mcf", "noqueue", noQueueConfig());
 }
 TEST(GoldenMetricsNoQueue, Hybrid2Lbm)
 {
-    checkGolden("hybrid2", "lbm", /*queue=*/false);
+    checkGolden("hybrid2", "lbm", "noqueue", noQueueConfig());
 }
 TEST(GoldenMetricsNoQueue, Hybrid2Mix)
 {
-    checkGolden("hybrid2", "mix:mcf+xalanc:2", /*queue=*/false);
+    checkGolden("hybrid2", "mix:mcf+xalanc:2", "noqueue", noQueueConfig());
 }
 
 // fm=pcm legs: pin the PCM far-memory backend — asymmetric read/write
@@ -239,20 +269,34 @@ TEST(GoldenMetricsNoQueue, Hybrid2Mix)
 
 TEST(GoldenMetricsPcm, BaselineLbm)
 {
-    checkGolden("baseline", "lbm", /*queue=*/true,
-                dram::FarMemTech::Pcm);
+    checkGolden("baseline", "lbm", "pcm", pcmConfig());
 }
 TEST(GoldenMetricsPcm, DfcLbm)
 {
-    checkGolden("dfc", "lbm", /*queue=*/true, dram::FarMemTech::Pcm);
+    checkGolden("dfc", "lbm", "pcm", pcmConfig());
 }
 TEST(GoldenMetricsPcm, Hybrid2Lbm)
 {
-    checkGolden("hybrid2", "lbm", /*queue=*/true, dram::FarMemTech::Pcm);
+    checkGolden("hybrid2", "lbm", "pcm", pcmConfig());
 }
 TEST(GoldenMetricsPcm, Hybrid2Mcf)
 {
-    checkGolden("hybrid2", "mcf", /*queue=*/true, dram::FarMemTech::Pcm);
+    checkGolden("hybrid2", "mcf", "pcm", pcmConfig());
+}
+
+// Migration legs: the default budget ends before the first 50 us
+// interval boundary, so mempod_lbm/lgm_lbm above record no interval
+// and no swap. At ten times the budget MemPod reaches 3 intervals /
+// 14 migrations and LGM 4 / 256, pinning the interval clock, the
+// swap's traffic and the remap-table updates.
+
+TEST(GoldenMetricsMigration, MempodLbm)
+{
+    checkGolden("mempod", "lbm", "migration", migrationConfig());
+}
+TEST(GoldenMetricsMigration, LgmLbm)
+{
+    checkGolden("lgm", "lbm", "migration", migrationConfig());
 }
 
 } // namespace
