@@ -111,18 +111,6 @@ Chameleon::inNmSlot(u64 seg) const
 }
 
 void
-Chameleon::metaAccess(AccessType type, mem::Timeline &tl)
-{
-    // Remap-table reads gate the data access; updates are posted.
-    u64 region = baselineMetaRegionBytes();
-    if (type == AccessType::Read)
-        ++nMetaReads;
-    else
-        ++nMetaWrites;
-    nmMetaRegionAccess(type, region, metaRotor, tl);
-}
-
-void
 Chameleon::promote(u64 group, u64 seg, mem::Timeline &tl)
 {
     GroupState &st = state(group);
@@ -170,7 +158,7 @@ Chameleon::promote(u64 group, u64 seg, mem::Timeline &tl)
     st.nmMember = seg;
     st.challenger = ~u64(0);
     st.counter = 0;
-    metaAccess(AccessType::Write, tl);
+    nmMetaRegionAccess(AccessType::Write, baselineMetaRegionBytes(), tl);
     remapCache.invalidate(group);
     // The promoted segment's data left the cache-mode slice's domain.
     cacheMode.invalidate(seg * segB);
@@ -189,8 +177,9 @@ Chameleon::access(Addr addr, AccessType type, Tick now)
 
     mem::Timeline tl(now);
     tl.advance(sys.controllerLatencyPs);
+    // Remap-table reads gate the data access; updates are posted.
     if (!remapCache.lookup(group))
-        metaAccess(AccessType::Read, tl);
+        nmMetaRegionAccess(AccessType::Read, baselineMetaRegionBytes(), tl);
 
     GroupState &st = state(group);
     bool fromNm;
@@ -274,8 +263,6 @@ Chameleon::resetStats()
     nSwaps = 0;
     nCacheModeHits = 0;
     nCacheModeFills = 0;
-    nMetaReads = 0;
-    nMetaWrites = 0;
 }
 
 void
@@ -287,13 +274,12 @@ Chameleon::collectStats(StatSet &out) const
     out.add("chameleon.cacheModeFills", double(nCacheModeFills));
     out.add("chameleon.remapCacheHits", double(remapCache.hits()));
     out.add("chameleon.remapCacheMisses", double(remapCache.misses()));
-    out.add("chameleon.metaReads", double(nMetaReads));
-    out.add("chameleon.metaWrites", double(nMetaWrites));
+    out.add("chameleon.metaReads", double(metaReads()));
+    out.add("chameleon.metaWrites", double(metaWrites()));
 }
 
 H2_REGISTER_DESIGN(chameleon, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Chameleon;
     d.name = "chameleon";
     d.description =
         "Chameleon (Kotra et al., MICRO'18): congruence-group swaps "

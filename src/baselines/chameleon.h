@@ -78,7 +78,6 @@ class Chameleon : public mem::HybridMemory
     u64 fmHomeOf(u64 seg) const;
     GroupState &state(u64 group);
     void promote(u64 group, u64 seg, mem::Timeline &tl);
-    void metaAccess(AccessType type, mem::Timeline &tl);
 
     ChameleonParams cfg;
     u64 nmGroupSegs; ///< NM segment slots participating in groups
@@ -89,13 +88,10 @@ class Chameleon : public mem::HybridMemory
     /** Tracks once-touched segments so cache-mode fills happen on
      *  reuse, not on first touch (filters streaming pollution). */
     cache::SetAssocCache onceSketch;
-    u64 metaRotor = 0;
 
     u64 nSwaps = 0;
     u64 nCacheModeHits = 0;
     u64 nCacheModeFills = 0;
-    u64 nMetaReads = 0;
-    u64 nMetaWrites = 0;
 };
 
 } // namespace h2::baselines

@@ -29,32 +29,21 @@ DfcCache::DfcCache(const mem::MemSystemParams &sysParams, u32 lineBytes)
 }
 
 void
-DfcCache::tagStoreAccess(AccessType type, mem::Timeline &tl)
-{
-    // The tag store occupies a reserved NM slice; reads gate the data
-    // access, writes are posted.
-    u64 region = baselineMetaRegionBytes();
-    if (type == AccessType::Read)
-        ++tagReads;
-    else
-        ++tagWrites;
-    nmMetaRegionAccess(type, region, metaRotor, tl);
-}
-
-void
 DfcCache::tagLookup(Addr addr, mem::Timeline &tl)
 {
     Addr lineAddr = addr & ~Addr(cp.lineBytes - 1);
     if (tagCache.lookup(lineAddr / cp.lineBytes))
         return; // fused on-chip tag hit: no overhead
-    tagStoreAccess(AccessType::Read, tl);
+    // The tag store occupies a reserved NM slice; reads gate the data
+    // access, writes are posted.
+    nmMetaRegionAccess(AccessType::Read, baselineMetaRegionBytes(), tl);
 }
 
 void
 DfcCache::onFill(Addr, mem::Timeline &tl)
 {
     // Fills update the NM-resident tag store off the critical path.
-    tagStoreAccess(AccessType::Write, tl);
+    nmMetaRegionAccess(AccessType::Write, baselineMetaRegionBytes(), tl);
 }
 
 void
@@ -62,8 +51,6 @@ DfcCache::resetStats()
 {
     IdealCache::resetStats();
     tagCache.resetStats();
-    tagReads = 0;
-    tagWrites = 0;
 }
 
 void
@@ -72,13 +59,12 @@ DfcCache::collectStats(StatSet &out) const
     IdealCache::collectStats(out);
     out.add("dfc.tagCacheHits", double(tagCache.hits()));
     out.add("dfc.tagCacheMisses", double(tagCache.misses()));
-    out.add("dfc.tagReads", double(tagReads));
-    out.add("dfc.tagWrites", double(tagWrites));
+    out.add("dfc.tagReads", double(metaReads()));
+    out.add("dfc.tagWrites", double(metaWrites()));
 }
 
 H2_REGISTER_DESIGN(dfc, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Dfc;
     d.name = "dfc";
     d.description =
         "Decoupled Fused Cache (Vasilakis et al., TACO'19): in-DRAM "

@@ -33,14 +33,7 @@ class DfcCache : public IdealCache
     void onFill(Addr lineAddr, mem::Timeline &tl) override;
 
   private:
-    /** Charge one 64 B access to the NM-resident tag store: reads
-     *  serialize (the lookup gates the data access), writes post. */
-    void tagStoreAccess(AccessType type, mem::Timeline &tl);
-
     RemapCache tagCache;
-    u64 tagReads = 0;
-    u64 tagWrites = 0;
-    u64 metaRotor = 0;
 };
 
 } // namespace h2::baselines

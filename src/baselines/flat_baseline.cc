@@ -26,7 +26,6 @@ FlatBaseline::access(Addr addr, AccessType type, Tick now)
 
 H2_REGISTER_DESIGN(baseline, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Baseline;
     d.name = "baseline";
     d.description =
         "FM-only system (no 3D-stacked DRAM); the normalization baseline";

@@ -178,7 +178,6 @@ IdealCache::collectStats(StatSet &out) const
 
 H2_REGISTER_DESIGN(ideal, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Ideal;
     d.name = "ideal";
     d.description =
         "overhead-free DRAM cache with a parametric line size (Figure 2)";

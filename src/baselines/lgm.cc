@@ -3,90 +3,46 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/log.h"
-#include "common/units.h"
 #include "sim/design_registry.h"
 
 namespace h2::baselines {
 
 Lgm::Lgm(const mem::MemSystemParams &sysParams, const mem::LlcView &llcView,
          const LgmParams &params)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
+    : IntervalMigration(sysParams, params.segmentBytes, params.intervalPs,
+                        "lgm"),
       cfg(params),
-      nmSegs(sysParams.nmBytes / cfg.segmentBytes),
-      fmSegs(sysParams.fmBytes / cfg.segmentBytes),
-      remap(nmSegs + fmSegs, nmSegs, 0, fmSegs),
-      remapCache(),
-      llc(llcView),
-      nextInterval(cfg.intervalPs)
+      llc(llcView)
 {
 }
 
 void
-Lgm::metaAccess(AccessType type, mem::Timeline &tl)
+Lgm::onFmAccess(u64 seg)
 {
-    // Remap-table reads gate the data access; updates are posted.
-    u64 region = baselineMetaRegionBytes();
-    if (type == AccessType::Read)
-        ++nMetaReads;
-    else
-        ++nMetaWrites;
-    nmMetaRegionAccess(type, region, metaRotor, tl);
+    ++intervalCounts[seg];
 }
 
 void
 Lgm::migrateSegment(u64 hotSeg, mem::Timeline &tl)
 {
-    core::Loc hotHome = remap.lookup(hotSeg);
-    if (hotHome.inNm)
+    if (locate(hotSeg).inNm)
         return; // migrated by an earlier candidate this interval
-    u64 segB = cfg.segmentBytes;
+    u64 segB = segmentBytes;
 
-    // FIFO victim over the NM locations.
+    // FIFO victim over the NM locations, named by an inverted remap
+    // table read.
     u64 nmLoc = fifoPtr % nmSegs;
     fifoPtr += 1;
-    auto resident = remap.invLookup(nmLoc);
-    h2_assert(resident, "LGM NM location with no resident");
-    metaAccess(AccessType::Read, tl); // inverted remap table read
+    u64 victim = occupant(nmLoc);
+    nmMetaRegionAccess(AccessType::Read, baselineMetaRegionBytes(), tl);
 
     // Bandwidth economizing: skip lines of both segments that are
     // currently in the LLC (they will be written back to the new homes).
-    u32 lines = segB / mem::llcLineBytes;
+    u32 lines = segmentBytes / mem::llcLineBytes;
     u32 hotResident = llc.residentLines(hotSeg * segB, segB);
-    u32 victimResident = llc.residentLines(*resident * segB, segB);
-    nLlcLinesSkipped += hotResident + victimResident;
-    u32 hotBytes = (lines - hotResident) * mem::llcLineBytes;
-    u32 victimBytes = (lines - victimResident) * mem::llcLineBytes;
-
-    // Both bulk-copy reads issue together and serialize; the writes to
-    // the new homes are posted once the data is buffered.
-    Tick base = tl.now();
-    Tick copied = base;
-    if (victimBytes > 0)
-        copied = std::max(copied, nmc().access(nmLoc * u64(segB),
-                                             victimBytes,
-                                             AccessType::Read, base));
-    if (hotBytes > 0)
-        copied = std::max(copied, fmc().access(hotHome.idx * u64(segB),
-                                             hotBytes, AccessType::Read,
-                                             base));
-    tl.serialize(copied);
-    if (victimBytes > 0)
-        postWrite(*fm, hotHome.idx * u64(segB), victimBytes, tl.now());
-    if (hotBytes > 0)
-        postWrite(*nm, nmLoc * u64(segB), hotBytes, tl.now());
-
-    remap.update(hotSeg, core::Loc{true, nmLoc});
-    remap.update(*resident, core::Loc{false, hotHome.idx});
-    remap.invUpdate(nmLoc, hotSeg);
-    metaAccess(AccessType::Write, tl);
-    metaAccess(AccessType::Write, tl);
-    remapCache.invalidate(hotSeg);
-    remapCache.invalidate(*resident);
-    ++nMigrations;
+    u32 victimResident = llc.residentLines(victim * segB, segB);
+    swap(hotSeg, nmLoc, (lines - victimResident) * mem::llcLineBytes,
+         (lines - hotResident) * mem::llcLineBytes, tl);
 }
 
 void
@@ -102,71 +58,17 @@ Lgm::endInterval(mem::Timeline &tl)
     for (const auto &[count, seg] : hot)
         migrateSegment(seg, tl);
     intervalCounts.clear();
-    ++nIntervals;
-}
-
-mem::MemResult
-Lgm::access(Addr addr, AccessType type, Tick now)
-{
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond flat capacity");
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
-    // Watermark-triggered bulk copies run in the controller when the
-    // first request past the interval boundary arrives; that request
-    // waits for the copies' serialized reads.
-    while (now >= nextInterval) {
-        endInterval(tl);
-        nextInterval += cfg.intervalPs;
-    }
-
-    u64 seg = addr / cfg.segmentBytes;
-    u64 offset = addr % cfg.segmentBytes;
-    if (!remapCache.lookup(seg))
-        metaAccess(AccessType::Read, tl);
-
-    core::Loc loc = remap.lookup(seg);
-    if (loc.inNm) {
-        tl.serialize(nmc().access(loc.idx * u64(cfg.segmentBytes) + offset,
-                                mem::llcLineBytes, type, tl.now()));
-    } else {
-        tl.serialize(fmc().access(loc.idx * u64(cfg.segmentBytes) + offset,
-                                mem::llcLineBytes, type, tl.now()));
-        ++intervalCounts[seg];
-    }
-    flushPostedWrites(tl);
-    recordService(type, loc.inNm, tl);
-    return {tl, loc.inNm};
-}
-
-void
-Lgm::resetStats()
-{
-    mem::HybridMemory::resetStats();
-    remapCache.resetStats();
-    nMigrations = 0;
-    nIntervals = 0;
-    nLlcLinesSkipped = 0;
-    nMetaReads = 0;
-    nMetaWrites = 0;
 }
 
 void
 Lgm::collectStats(StatSet &out) const
 {
-    mem::HybridMemory::collectStats(out);
-    out.add("lgm.migrations", double(nMigrations));
-    out.add("lgm.intervals", double(nIntervals));
-    out.add("lgm.llcLinesSkipped", double(nLlcLinesSkipped));
-    out.add("lgm.remapCacheHits", double(remapCache.hits()));
-    out.add("lgm.remapCacheMisses", double(remapCache.misses()));
-    out.add("lgm.metaReads", double(nMetaReads));
-    out.add("lgm.metaWrites", double(nMetaWrites));
+    IntervalMigration::collectStats(out);
+    out.add("lgm.llcLinesSkipped", double(llcLinesSkipped()));
 }
 
 H2_REGISTER_DESIGN(lgm, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Lgm;
     d.name = "lgm";
     d.description =
         "LLC-Guided Migration (Vasilakis et al., IPDPS'19): flat space "

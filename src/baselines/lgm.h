@@ -9,16 +9,20 @@
  * LGM economizes migration bandwidth by not copying the cache lines of
  * a migrating segment that are currently resident in the LLC - those
  * are written back to the segment's new home on LLC eviction.
+ *
+ * The remap table, remap cache, interval clock, access path and swap
+ * live in IntervalMigration; LGM owns only its selection policy: the
+ * per-interval watermark counts, the FIFO victim pointer, the
+ * inverted-table read that names the victim, and the LLC-resident copy
+ * sizing.
  */
 
 #pragma once
 
 #include <unordered_map>
 
-#include "baselines/remap_cache.h"
+#include "baselines/interval_migration.h"
 #include "common/units.h"
-#include "core/remap_table.h"
-#include "mem/hybrid_memory.h"
 
 namespace h2::baselines {
 
@@ -33,43 +37,27 @@ struct LgmParams
     u32 maxMigrationsPerInterval = 64;
 };
 
-class Lgm : public mem::HybridMemory
+class Lgm : public IntervalMigration
 {
   public:
     Lgm(const mem::MemSystemParams &sysParams, const mem::LlcView &llc,
         const LgmParams &params = {});
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return "LGM"; }
-    u64 flatCapacity() const override { return sys.nmBytes + sys.fmBytes; }
     void collectStats(StatSet &out) const override;
-    void resetStats() override;
 
-    u64 migrations() const { return nMigrations; }
-    u64 llcLinesSkipped() const { return nLlcLinesSkipped; }
-    core::Loc locate(u64 flatSeg) const { return remap.lookup(flatSeg); }
+    /** LLC-resident lines migrations skipped copying. */
+    u64 llcLinesSkipped() const { return uncopiedLines(); }
 
   private:
-    void endInterval(mem::Timeline &tl);
+    void onFmAccess(u64 seg) override;
+    void endInterval(mem::Timeline &tl) override;
     void migrateSegment(u64 hotSeg, mem::Timeline &tl);
-    void metaAccess(AccessType type, mem::Timeline &tl);
 
     LgmParams cfg;
-    u64 nmSegs;
-    u64 fmSegs;
-    core::RemapTable remap;
-    RemapCache remapCache;
     const mem::LlcView &llc;
     std::unordered_map<u64, u32> intervalCounts;
     u64 fifoPtr = 0;
-    Tick nextInterval;
-    u64 metaRotor = 0;
-
-    u64 nMigrations = 0;
-    u64 nIntervals = 0;
-    u64 nLlcLinesSkipped = 0;
-    u64 nMetaReads = 0;
-    u64 nMetaWrites = 0;
 };
 
 } // namespace h2::baselines

@@ -1,25 +1,17 @@
 #include "baselines/mempod.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/log.h"
-#include "common/units.h"
 #include "sim/design_registry.h"
 
 namespace h2::baselines {
 
 MemPod::MemPod(const mem::MemSystemParams &sysParams,
                const MemPodParams &params)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
-      cfg(params),
-      nmSegs(sysParams.nmBytes / cfg.segmentBytes),
-      fmSegs(sysParams.fmBytes / cfg.segmentBytes),
-      remap(nmSegs + fmSegs, nmSegs, 0, fmSegs),
-      remapCache(),
-      nextInterval(cfg.intervalPs)
+    : IntervalMigration(sysParams, params.segmentBytes, params.intervalPs,
+                        "mempod"),
+      cfg(params)
 {
     h2_assert(nmSegs % cfg.pods == 0, "NM segments not divisible by pods");
     podMea.assign(cfg.pods, Mea(cfg.meaCounters));
@@ -30,47 +22,9 @@ MemPod::MemPod(const mem::MemSystemParams &sysParams,
 }
 
 void
-MemPod::metaAccess(AccessType type, mem::Timeline &tl)
+MemPod::onFmAccess(u64 seg)
 {
-    // The remap tables live in a reserved NM region; reads gate the
-    // data access, updates are posted.
-    u64 region = baselineMetaRegionBytes();
-    if (type == AccessType::Read)
-        ++nMetaReads;
-    else
-        ++nMetaWrites;
-    nmMetaRegionAccess(type, region, metaRotor, tl);
-}
-
-void
-MemPod::swapSegments(u64 hotSeg, u64 nmLoc, mem::Timeline &tl)
-{
-    // The NM location's current resident goes to the hot segment's FM
-    // home; the hot segment moves into NM.
-    auto resident = remap.invLookup(nmLoc);
-    h2_assert(resident, "MemPod NM location with no resident");
-    core::Loc hotHome = remap.lookup(hotSeg);
-    h2_assert(!hotHome.inNm, "hot segment already in NM");
-
-    u32 segB = cfg.segmentBytes;
-    // Read both segments (issued together, the swap resumes when the
-    // slower one lands), then post both destination writes.
-    Tick rdNm = nmc().access(nmLoc * u64(segB), segB, AccessType::Read,
-                           tl.now());
-    Tick rdFm = fmc().access(hotHome.idx * u64(segB), segB,
-                           AccessType::Read, tl.now());
-    tl.serialize(std::max(rdNm, rdFm));
-    postWrite(*nm, nmLoc * u64(segB), segB, tl.now());
-    postWrite(*fm, hotHome.idx * u64(segB), segB, tl.now());
-
-    remap.update(hotSeg, core::Loc{true, nmLoc});
-    remap.update(*resident, core::Loc{false, hotHome.idx});
-    remap.invUpdate(nmLoc, hotSeg);
-    metaAccess(AccessType::Write, tl);
-    metaAccess(AccessType::Write, tl);
-    remapCache.invalidate(hotSeg);
-    remapCache.invalidate(*resident);
-    ++nMigrations;
+    podMea[seg % cfg.pods].touch(seg);
 }
 
 void
@@ -88,88 +42,22 @@ MemPod::endInterval(mem::Timeline &tl)
                 continue;
             if (cfg.requirePersistence && !prevTracked.count(seg))
                 continue; // one-shot burst: not worth a swap yet
-            if (remap.lookup(seg).inNm)
+            if (locate(seg).inNm)
                 continue; // already resident
             // Round-robin FIFO victim within this pod's NM slice.
             u64 victimIdx = podFifo[p] % nmSegsPerPod;
             podFifo[p] += 1;
             u64 nmLoc = victimIdx * cfg.pods + p;
-            swapSegments(seg, nmLoc, tl);
+            swap(seg, nmLoc, segmentBytes, segmentBytes, tl);
             ++migrated;
         }
         podMea[p].clear();
     }
     prevTracked = std::move(trackedNow);
-    ++nIntervals;
-}
-
-mem::MemResult
-MemPod::access(Addr addr, AccessType type, Tick now)
-{
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond flat capacity");
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
-    // Interval-end MEA migrations run in the controller when the first
-    // request past the boundary arrives; that request (and everything
-    // behind it) waits for the swaps' serialized reads.
-    while (now >= nextInterval) {
-        endInterval(tl);
-        nextInterval += cfg.intervalPs;
-    }
-
-    u64 seg = addr / cfg.segmentBytes;
-    u64 offset = addr % cfg.segmentBytes;
-    if (!remapCache.lookup(seg))
-        metaAccess(AccessType::Read, tl);
-
-    core::Loc loc = remap.lookup(seg);
-    if (loc.inNm) {
-        tl.serialize(nmc().access(loc.idx * u64(cfg.segmentBytes) + offset,
-                                mem::llcLineBytes, type, tl.now()));
-    } else {
-        tl.serialize(fmc().access(loc.idx * u64(cfg.segmentBytes) + offset,
-                                mem::llcLineBytes, type, tl.now()));
-        podMea[seg % cfg.pods].touch(seg);
-    }
-    flushPostedWrites(tl);
-    recordService(type, loc.inNm, tl);
-    return {tl, loc.inNm};
-}
-
-void
-MemPod::checkInvariants() const
-{
-    // Spot-check remap/inverted consistency over the overridden set by
-    // sampling NM locations round-robin; full iteration is test-side.
-}
-
-void
-MemPod::resetStats()
-{
-    mem::HybridMemory::resetStats();
-    remapCache.resetStats();
-    nMigrations = 0;
-    nIntervals = 0;
-    nMetaReads = 0;
-    nMetaWrites = 0;
-}
-
-void
-MemPod::collectStats(StatSet &out) const
-{
-    mem::HybridMemory::collectStats(out);
-    out.add("mempod.migrations", double(nMigrations));
-    out.add("mempod.intervals", double(nIntervals));
-    out.add("mempod.remapCacheHits", double(remapCache.hits()));
-    out.add("mempod.remapCacheMisses", double(remapCache.misses()));
-    out.add("mempod.metaReads", double(nMetaReads));
-    out.add("mempod.metaWrites", double(nMetaWrites));
 }
 
 H2_REGISTER_DESIGN(mempod, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::MemPod;
     d.name = "mempod";
     d.description =
         "MemPod (Prodromou et al., HPCA'17): clustered flat space, "

@@ -10,19 +10,21 @@
  * fronted by an on-chip remap cache sized like Hybrid2's XTA.
  *
  * Paper configuration (section 5): 64 MEA counters, 50 us intervals.
+ *
+ * The remap table, remap cache, interval clock, access path and swap
+ * live in IntervalMigration; MemPod owns only its selection policy: the
+ * per-pod MEA sketches, the per-pod FIFO victim pointers and the
+ * two-interval persistence filter.
  */
 
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "baselines/interval_migration.h"
 #include "baselines/mea.h"
 #include "common/units.h"
-#include "baselines/remap_cache.h"
-#include "core/remap_table.h"
-#include "mem/hybrid_memory.h"
 
 namespace h2::baselines {
 
@@ -42,42 +44,22 @@ struct MemPodParams
     bool requirePersistence = true;
 };
 
-class MemPod : public mem::HybridMemory
+class MemPod : public IntervalMigration
 {
   public:
     MemPod(const mem::MemSystemParams &sysParams,
            const MemPodParams &params = {});
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return "MPOD"; }
-    u64 flatCapacity() const override { return sys.nmBytes + sys.fmBytes; }
-    void collectStats(StatSet &out) const override;
-    void resetStats() override;
-    void checkInvariants() const override;
-
-    u64 migrations() const { return nMigrations; }
-    core::Loc locate(u64 flatSeg) const { return remap.lookup(flatSeg); }
 
   private:
-    void endInterval(mem::Timeline &tl);
-    void swapSegments(u64 hotSeg, u64 nmLoc, mem::Timeline &tl);
-    void metaAccess(AccessType type, mem::Timeline &tl);
+    void onFmAccess(u64 seg) override;
+    void endInterval(mem::Timeline &tl) override;
 
     MemPodParams cfg;
-    u64 nmSegs;
-    u64 fmSegs;
-    core::RemapTable remap; ///< reused with a zero cache region
-    RemapCache remapCache;
     std::vector<Mea> podMea;
     std::vector<u64> podFifo; ///< round-robin NM victim pointer per pod
     std::unordered_set<u64> prevTracked; ///< MEA survivors, last interval
-    Tick nextInterval;
-    u64 metaRotor = 0;
-
-    u64 nMigrations = 0;
-    u64 nIntervals = 0;
-    u64 nMetaReads = 0;
-    u64 nMetaWrites = 0;
 };
 
 } // namespace h2::baselines

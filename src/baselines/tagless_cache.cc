@@ -25,7 +25,6 @@ TaglessCache::TaglessCache(const mem::MemSystemParams &sysParams)
 
 H2_REGISTER_DESIGN(tagless, [] {
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Tagless;
     d.name = "tagless";
     d.description =
         "Tagless DRAM cache (Lee et al., ISCA'15): page-granular, "

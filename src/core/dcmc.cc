@@ -99,11 +99,7 @@ Dcmc::metaAccess(AccessType type, mem::Timeline &tl)
     // Table reads gate the next step of the miss path; table writes are
     // posted and drain behind the request's serialized reads.
     bytes.nmMeta += 64;
-    if (type == AccessType::Read)
-        ++nMetaReads;
-    else
-        ++nMetaWrites;
-    nmMetaRegionAccess(type, metaBytesTotal, metaRotor, tl);
+    nmMetaRegionAccess(type, metaBytesTotal, tl);
 }
 
 void
@@ -483,8 +479,6 @@ Dcmc::resetStats()
     nSwapOuts = 0;
     nDeniedByCounter = 0;
     nDeniedByBudget = 0;
-    nMetaReads = 0;
-    nMetaWrites = 0;
     nMetaSkipped = 0;
     nFreeSwapOuts = 0;
 }
@@ -504,8 +498,8 @@ Dcmc::collectStats(StatSet &out) const
     out.add("dcmc.swapOuts", double(nSwapOuts));
     out.add("dcmc.deniedByCounter", double(nDeniedByCounter));
     out.add("dcmc.deniedByBudget", double(nDeniedByBudget));
-    out.add("dcmc.metaReads", double(nMetaReads));
-    out.add("dcmc.metaWrites", double(nMetaWrites));
+    out.add("dcmc.metaReads", double(metaReads()));
+    out.add("dcmc.metaWrites", double(metaWrites()));
     out.add("dcmc.metaSkipped", double(nMetaSkipped));
     out.add("dcmc.freeSwapOuts", double(nFreeSwapOuts));
     out.add("dcmc.bytes.nmDemand", double(bytes.nmDemand));
@@ -522,7 +516,6 @@ Dcmc::collectStats(StatSet &out) const
 H2_REGISTER_DESIGN(hybrid2, [] {
     const Hybrid2Params defaults;
     sim::DesignInfo d;
-    d.kind = sim::DesignKind::Hybrid2;
     d.name = "hybrid2";
     d.description =
         "the paper's DRAM Cache Migration Controller (default: best "

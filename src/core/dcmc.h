@@ -150,7 +150,6 @@ class Dcmc : public mem::HybridMemory
     MigrationPolicy migrPolicy;
 
     DcmcTraffic bytes;
-    u64 metaRotor = 0; ///< spreads metadata accesses over the region
 
     // Stats ------------------------------------------------------------
     u64 nLineHits = 0;       ///< case 1a
@@ -163,8 +162,6 @@ class Dcmc : public mem::HybridMemory
     u64 nSwapOuts = 0;
     u64 nDeniedByCounter = 0;
     u64 nDeniedByBudget = 0;
-    u64 nMetaReads = 0;
-    u64 nMetaWrites = 0;
     u64 nMetaSkipped = 0;    ///< ops elided by the No-Remap ablation
     u64 nFreeSwapOuts = 0;   ///< swap-outs that skipped the copy (3.8)
 

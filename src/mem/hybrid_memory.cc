@@ -73,14 +73,17 @@ HybridMemory::dynamicEnergyPj() const
 
 void
 HybridMemory::nmMetaRegionAccess(AccessType type, u64 regionBytes,
-                                 u64 &rotor, Timeline &tl)
+                                 Timeline &tl)
 {
-    Addr addr = (splitmix64(rotor++) * 64) % regionBytes;
+    Addr addr = (splitmix64(metaRotor++) * 64) % regionBytes;
     addr &= ~Addr(63);
-    if (type == AccessType::Read)
+    if (type == AccessType::Read) {
+        ++nMetaReads;
         tl.serialize(nmc().access(addr, 64, type, tl.now()));
-    else
+    } else {
+        ++nMetaWrites;
         postWrite(*nm, addr, 64, tl.now());
+    }
 }
 
 double
@@ -114,6 +117,8 @@ HybridMemory::avgWritebackLatencyPs() const
 void
 HybridMemory::resetStats()
 {
+    nMetaReads = 0;
+    nMetaWrites = 0;
     nRequests = 0;
     nFromNm = 0;
     nDemandReads = 0;

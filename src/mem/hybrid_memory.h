@@ -187,13 +187,17 @@ class HybridMemory
 
     /**
      * One 64 B access into a reserved NM metadata region (remap/tag
-     * tables) of @p regionBytes, spread via @p rotor so table traffic
-     * exercises all NM channels/banks. Reads serialize onto @p tl;
-     * writes go through the posted-write buffer. Callers keep their
-     * own read/write counters.
+     * tables) of @p regionBytes, spread by a per-design rotor so table
+     * traffic exercises all NM channels/banks. Reads serialize onto
+     * @p tl; writes go through the posted-write buffer. Each call
+     * counts into metaReads()/metaWrites().
      */
-    void nmMetaRegionAccess(AccessType type, u64 regionBytes, u64 &rotor,
-                            Timeline &tl);
+    void nmMetaRegionAccess(AccessType type, u64 regionBytes, Timeline &tl);
+
+    /** nmMetaRegionAccess() reads and writes since the last
+     *  resetStats(); designs emit them under their own stat keys. */
+    u64 metaReads() const { return nMetaReads; }
+    u64 metaWrites() const { return nMetaWrites; }
 
     /** Reserved NM slice the baseline designs keep their remap/tag
      *  tables in: 16 MiB, capped at a quarter of NM. */
@@ -261,6 +265,9 @@ class HybridMemory
     std::unique_ptr<MemController> nmCtrl; ///< null for FM-only
     std::unique_ptr<MemController> fmCtrl;
 
+    u64 metaRotor = 0; ///< spreads metadata accesses over the region
+    u64 nMetaReads = 0;
+    u64 nMetaWrites = 0;
     u64 nRequests = 0;
     u64 nFromNm = 0;
     u64 nDemandReads = 0;

@@ -17,12 +17,6 @@ MemController::MemController(dram::DramDevice &device,
     u32 n = dev.channelCount();
     writeQ.resize(n);
     inflight.resize(n);
-    readDepth.reserve(n);
-    writeDepth.reserve(n);
-    for (u32 c = 0; c < n; ++c) {
-        readDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-        writeDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-    }
 }
 
 size_t
@@ -101,9 +95,7 @@ MemController::sampleReadDepth(u32 ch, Tick now)
     auto &h = inflight[ch];
     while (!h.empty() && h.top() <= now)
         h.pop();
-    double depth = double(h.size());
-    readDepth[ch].sample(depth);
-    readDepthDist.sample(depth);
+    readDepthDist.sample(double(h.size()));
 }
 
 Tick
@@ -177,9 +169,7 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
         u64 bank, row;
         dev.decode(cur, ch, bank, row);
         auto &q = writeQ[ch];
-        double depth = double(q.size());
-        writeDepth[ch].sample(depth);
-        writeDepthDist.sample(depth);
+        writeDepthDist.sample(double(q.size()));
         q.push_back({cur, take, bank, row, readyAt});
         if (q.size() >= cfg.writeHighWatermark)
             forcedDrain(ch, readyAt);
@@ -223,18 +213,6 @@ MemController::queuedWrites() const
     return n;
 }
 
-const Histogram &
-MemController::writeDepthHist(u32 ch) const
-{
-    return writeDepth.at(ch);
-}
-
-const Histogram &
-MemController::readDepthHist(u32 ch) const
-{
-    return readDepth.at(ch);
-}
-
 void
 MemController::resetStats()
 {
@@ -245,10 +223,6 @@ MemController::resetStats()
     writeDelay.reset();
     readDepthDist.reset();
     writeDepthDist.reset();
-    for (auto &h : readDepth)
-        h.reset();
-    for (auto &h : writeDepth)
-        h.reset();
 }
 
 void

@@ -44,9 +44,9 @@
  *
  * Stats (all zero-guarded for empty classes): average read queue
  * delay (the serialized wait between arrival and service start that
- * demand requests experience), average write queue residency,
- * per-channel queue-depth histograms, drain episodes, and FR-FCFS
- * row-hit bypass counts.
+ * demand requests experience), average write queue residency, mean and
+ * maximum read/write queue depth, drain episodes, and FR-FCFS row-hit
+ * bypass counts.
  */
 
 #pragma once
@@ -71,8 +71,6 @@ struct QueueParams
     u32 writeHighWatermark = 32;
     /** Depth a forced drain stops at. */
     u32 writeLowWatermark = 8;
-    /** Queue-depth histogram resolution (entries per bucket). */
-    u32 depthHistBuckets = 64;
 };
 
 class MemController
@@ -116,8 +114,6 @@ class MemController
     /** Writes currently sitting in queues (all channels). */
     u64 queuedWrites() const;
 
-    bool queueEnabled() const { return cfg.enabled; }
-
     dram::DramDevice &device() { return dev; }
     const dram::DramDevice &device() const { return dev; }
 
@@ -133,13 +129,6 @@ class MemController
      *  (at the write's ready tick), so uncontended writes record ~0;
      *  forced drains issue at the drain decision tick. */
     double avgWriteQueueDelayPs() const { return writeDelay.mean(); }
-
-    /** Write-queue depth-at-enqueue histogram of channel @p ch. */
-    const Histogram &writeDepthHist(u32 ch) const;
-    /** In-flight-requests-at-arrival histogram of channel @p ch (the
-     *  read-side "queue depth": dispatched chunks not yet complete
-     *  when a demand access arrives). */
-    const Histogram &readDepthHist(u32 ch) const;
 
     void resetStats();
 
@@ -197,8 +186,9 @@ class MemController
      *  @p now. */
     Tick drainChannel(u32 ch, Tick now);
 
-    /** Record the in-flight depth channel @p ch shows at @p now and
-     *  drop completed entries (popped off the min-heap, so only the
+    /** Record the in-flight depth channel @p ch shows at @p now (the
+     *  read-side "queue depth": dispatched chunks not yet complete when
+     *  a demand access arrives) and drop completed entries (popped off the min-heap, so only the
      *  entries that completed are touched). */
     void sampleReadDepth(u32 ch, Tick now);
 
@@ -219,10 +209,8 @@ class MemController
     u64 nRowHitBypasses = 0;
     Distribution readDelay;
     Distribution writeDelay;
-    Distribution readDepthDist;
-    Distribution writeDepthDist;
-    std::vector<Histogram> readDepth;  ///< per channel, at arrival
-    std::vector<Histogram> writeDepth; ///< per channel, at enqueue
+    Distribution readDepthDist;  ///< in-flight chunks, at arrival
+    Distribution writeDepthDist; ///< write-queue depth, at enqueue
 };
 
 } // namespace h2::mem

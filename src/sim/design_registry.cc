@@ -1,6 +1,5 @@
 #include "sim/design_registry.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/log.h"
@@ -21,8 +20,6 @@ DesignRegistry::add(DesignInfo info)
 {
     h2_assert(info.factory != nullptr, "design '", info.name,
               "' registered without a factory");
-    h2_assert(info.name == to_string(info.kind),
-              "design name '", info.name, "' does not match its kind");
     int positionals = 0;
     for (const auto &p : info.params)
         positionals += p.positional ? 1 : 0;
@@ -39,15 +36,6 @@ DesignRegistry::find(std::string_view name) const
     return it == byName.end() ? nullptr : &it->second;
 }
 
-const DesignInfo &
-DesignRegistry::at(DesignKind kind) const
-{
-    for (const auto &[name, info] : byName)
-        if (info.kind == kind)
-            return info;
-    h2_panic("design kind ", static_cast<int>(kind), " never registered");
-}
-
 std::vector<const DesignInfo *>
 DesignRegistry::all() const
 {
@@ -55,10 +43,6 @@ DesignRegistry::all() const
     out.reserve(byName.size());
     for (const auto &[name, info] : byName)
         out.push_back(&info);
-    std::sort(out.begin(), out.end(),
-              [](const DesignInfo *a, const DesignInfo *b) {
-                  return a->kind < b->kind;
-              });
     return out;
 }
 

@@ -27,7 +27,7 @@
 
 namespace h2::sim {
 
-/** Everything the registry knows about one design kind. */
+/** Everything the registry knows about one design. */
 struct DesignInfo
 {
     using Factory = std::unique_ptr<mem::HybridMemory> (*)(
@@ -36,7 +36,6 @@ struct DesignInfo
     /** Cross-parameter validation; returns "" or a reason. */
     using CrossCheck = std::string (*)(const DesignSpec &);
 
-    DesignKind kind = DesignKind::Baseline;
     std::string name;        ///< grammar head, e.g. "dfc"
     std::string description; ///< one line, for --list-designs
     std::vector<ParamDef> params;
@@ -54,16 +53,13 @@ class DesignRegistry
   public:
     static DesignRegistry &instance();
 
-    /** Register @p info; fatal on a duplicate kind or name. */
+    /** Register @p info; fatal on a duplicate name. */
     void add(DesignInfo info);
 
     /** Entry for grammar head @p name; nullptr if unknown. */
     const DesignInfo *find(std::string_view name) const;
 
-    /** Entry for @p kind; fatal if the design never registered. */
-    const DesignInfo &at(DesignKind kind) const;
-
-    /** All entries ordered by kind (deterministic, link-order free). */
+    /** All entries in name order (deterministic, link-order free). */
     std::vector<const DesignInfo *> all() const;
 
     /**

@@ -95,22 +95,6 @@ applyValue(std::map<std::string, ParamValue> &values,
 
 } // namespace
 
-std::string
-to_string(DesignKind kind)
-{
-    switch (kind) {
-    case DesignKind::Baseline: return "baseline";
-    case DesignKind::Hybrid2: return "hybrid2";
-    case DesignKind::Ideal: return "ideal";
-    case DesignKind::Tagless: return "tagless";
-    case DesignKind::Dfc: return "dfc";
-    case DesignKind::MemPod: return "mempod";
-    case DesignKind::Chameleon: return "chameleon";
-    case DesignKind::Lgm: return "lgm";
-    }
-    h2_panic("unknown DesignKind ", static_cast<int>(kind));
-}
-
 DesignSpec::ParseResult
 DesignSpec::parse(std::string_view text)
 {
@@ -175,12 +159,6 @@ DesignSpec::parseOrFatal(std::string_view text)
     if (!result.ok())
         h2_fatal(result.error);
     return *std::move(result.spec);
-}
-
-DesignKind
-DesignSpec::kind() const
-{
-    return def->kind;
 }
 
 const std::string &

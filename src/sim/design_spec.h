@@ -32,20 +32,6 @@ namespace h2::sim {
 
 struct DesignInfo; // registry entry; see design_registry.h
 
-/** Every design kind known to the simulator (paper sections 2 and 6). */
-enum class DesignKind : u8 {
-    Baseline,  ///< FM-only normalization baseline
-    Hybrid2,   ///< the paper's DRAM Cache Migration Controller
-    Ideal,     ///< overhead-free DRAM cache (Figure 2)
-    Tagless,   ///< Tagless DRAM cache (Lee et al., ISCA'15)
-    Dfc,       ///< Decoupled Fused Cache (Vasilakis et al., TACO'19)
-    MemPod,    ///< MemPod (Prodromou et al., HPCA'17)
-    Chameleon, ///< Chameleon (Kotra et al., MICRO'18)
-    Lgm,       ///< LLC-Guided Migration (Vasilakis et al., IPDPS'19)
-};
-
-std::string to_string(DesignKind kind);
-
 /** Schema entry for one design parameter. */
 struct ParamDef
 {
@@ -91,7 +77,6 @@ class DesignSpec
     /** Parse @p text; h2_fatal (exit, not crash) on any error. */
     static DesignSpec parseOrFatal(std::string_view text);
 
-    DesignKind kind() const;
     /** Grammar head, e.g. "dfc". */
     const std::string &kindName() const;
     /** Registry entry this spec was validated against. */

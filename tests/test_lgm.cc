@@ -116,6 +116,7 @@ TEST(Lgm, DisplacedVictimRemainsReachable)
             found = true;
     }
     EXPECT_TRUE(found);
+    l.checkInvariants();
 }
 
 TEST(Lgm, LlcResidentLinesReduceMigrationTraffic)
@@ -156,6 +157,7 @@ TEST(Lgm, MigrationCapRespected)
     l.access(0, AccessType::Read, 2 * psPerUs);
     EXPECT_LE(l.migrations(), 3u);
     EXPECT_GT(l.migrations(), 0u);
+    l.checkInvariants();
 }
 
 TEST(Lgm, MetadataChargedOnRemapCacheMiss)

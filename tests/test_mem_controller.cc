@@ -326,10 +326,6 @@ class RefController
         inflight.resize(n);
         bypassesPerCh.assign(n, 0);
         writeDelayPerCh.resize(n);
-        for (u32 c = 0; c < n; ++c) {
-            readDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-            writeDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-        }
     }
 
     Tick
@@ -362,9 +358,7 @@ class RefController
         forEachChunk(addr, bytes,
                      [&](Addr cur, u32 take, u32 ch, u64, u64) {
             auto &q = writeQ[ch];
-            double depth = double(q.size());
-            writeDepth[ch].sample(depth);
-            writeDepthDist.sample(depth);
+            writeDepthDist.sample(double(q.size()));
             q.push_back({cur, take, readyAt, nextSeq++});
             if (q.size() >= cfg.writeHighWatermark)
                 forcedDrain(ch, readyAt);
@@ -401,10 +395,6 @@ class RefController
             d.reset();
         readDepthDist.reset();
         writeDepthDist.reset();
-        for (auto &h : readDepth)
-            h.reset();
-        for (auto &h : writeDepth)
-            h.reset();
     }
 
     void
@@ -430,9 +420,6 @@ class RefController
         out.add(prefix + ".writeDepthMean", writeDepthDist.mean());
         out.add(prefix + ".writeDepthMax", writeDepthDist.max());
     }
-
-    std::vector<Histogram> readDepth;
-    std::vector<Histogram> writeDepth;
 
   private:
     struct QueuedWrite
@@ -535,9 +522,7 @@ class RefController
         v.erase(std::remove_if(v.begin(), v.end(),
                                [now](Tick t) { return t <= now; }),
                 v.end());
-        double depth = double(v.size());
-        readDepth[ch].sample(depth);
-        readDepthDist.sample(depth);
+        readDepthDist.sample(double(v.size()));
     }
 
     dram::DramDevice &dev;
@@ -553,14 +538,6 @@ class RefController
     std::vector<u64> bypassesPerCh;
     std::vector<Distribution> writeDelayPerCh;
 };
-
-void
-expectSameHistograms(const Histogram &got, const Histogram &want)
-{
-    ASSERT_EQ(got.count(), want.count());
-    for (u32 b = 0; b < want.numBuckets(); ++b)
-        ASSERT_EQ(got.bucketCount(b), want.bucketCount(b)) << "bucket " << b;
-}
 
 struct RefCase
 {
@@ -633,11 +610,6 @@ runAgainstReference(const RefCase &c)
         dev.collectStats(gotDev, "d");
         refDev.collectStats(wantDev, "d");
         ASSERT_EQ(gotDev, wantDev) << "op " << op;
-        for (u32 ch = 0; ch < dev.channelCount(); ++ch) {
-            expectSameHistograms(ctrl.readDepthHist(ch), ref.readDepth[ch]);
-            expectSameHistograms(ctrl.writeDepthHist(ch),
-                                 ref.writeDepth[ch]);
-        }
     }
     // The drain paths ran, so the comparison covered them.
     EXPECT_GT(bypasses + ctrl.rowHitBypasses(), 0u);
@@ -650,7 +622,6 @@ shallowQueue()
     QueueParams q;
     q.writeHighWatermark = 6;
     q.writeLowWatermark = 2;
-    q.depthHistBuckets = 16;
     return q;
 }
 

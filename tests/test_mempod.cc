@@ -103,6 +103,7 @@ TEST(MemPod, DisplacedSegmentStillReachable)
     EXPECT_EQ(m.locate(displaced).idx, hotSeg - 8 * MiB / 2048);
     EXPECT_NE(displaced, hotSeg);
     (void)nmLoc;
+    m.checkInvariants();
 }
 
 TEST(MemPod, MigrationChargesSwapTraffic)
@@ -166,6 +167,7 @@ TEST(MemPod, MigrationCapBoundsSwapBandwidth)
             m.access(32 * MiB + s * 4 * 2048, AccessType::Read, t += 100);
     m.access(64 * 2048, AccessType::Read, 2 * psPerUs);
     EXPECT_LE(m.migrations(), 2u * 4); // cap x pods
+    m.checkInvariants();
 }
 
 TEST(MemPod, RemapCacheMissesChargeMetadata)
