@@ -38,7 +38,7 @@ Lgm::migrateSegment(u64 hotSeg, mem::Timeline &tl)
 
     // Bandwidth economizing: skip lines of both segments that are
     // currently in the LLC (they will be written back to the new homes).
-    u32 lines = segmentBytes / mem::llcLineBytes;
+    u32 lines = segB / mem::llcLineBytes;
     u32 hotResident = llc.residentLines(hotSeg * segB, segB);
     u32 victimResident = llc.residentLines(victim * segB, segB);
     swap(hotSeg, nmLoc, (lines - victimResident) * mem::llcLineBytes,

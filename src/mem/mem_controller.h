@@ -188,8 +188,8 @@ class MemController
 
     /** Record the in-flight depth channel @p ch shows at @p now (the
      *  read-side "queue depth": dispatched chunks not yet complete when
-     *  a demand access arrives) and drop completed entries (popped off the min-heap, so only the
-     *  entries that completed are touched). */
+     *  a demand access arrives) and drop completed entries (popped off
+     *  the min-heap, so only the entries that completed are touched). */
     void sampleReadDepth(u32 ch, Tick now);
 
     /** Track a dispatched chunk completing at @p doneAt on @p ch. */
