@@ -11,7 +11,7 @@
 #include <string>
 
 #include "common/units.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     sim::RunConfig cfg;
     cfg.nmBytes = nmGib * GiB;
     cfg.instrPerCore = 500'000;
-    sim::Runner runner(cfg);
+    sim::SweepRunner runner(cfg);
 
     std::printf("workload: %s (%s MPKI class), NM %lluGiB / FM 16GiB\n\n",
                 wl.name.c_str(), to_string(wl.cls).c_str(),

@@ -13,7 +13,7 @@
 
 #include "common/units.h"
 #include "core/xta.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -26,7 +26,7 @@ main(int argc, char **argv)
     sim::RunConfig cfg;
     cfg.nmBytes = 1 * GiB;
     cfg.instrPerCore = 300'000;
-    sim::Runner runner(cfg);
+    sim::SweepRunner runner(cfg);
 
     std::printf("Hybrid2 design space on %s (NM 1GiB)\n\n",
                 wl.name.c_str());

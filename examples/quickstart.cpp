@@ -11,7 +11,7 @@
 #include <string>
 
 #include "common/units.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -32,7 +32,7 @@ main(int argc, char **argv)
     sim::RunConfig cfg;
     cfg.nmBytes = nmGib * GiB;
     cfg.instrPerCore = 500'000;
-    sim::Runner runner(cfg);
+    sim::SweepRunner runner(cfg);
 
     // 3. Run Hybrid2 and the FM-only baseline; print the comparison.
     const sim::Metrics &h2m = runner.run(wl, "hybrid2");

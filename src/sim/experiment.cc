@@ -1,13 +1,17 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "common/log.h"
 #include "common/parse.h"
 #include "common/units.h"
+#include "sim/report.h"
 #include "sim/result_journal.h"
 #include "sim/sweep_runner.h"
 #include "workloads/workload_registry.h"
@@ -49,25 +53,213 @@ directive(std::string_view line)
     return {key, value};
 }
 
-std::optional<bool>
-parseBool(std::string_view value)
+std::string
+badValue(std::string_view key, std::string_view value, std::string_view why)
+{
+    return detail::concat("bad value for ", key, ": '", value, "' (", why,
+                          ")");
+}
+
+/** Parse a decimal integer into @p out, scaled by @p unit; rejects
+ *  values whose scaled form does not fit @p T. */
+template <typename T>
+std::string
+parseCount(std::string_view key, std::string_view value, T &out,
+           u64 unit = 1)
+{
+    const u64 max = u64(std::numeric_limits<T>::max()) / unit;
+    u64 v = 0;
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, v, 10);
+    if (ptr != end || ec == std::errc::invalid_argument)
+        return badValue(key, value, "expected a decimal integer");
+    if (ec == std::errc::result_out_of_range || v > max)
+        return badValue(key, value, detail::concat("at most ", max));
+    out = static_cast<T>(v * unit);
+    return {};
+}
+
+std::string
+parseBool(std::string_view key, std::string_view value, bool &out)
 {
     if (value.empty() || value == "on" || value == "true" || value == "1")
-        return true;
-    if (value == "off" || value == "false" || value == "0")
-        return false;
-    return std::nullopt;
+        out = true;
+    else if (value == "off" || value == "false" || value == "0")
+        out = false;
+    else
+        return badValue(key, value, "expected on|off");
+    return {};
 }
+
+using Spec = ExperimentSpec;
+using Key = std::string_view;
+using Value = std::string_view;
+
+const Setting kSettings[] = {
+    {"design", "<spec>", "design spec; see the grammar below", false, true,
+     [](Key, Value v, Spec &s) -> std::string {
+         DesignSpec::ParseResult r = DesignSpec::parse(v);
+         if (!r.ok())
+             return r.error;
+         s.designs.push_back(r.spec->toString());
+         return {};
+     }},
+    {"workload", "<spec>",
+     "workload spec: a Table 2 name (--list-workloads), trace:<path>, "
+     "or mix:<a>+<b>[+...][:<n>]",
+     false, true,
+     [](Key, Value v, Spec &s) {
+         // Trace files are opened and validated now, and the resolved
+         // form kept, so the run never re-reads them.
+         std::string err;
+         auto w = workloads::resolveWorkload(std::string(v), &err);
+         if (w)
+             s.workloads.push_back(*std::move(w));
+         return err;
+     }},
+    {"nm-mib", "<n>", "near-memory (HBM) capacity in MiB [1024]", false,
+     false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.nmBytes, MiB);
+     }},
+    {"fm-mib", "<n>", "far-memory capacity in MiB [16384]", false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.fmBytes, MiB);
+     }},
+    {"cores", "<n>", "number of cores [8]", false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.numCores);
+     }},
+    {"instr", "<n>", "simulated instructions per core [1500000]", false,
+     false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.instrPerCore);
+     }},
+    {"warmup", "<n>", "warm-up instructions per core [0]", false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.warmupInstrPerCore);
+     }},
+    {"seed", "<n>", "trace-generation seed [42]", false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.seed);
+     }},
+    {"queue", "[on|off]",
+     "queued memory-controller model (FR-FCFS write queues with drain "
+     "watermarks); off restores the analytic immediate-dispatch model "
+     "[on]",
+     true, false,
+     [](Key k, Value v, Spec &s) {
+         return parseBool(k, v, s.config.queue);
+     }},
+    {"fm", "<dram|pcm>",
+     "far-memory technology: DDR4 DRAM, or a PCM-like NVM with "
+     "asymmetric read/write latency and energy plus per-bank wear stats "
+     "[dram]",
+     false, false,
+     [](Key k, Value v, Spec &s) -> std::string {
+         auto tech = dram::parseFarMemTech(v);
+         if (!tech)
+             return badValue(k, v, "expected dram|pcm");
+         s.config.fm = *tech;
+         return {};
+     }},
+    {"jobs", "<n>", "parallel simulations; 0 = all hardware threads [1]",
+     false, false,
+     [](Key k, Value v, Spec &s) { return parseCount(k, v, s.jobs); }},
+    {"speedup", "[on|off]",
+     "also report speedup over the FM-only baseline [off]", true, false,
+     [](Key k, Value v, Spec &s) { return parseBool(k, v, s.speedup); }},
+    {"run-timeout", "<ms>",
+     "per-run wall-clock watchdog; a run past the deadline fails its "
+     "sweep point [0 = off]",
+     false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.runTimeoutMs);
+     }},
+    {"retries", "<n>", "re-run a failed sweep point up to <n> times [0]",
+     false, false,
+     [](Key k, Value v, Spec &s) {
+         return parseCount(k, v, s.config.retries);
+     }},
+    {"format", "<text|json|csv>", "output format [text]", false, false,
+     [](Key k, Value v, Spec &s) -> std::string {
+         if (!parseOutputFormat(v))
+             return badValue(k, v, "expected text|json|csv");
+         s.format = std::string(v);
+         return {};
+     }},
+};
+
+/** Column of the help text, and the width it wraps at. */
+constexpr size_t kHelpColumn = 23;
+constexpr size_t kHelpWidth = 72;
 
 } // namespace
 
-std::optional<ExperimentSpec>
-ExperimentSpec::parse(std::string_view text, std::string *error)
+std::span<const Setting>
+settings()
 {
-    auto fail = [&](int lineNo, const std::string &why) {
+    return kSettings;
+}
+
+const Setting *
+findSetting(std::string_view key)
+{
+    for (const Setting &s : kSettings)
+        if (s.key == key)
+            return &s;
+    return nullptr;
+}
+
+std::string
+settingsHelp()
+{
+    std::string out;
+    for (const Setting &s : kSettings) {
+        std::string line = detail::concat("  --", s.key, " ", s.syntax);
+        line.resize(std::max(line.size() + 2, kHelpColumn), ' ');
+        size_t textStart = line.size();
+        std::string help(s.help);
+        if (s.repeatable)
+            help += " (repeatable)";
+        for (std::string_view word : splitOn(help, ' ')) {
+            if (line.size() > textStart &&
+                line.size() + 1 + word.size() > kHelpWidth) {
+                out += line + "\n";
+                line.assign(kHelpColumn, ' ');
+                textStart = kHelpColumn;
+            }
+            if (line.size() > textStart)
+                line += ' ';
+            line += word;
+        }
+        out += line + "\n";
+    }
+    return out;
+}
+
+std::string
+validateExperiment(const ExperimentSpec &spec)
+{
+    for (const workloads::Workload &w : spec.workloads)
+        if (w.trace && w.traceStreams != spec.config.numCores)
+            return detail::concat("trace '", w.cacheName(),
+                                  "' was captured with ", w.traceStreams,
+                                  " streams but cores is ",
+                                  spec.config.numCores, "; set cores to ",
+                                  w.traceStreams);
+    if (std::string err = validateRunConfig(spec.config); !err.empty())
+        return "invalid run config: " + err;
+    return {};
+}
+
+std::optional<ExperimentSpec>
+ExperimentSpec::parse(std::string_view text, std::string *error,
+                      std::span<const SettingValue> overrides)
+{
+    auto fail = [&](const std::string &why) {
         if (error)
-            *error = detail::concat("experiment file line ", lineNo, ": ",
-                                    why);
+            *error = why;
         return std::nullopt;
     };
 
@@ -75,147 +267,43 @@ ExperimentSpec::parse(std::string_view text, std::string *error)
     std::istringstream in{std::string(text)};
     std::string raw;
     int lineNo = 0;
+    auto lineError = [&](std::string_view why) {
+        return detail::concat("experiment file line ", lineNo, ": ", why);
+    };
     while (std::getline(in, raw)) {
         ++lineNo;
         std::string_view line = trimLine(raw);
         if (line.empty())
             continue;
         auto [key, value] = directive(line);
-
-        if (key == "design") {
-            DesignSpec::ParseResult r = DesignSpec::parse(value);
-            if (!r.ok())
-                return fail(lineNo, r.error);
-            spec.designs.push_back(r.spec->toString());
-        } else if (key == "workload") {
-            // Full spec grammar: registry names, trace:<path> (opened
-            // and validated now; the path is relative to the working
-            // directory), and mix:<a>+<b>[:<n>]. The resolved form is
-            // kept so the run never re-reads trace files.
-            std::string err;
-            auto w = workloads::resolveWorkload(std::string(value), &err);
-            if (!w)
-                return fail(lineNo, err);
-            spec.workloads.emplace_back(value);
-            spec.resolvedWorkloads.push_back(*std::move(w));
-        } else if (key == "nm-mib") {
-            u64 v = 0;
-            if (!tryParseU64(value, v))
-                return fail(lineNo, detail::concat(
-                                        "bad value for nm-mib: '", value,
-                                        "' (expected a decimal integer)"));
-            spec.config.nmBytes = v * MiB;
-        } else if (key == "fm-mib") {
-            u64 v = 0;
-            if (!tryParseU64(value, v))
-                return fail(lineNo, detail::concat(
-                                        "bad value for fm-mib: '", value,
-                                        "' (expected a decimal integer)"));
-            spec.config.fmBytes = v * MiB;
-        } else if (key == "instr") {
-            if (!tryParseU64(value, spec.config.instrPerCore))
-                return fail(lineNo, detail::concat(
-                                        "bad value for instr: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "warmup") {
-            if (!tryParseU64(value, spec.config.warmupInstrPerCore))
-                return fail(lineNo, detail::concat(
-                                        "bad value for warmup: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "cores") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for cores: '", value,
-                                        "'"));
-            spec.config.numCores = static_cast<u32>(v);
-        } else if (key == "seed") {
-            if (!tryParseU64(value, spec.config.seed))
-                return fail(lineNo, detail::concat(
-                                        "bad value for seed: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "queue") {
-            auto b = parseBool(value);
-            if (!b)
-                return fail(lineNo,
-                            detail::concat("bad value for queue: '",
-                                           value, "' (expected on|off)"));
-            spec.config.queue = *b;
-        } else if (key == "fm") {
-            auto tech = dram::parseFarMemTech(value);
-            if (!tech)
-                return fail(lineNo,
-                            detail::concat("bad value for fm: '", value,
-                                           "' (expected dram|pcm)"));
-            spec.config.fm = *tech;
-        } else if (key == "jobs") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for jobs: '", value,
-                                        "'"));
-            spec.jobs = static_cast<u32>(v);
-        } else if (key == "speedup") {
-            auto b = parseBool(value);
-            if (!b)
-                return fail(lineNo,
-                            detail::concat("bad value for speedup: '",
-                                           value, "' (expected on|off)"));
-            spec.speedup = *b;
-        } else if (key == "run-timeout" || key == "run_timeout") {
-            if (!tryParseU64(value, spec.config.runTimeoutMs))
-                return fail(lineNo,
-                            detail::concat("bad value for run-timeout: '",
-                                           value,
-                                           "' (expected milliseconds)"));
-        } else if (key == "retries") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for retries: '", value,
-                                        "'"));
-            spec.config.retries = static_cast<u32>(v);
-        } else if (key == "format") {
-            if (value != "text" && value != "json" && value != "csv")
-                return fail(lineNo,
-                            detail::concat("bad value for format: '",
-                                           value,
-                                           "' (expected text|json|csv)"));
-            spec.format = std::string(value);
-        } else {
-            return fail(lineNo,
-                        detail::concat("unknown directive '", key, "'"));
-        }
+        const Setting *s = findSetting(key);
+        if (!s)
+            return fail(lineError(
+                detail::concat("unknown directive '", key, "'")));
+        if (std::string err = s->apply(key, value, spec); !err.empty())
+            return fail(lineError(err));
     }
 
     if (spec.designs.empty())
-        return fail(lineNo, "no 'design' directive");
+        return fail(lineError("no 'design' directive"));
     if (spec.workloads.empty())
-        return fail(lineNo, "no 'workload' directive");
-    // Directives arrive in any order, so trace stream counts can only
-    // be checked against `cores` once the whole file is read.
-    for (size_t i = 0; i < spec.resolvedWorkloads.size(); ++i) {
-        const workloads::Workload &w = spec.resolvedWorkloads[i];
-        if (w.trace && w.traceStreams != spec.config.numCores) {
-            if (error)
-                *error = detail::concat(
-                    "experiment file: trace '", spec.workloads[i],
-                    "' was captured with ", w.traceStreams,
-                    " streams; set 'cores ", w.traceStreams, "'");
-            return std::nullopt;
-        }
-    }
-    if (std::string err = validateRunConfig(spec.config); !err.empty()) {
-        if (error)
-            *error = detail::concat("experiment file: invalid run config: ",
-                                    err);
-        return std::nullopt;
-    }
+        return fail(lineError("no 'workload' directive"));
+    // Command-line settings win over the file's.
+    for (const SettingValue &o : overrides)
+        if (std::string err = o.setting->apply(o.setting->key, o.value,
+                                               spec);
+            !err.empty())
+            return fail(err);
+    // Directives arrive in any order, so the cross-setting checks wait
+    // for the finished spec.
+    if (std::string err = validateExperiment(spec); !err.empty())
+        return fail("experiment file: " + err);
     return spec;
 }
 
 std::optional<ExperimentSpec>
-ExperimentSpec::parseFile(const std::string &path, std::string *error)
+ExperimentSpec::parseFile(const std::string &path, std::string *error,
+                          std::span<const SettingValue> overrides)
 {
     std::ifstream in(path);
     if (!in) {
@@ -226,17 +314,16 @@ ExperimentSpec::parseFile(const std::string &path, std::string *error)
     }
     std::ostringstream text;
     text << in.rdbuf();
-    return parse(text.str(), error);
+    return parse(text.str(), error, overrides);
 }
 
 std::vector<RunRecord>
-runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
+runExperiment(const ExperimentSpec &spec)
 {
-    u32 jobs = jobsOverride ? jobsOverride : spec.jobs;
     // Declared before the runner: workers may append right up to the
     // runner's drain, so the journal must be destroyed after it.
     std::unique_ptr<ResultJournal> journal;
-    SweepRunner runner(spec.config, jobs);
+    SweepRunner runner(spec.config, spec.jobs);
 
     if (!spec.faults.empty())
         runner.setFaultPlan(&spec.faults);
@@ -258,17 +345,8 @@ runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
         runner.setJournal(journal.get());
     }
 
-    std::vector<workloads::Workload> suite;
-    if (spec.resolvedWorkloads.size() == spec.workloads.size()) {
-        suite = spec.resolvedWorkloads;
-    } else {
-        suite.reserve(spec.workloads.size());
-        for (const auto &wlSpec : spec.workloads)
-            suite.push_back(workloads::resolveWorkloadOrFatal(wlSpec));
-    }
-
     // Submit everything up front so --jobs overlaps the simulations.
-    for (const workloads::Workload &w : suite) {
+    for (const workloads::Workload &w : spec.workloads) {
         if (spec.speedup)
             runner.submit(w, "baseline");
         for (const auto &design : spec.designs)
@@ -276,8 +354,8 @@ runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
     }
 
     std::vector<RunRecord> records;
-    records.reserve(suite.size() * spec.designs.size());
-    for (const workloads::Workload &w : suite) {
+    records.reserve(spec.workloads.size() * spec.designs.size());
+    for (const workloads::Workload &w : spec.workloads) {
         for (const auto &design : spec.designs) {
             RunRecord rec;
             rec.workload = w.name;

@@ -90,32 +90,4 @@ simulateOne(const RunConfig &cfg, const workloads::Workload &workload,
     return system.metrics();
 }
 
-Runner::Runner(const RunConfig &config)
-    : cfg(config)
-{
-}
-
-const Metrics &
-Runner::run(const workloads::Workload &workload,
-            const std::string &designSpec)
-{
-    std::string canonical = canonicalDesignSpec(designSpec);
-    std::string key = workload.cacheName() + "|" + canonical;
-    auto it = results.find(key);
-    if (it != results.end())
-        return it->second;
-    return results.emplace(key, simulateOne(cfg, workload, canonical))
-        .first->second;
-}
-
-double
-Runner::speedup(const workloads::Workload &workload,
-                const std::string &designSpec)
-{
-    const Metrics &base = run(workload, "baseline");
-    const Metrics &design = run(workload, designSpec);
-    h2_assert(design.timePs > 0, "zero runtime");
-    return double(base.timePs) / double(design.timePs);
-}
-
 } // namespace h2::sim

@@ -1,7 +1,9 @@
 /**
  * @file
- * The experiment runner: design construction, run configuration,
- * result caching, and speedups over the FM-only baseline.
+ * One simulation: design construction, run configuration and
+ * simulateOne(), the pure reference every sweep point runs through.
+ * Memoized sweeps and speedups over the FM-only baseline live in
+ * sim/sweep_runner.h.
  *
  * Design specs are typed and validated: see sim/design_spec.h for the
  * grammar and sim/design_registry.h for the per-design schemas. The
@@ -11,7 +13,6 @@
 
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -103,28 +104,5 @@ SystemConfig makeSystemConfig(const RunConfig &cfg);
  */
 Metrics simulateOne(const RunConfig &cfg, const workloads::Workload &workload,
                     const std::string &designSpec);
-
-/** Runs (workload, design) pairs, memoizing results per config.
- *  Results are keyed by the canonical spec form, so equivalent
- *  spellings ("dfc", "dfc:1024") share one simulation. */
-class Runner
-{
-  public:
-    explicit Runner(const RunConfig &config = {});
-
-    /** Simulate @p workload under @p designSpec (cached). */
-    const Metrics &run(const workloads::Workload &workload,
-                       const std::string &designSpec);
-
-    /** Speedup of @p designSpec over the FM-only baseline. */
-    double speedup(const workloads::Workload &workload,
-                   const std::string &designSpec);
-
-    const RunConfig &config() const { return cfg; }
-
-  private:
-    RunConfig cfg;
-    std::map<std::string, Metrics> results;
-};
 
 } // namespace h2::sim

@@ -9,9 +9,10 @@
  * completed RunOutcomes in a mutex-guarded map keyed by
  * "workload|design", which also fixes the result ordering
  * deterministically no matter which worker finishes first. Blocking
- * getters (run, speedup, outcome) keep the serial Runner's call shape,
- * so benches submit their whole sweep up front and then render from
- * the completed result map.
+ * getters (run, speedup, outcome) simulate on demand, so at the
+ * default one job the runner is also the plain memoizing serial API;
+ * benches submit their whole sweep up front and then render from the
+ * completed result map.
  *
  * Fault tolerance: each point runs under a ScopedFatalCapture, so a
  * bad design spec, an unreadable trace, an invalid config, a thrown
@@ -108,7 +109,6 @@ class SweepRunner
      *  by the benches and the determinism tests. */
     const std::map<std::string, Metrics> &results();
 
-    const RunConfig &config() const { return cfg; }
     u32 jobs() const { return pool.size(); }
 
     /** Total core-side memory accesses across successful simulations. */

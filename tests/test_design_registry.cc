@@ -15,7 +15,7 @@
 
 #include "common/units.h"
 #include "sim/design_registry.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 namespace h2::sim {
 namespace {
@@ -240,7 +240,7 @@ TEST(DesignSpecParse, RunnerMemoizesEquivalentSpellingsAsOneRun)
     cfg.fmBytes = 256 * MiB;
     cfg.instrPerCore = 5'000;
     cfg.numCores = 1;
-    Runner runner(cfg);
+    SweepRunner runner(cfg);
     auto w = workloads::findWorkload("lbm");
     w.footprintBytes = 16 * MiB;
     const Metrics &a = runner.run(w, "dfc");

@@ -1,14 +1,14 @@
 /**
  * @file
- * Golden determinism guarantee: the Runner must produce bit-identical
- * metrics for identical RunConfigs (same seed) and different metrics
- * for a different seed. Guards future parallelization of the runner.
+ * Golden determinism guarantee: two SweepRunners must produce
+ * bit-identical metrics for identical RunConfigs (same seed) and
+ * different metrics for a different seed.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/units.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 #include "workloads/workload_registry.h"
 
 namespace h2::sim {
@@ -66,8 +66,8 @@ class Determinism : public ::testing::TestWithParam<const char *>
 TEST_P(Determinism, SameSeedBitIdentical)
 {
     const std::string design = GetParam();
-    Runner first(quickCfg());
-    Runner second(quickCfg());
+    SweepRunner first(quickCfg());
+    SweepRunner second(quickCfg());
     const Metrics &a = first.run(tinyWorkload(), design);
     const Metrics &b = second.run(tinyWorkload(), design);
     expectBitIdentical(a, b);
@@ -76,8 +76,8 @@ TEST_P(Determinism, SameSeedBitIdentical)
 TEST_P(Determinism, DifferentSeedDiffers)
 {
     const std::string design = GetParam();
-    Runner first(quickCfg(42));
-    Runner other(quickCfg(43));
+    SweepRunner first(quickCfg(42));
+    SweepRunner other(quickCfg(43));
     const Metrics &a = first.run(tinyWorkload(), design);
     const Metrics &b = other.run(tinyWorkload(), design);
     // A different trace seed must change the observed timing; if it

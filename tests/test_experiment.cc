@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 
 #include "common/units.h"
 #include "sim/experiment.h"
@@ -49,7 +51,7 @@ TEST(ExperimentParse, GoodFileParsesAndCanonicalizes)
     EXPECT_EQ(spec->designs[0], "dfc"); // default line elided
     EXPECT_EQ(spec->designs[1], "hybrid2:cache=2");
     ASSERT_EQ(spec->workloads.size(), 2u);
-    EXPECT_EQ(spec->workloads[0], "lbm");
+    EXPECT_EQ(spec->workloads[0].name, "lbm");
     EXPECT_EQ(spec->config.nmBytes, 64 * MiB);
     EXPECT_EQ(spec->config.fmBytes, 1024 * MiB);
     EXPECT_EQ(spec->config.numCores, 1u);
@@ -150,6 +152,100 @@ TEST(ExperimentParse, InvalidRunConfigRejected)
     EXPECT_NE(err.find("instrPerCore"), std::string::npos) << err;
 }
 
+TEST(ExperimentParse, RangeChecksNameTheSetting)
+{
+    const std::string head = "design dfc\nworkload lbm\n";
+    std::string err;
+    // 32-bit settings stop at UINT32_MAX instead of wrapping.
+    for (std::string key : {"cores", "jobs", "retries"}) {
+        EXPECT_FALSE(
+            ExperimentSpec::parse(head + key + " 4294967296\n", &err))
+            << key;
+        EXPECT_NE(err.find("line 3: bad value for " + key +
+                           ": '4294967296' (at most 4294967295)"),
+                  std::string::npos)
+            << err;
+    }
+    auto spec = ExperimentSpec::parse(head + "retries 4294967295\n", &err);
+    ASSERT_TRUE(spec) << err;
+    EXPECT_EQ(spec->config.retries, 4294967295u);
+
+    // A capacity whose byte count overflows u64 is rejected, not
+    // wrapped (17592186060800 MiB would wrap to 16 GiB).
+    for (std::string key : {"nm-mib", "fm-mib"}) {
+        EXPECT_FALSE(
+            ExperimentSpec::parse(head + key + " 17592186060800\n", &err))
+            << key;
+        EXPECT_NE(err.find("bad value for " + key +
+                           ": '17592186060800' (at most 17592186044415)"),
+                  std::string::npos)
+            << err;
+    }
+    spec = ExperimentSpec::parse(head + "fm-mib 17592186044415\n", &err);
+    ASSERT_TRUE(spec) << err;
+    EXPECT_EQ(spec->config.fmBytes, 17592186044415ull * MiB);
+
+    // Past u64 itself is out of range too, not "not a number".
+    EXPECT_FALSE(ExperimentSpec::parse(
+        head + "seed 18446744073709551616\n", &err));
+    EXPECT_NE(err.find("(at most 18446744073709551615)"), std::string::npos)
+        << err;
+}
+
+TEST(ExperimentParse, OverridesWinOverTheFile)
+{
+    const SettingValue overrides[] = {{findSetting("cores"), "2"},
+                                      {findSetting("format"), "csv"},
+                                      {findSetting("speedup"), "off"},
+                                      {findSetting("queue"), "false"}};
+    std::string err;
+    auto spec = ExperimentSpec::parse(kGoodExperiment, &err, overrides);
+    ASSERT_TRUE(spec) << err;
+    EXPECT_EQ(spec->config.numCores, 2u);
+    EXPECT_EQ(spec->format, "csv");
+    EXPECT_FALSE(spec->speedup);
+    EXPECT_FALSE(spec->config.queue);
+    EXPECT_EQ(spec->config.seed, 7u); // not overridden: the file's
+
+    // The finished spec is validated, so an override can break it...
+    const SettingValue zeroCores[] = {{findSetting("cores"), "0"}};
+    EXPECT_FALSE(ExperimentSpec::parse(kGoodExperiment, &err, zeroCores));
+    EXPECT_NE(err.find("numCores"), std::string::npos) << err;
+    // ...and a bad override value is named like a bad directive.
+    const SettingValue badCores[] = {{findSetting("cores"), "two"}};
+    EXPECT_FALSE(ExperimentSpec::parse(kGoodExperiment, &err, badCores));
+    EXPECT_EQ(err, "bad value for cores: 'two' (expected a decimal "
+                   "integer)");
+}
+
+TEST(Settings, TableCoversEveryDirectiveOnce)
+{
+    const char *keys[] = {"design", "workload", "nm-mib", "fm-mib",
+                          "cores",  "instr",    "warmup", "seed",
+                          "queue",  "fm",       "jobs",   "speedup",
+                          "run-timeout", "retries", "format"};
+    ASSERT_EQ(settings().size(), std::size(keys));
+    std::string help = settingsHelp();
+    for (const char *key : keys) {
+        const Setting *s = findSetting(key);
+        ASSERT_NE(s, nullptr) << key;
+        EXPECT_EQ(s->key, key);
+        EXPECT_NE(help.find(std::string("  --") + key + " "),
+                  std::string::npos)
+            << key;
+    }
+    // The undocumented underscore alias is gone.
+    std::string err;
+    EXPECT_FALSE(ExperimentSpec::parse(
+        "design dfc\nworkload lbm\nrun_timeout 5\n", &err));
+    EXPECT_NE(err.find("line 3: unknown directive 'run_timeout'"),
+              std::string::npos)
+        << err;
+    std::istringstream lines(help);
+    for (std::string line; std::getline(lines, line);)
+        EXPECT_LE(line.size(), 72u) << line;
+}
+
 TEST(ExperimentParse, MissingFileReportsPath)
 {
     std::string err;
@@ -248,23 +344,87 @@ TEST(ReportWrite, WritesToFile)
     EXPECT_EQ(content, "{\"ok\": true}\n");
 }
 
+struct CliRun
+{
+    int exitCode = -1;
+    std::string output; ///< stdout and stderr
+};
+
+/** Run the h2sim binary with @p args. */
+CliRun
+runH2sim(const std::string &args)
+{
+    std::string cmd = std::string(H2SIM_BIN) + " " + args + " 2>&1";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    CliRun run;
+    if (!pipe)
+        return run;
+    char buf[256];
+    while (size_t n = std::fread(buf, 1, sizeof buf, pipe))
+        run.output.append(buf, n);
+    int rc = pclose(pipe);
+    if (WIFEXITED(rc))
+        run.exitCode = WEXITSTATUS(rc);
+    return run;
+}
+
 /** A flag the CLI does not know, such as a removed knob, is a usage
  *  error: exit 2 with a message that names it. */
 TEST(H2simCli, UnknownFlagExitsTwoNamingIt)
 {
-    std::string cmd = std::string(H2SIM_BIN) +
-                      " --sim-threads 4 --design hybrid2 --workload lbm 2>&1";
-    FILE *pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buf[256];
-    while (size_t n = std::fread(buf, 1, sizeof buf, pipe))
-        out.append(buf, n);
-    int rc = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(rc));
-    EXPECT_EQ(WEXITSTATUS(rc), 2);
-    EXPECT_NE(out.find("unknown option '--sim-threads'"), std::string::npos)
-        << out;
+    CliRun r = runH2sim("--sim-threads 4 --design hybrid2 --workload lbm");
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.output.find("unknown option '--sim-threads'"),
+              std::string::npos)
+        << r.output;
+}
+
+/** Flags go through the same range checks as file directives. */
+TEST(H2simCli, OutOfRangeCoresExitsTwoNamingIt)
+{
+    CliRun r =
+        runH2sim("--cores 4294967297 --design hybrid2 --workload lbm");
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.output.find("bad value for cores: '4294967297'"),
+              std::string::npos)
+        << r.output;
+}
+
+TEST(H2simCli, JsonConfigRecordsQueue)
+{
+    CliRun r = runH2sim("--design baseline --workload lbm --cores 1 "
+                        "--instr 2000 --queue off --format json");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("\"queue\": false"), std::string::npos)
+        << r.output;
+}
+
+/** With --experiment, command-line settings override the file's;
+ *  designs and workloads still come only from the file. */
+TEST(H2simCli, CommandLineSettingsOverrideTheFile)
+{
+    std::string path = ::testing::TempDir() + "h2_cli_override.experiment";
+    {
+        std::ofstream out(path);
+        out << "design baseline\nworkload lbm\ninstr 2000\ncores 2\n"
+               "format csv\n";
+    }
+    // A bare on/off flag means "on", even followed by another flag.
+    CliRun r = runH2sim("--experiment " + path +
+                        " --cores 1 --speedup --format json");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("\"num_cores\": 1"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("\"speedup_vs_baseline\""), std::string::npos)
+        << r.output;
+
+    r = runH2sim("--experiment " + path + " --design dfc");
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.output.find("--experiment is mutually exclusive with "
+                            "--design"),
+              std::string::npos)
+        << r.output;
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -153,13 +153,13 @@ TEST(SweepFaultTolerance, ExperimentCompletesAroundBadDesign)
 {
     ExperimentSpec spec;
     spec.config = quickCfg();
-    spec.workloads = {"lbm"};
-    // Pre-resolved so the tiny footprint fits quickCfg's capacities.
-    spec.resolvedWorkloads = {tinyWorkload()};
+    // A tiny footprint that fits quickCfg's capacities.
+    spec.workloads = {tinyWorkload()};
     spec.designs = {"dfc", "nosuchdesign", "mempod"};
     spec.speedup = true;
+    spec.jobs = 2;
 
-    std::vector<RunRecord> records = runExperiment(spec, 2);
+    std::vector<RunRecord> records = runExperiment(spec);
     ASSERT_EQ(records.size(), 3u);
     EXPECT_TRUE(records[0].ok) << records[0].error;
     EXPECT_TRUE(records[0].hasSpeedup);

@@ -186,23 +186,23 @@ TEST(ResultJournal, ResumedExperimentReportIsByteIdentical)
 {
     ExperimentSpec spec;
     spec.config = quickCfg();
-    spec.workloads = {"lbm", "mcf"};
-    // Pre-resolved so the tiny footprints fit quickCfg's capacities.
-    spec.resolvedWorkloads = {tinyWorkload("lbm"), tinyWorkload("mcf")};
+    // Tiny footprints that fit quickCfg's capacities.
+    spec.workloads = {tinyWorkload("lbm"), tinyWorkload("mcf")};
     spec.designs = {"dfc", "hybrid2"};
     spec.speedup = true;
+    spec.jobs = 2;
 
     // Reference: no journal, straight through.
-    std::vector<RunRecord> reference = runExperiment(spec, 2);
+    std::vector<RunRecord> reference = runExperiment(spec);
 
     // Journaled run, then a resumed run against the same journal: the
     // resume simulates nothing (every point is journaled) and must
     // reproduce the records, and the rendered report, exactly.
     std::string path = journalPath("resume.jnl");
     spec.journalPath = path;
-    std::vector<RunRecord> journaled = runExperiment(spec, 2);
+    std::vector<RunRecord> journaled = runExperiment(spec);
     spec.resume = true;
-    std::vector<RunRecord> resumed = runExperiment(spec, 2);
+    std::vector<RunRecord> resumed = runExperiment(spec);
 
     auto render = [&](const std::vector<RunRecord> &records,
                       OutputFormat f) {
@@ -223,18 +223,17 @@ TEST(ResultJournal, ResumeSkipsJournaledFailuresToo)
     // time re-proving it.
     ExperimentSpec spec;
     spec.config = quickCfg();
-    spec.workloads = {"lbm"};
-    spec.resolvedWorkloads = {tinyWorkload()};
+    spec.workloads = {tinyWorkload()};
     spec.designs = {"nosuchdesign"};
 
     std::string path = journalPath("resume_failed.jnl");
     spec.journalPath = path;
-    std::vector<RunRecord> first = runExperiment(spec, 1);
+    std::vector<RunRecord> first = runExperiment(spec);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_FALSE(first[0].ok);
 
     spec.resume = true;
-    std::vector<RunRecord> resumed = runExperiment(spec, 1);
+    std::vector<RunRecord> resumed = runExperiment(spec);
     ASSERT_EQ(resumed.size(), 1u);
     EXPECT_FALSE(resumed[0].ok);
     EXPECT_EQ(resumed[0].error, first[0].error);

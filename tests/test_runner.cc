@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for design-spec parsing, the Runner's caching, and speedups.
+ * Tests for design-spec parsing, design construction, and speedups
+ * through the SweepRunner.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include "baselines/ideal_cache.h"
 #include "common/units.h"
 #include "core/dcmc.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 namespace h2::sim {
 namespace {
@@ -111,9 +112,9 @@ TEST(EvaluatedDesigns, MatchesFigure12Lineup)
     EXPECT_EQ(d[5], "hybrid2");
 }
 
-class RunnerTest : public ::testing::Test
+/** Speedups and metrics through a one-job SweepRunner. */
+struct RunnerTest : ::testing::Test
 {
-  protected:
     static RunConfig
     quickCfg()
     {
@@ -135,39 +136,25 @@ class RunnerTest : public ::testing::Test
     }
 };
 
-TEST_F(RunnerTest, CachesResults)
-{
-    Runner r(quickCfg());
-    const Metrics &a = r.run(tinyWorkload(), "baseline");
-    const Metrics &b = r.run(tinyWorkload(), "baseline");
-    EXPECT_EQ(&a, &b); // identical object: memoized
-}
-
 TEST_F(RunnerTest, BaselineSpeedupIsOne)
 {
-    Runner r(quickCfg());
+    SweepRunner r(quickCfg());
     EXPECT_DOUBLE_EQ(r.speedup(tinyWorkload(), "baseline"), 1.0);
 }
 
 TEST_F(RunnerTest, NmDesignSpeedupAboveOne)
 {
-    Runner r(quickCfg());
+    SweepRunner r(quickCfg());
     EXPECT_GT(r.speedup(tinyWorkload(), "ideal:256"), 1.0);
 }
 
 TEST_F(RunnerTest, DistinctDesignsDistinctMetrics)
 {
-    Runner r(quickCfg());
+    SweepRunner r(quickCfg());
     const Metrics &a = r.run(tinyWorkload(), "baseline");
     const Metrics &b = r.run(tinyWorkload(), "ideal:256");
     EXPECT_NE(a.design, b.design);
     EXPECT_NE(a.timePs, b.timePs);
-}
-
-TEST_F(RunnerTest, ConfigAccessor)
-{
-    Runner r(quickCfg());
-    EXPECT_EQ(r.config().nmBytes, 32 * MiB);
 }
 
 TEST_F(RunnerTest, FmKnobReachesTheDevices)

@@ -3,7 +3,7 @@
  * Tests for the parallel sweep engine: any job count must produce
  * bit-identical Metrics for every (workload, design) pair, with a
  * deterministic result ordering regardless of completion order, and
- * must agree exactly with the serial Runner it is layered on.
+ * must agree exactly with simulateOne, the pure reference it runs.
  *
  * This suite is also the ThreadSanitizer CI target (ci.yml `tsan` job):
  * it drives real concurrent simulations through the pool.
@@ -89,21 +89,21 @@ TEST(SweepRunner, SubmitOrderDoesNotAffectResults)
 
 TEST(SweepRunner, AgreesWithSerialRunner)
 {
-    Runner reference(quickCfg());
     SweepRunner sweep(quickCfg(), 4);
     auto suite = tinySuite();
     sweep.submitSweep(suite, tinySpecs());
     for (const auto &w : suite)
         for (const auto &spec : tinySpecs())
-            EXPECT_EQ(reference.run(w, spec), sweep.run(w, spec));
+            EXPECT_EQ(simulateOne(quickCfg(), w, spec), sweep.run(w, spec));
 }
 
 TEST(SweepRunner, SpeedupMatchesSerialRunner)
 {
-    Runner reference(quickCfg());
     SweepRunner sweep(quickCfg(), 4);
     auto w = tinySuite().front();
-    EXPECT_DOUBLE_EQ(reference.speedup(w, "hybrid2"),
+    Metrics base = simulateOne(quickCfg(), w, "baseline");
+    Metrics design = simulateOne(quickCfg(), w, "hybrid2");
+    EXPECT_DOUBLE_EQ(double(base.timePs) / double(design.timePs),
                      sweep.speedup(w, "hybrid2"));
 }
 

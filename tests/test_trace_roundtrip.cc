@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 #include "workloads/trace_file.h"
 #include "workloads/workload_spec.h"
 
@@ -124,7 +124,7 @@ TEST(TraceRoundTrip, ReplayDoesNotAliasSyntheticInRunner)
     EXPECT_EQ(replayWl->cacheName(), "trace:" + path);
     EXPECT_NE(replayWl->cacheName(), original.cacheName());
 
-    sim::Runner runner(cfg);
+    sim::SweepRunner runner(cfg);
     const sim::Metrics &direct = runner.run(original, "dfc");
     const sim::Metrics &replay = runner.run(*replayWl, "dfc");
     // Distinct cache slots...
