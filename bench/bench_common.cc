@@ -15,8 +15,6 @@ BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
-    if (const char *env = std::getenv("HYBRID2_BENCH_MODE"))
-        opts.full = std::string(env) == "full";
     for (int i = 1; i < argc; ++i) {
         // Shared "--key=value" splitting with the design-spec and
         // experiment-file grammars (common/parse.h).
@@ -115,10 +113,10 @@ banner(const std::string &title, const std::string &paperRef,
         return;
     std::printf("== %s ==\n", title.c_str());
     std::printf("reproduces: %s (Hybrid2, HPCA 2020)\n", paperRef.c_str());
-    std::printf("mode: %s (%llu instructions/core), jobs: %u\n\n",
+    // No job count: results, and so stdout, are the same at any --jobs.
+    std::printf("mode: %s (%llu instructions/core)\n\n",
                 opts.full ? "full" : "quick",
-                static_cast<unsigned long long>(opts.effectiveInstrPerCore()),
-                opts.jobs ? opts.jobs : ThreadPool::defaultConcurrency());
+                static_cast<unsigned long long>(opts.effectiveInstrPerCore()));
 }
 
 ClassGeomeans

@@ -1,13 +1,14 @@
 /**
  * @file
- * Shared harness for the figure/table reproduction benches.
+ * Shared harness for the bench programs: `figures` (the paper's
+ * figures and tables, bench/figures.cc), `bench_wallclock` and
+ * `bench_load_sweep`.
  *
- * Every bench binary accepts:
+ * Each accepts:
  *   --mode=quick|full   quick (default): representative 6-workload
  *                       subset, short traces - for CI and iteration.
- *                       full: all 30 workloads, longer traces - the
- *                       numbers recorded in EXPERIMENTS.md.
- *   --csv               machine-readable output
+ *                       full: all 30 workloads, longer traces.
+ *   --csv               machine-readable tables
  *   --workload=<spec>   override the suite (repeatable): a Table 2
  *                       name, trace:<path>, or mix:<a>+<b>[:<n>]
  *                       (workloads/workload_spec.h)
@@ -15,7 +16,7 @@
  *   --jobs=<n>          parallel simulations (0 = all hardware threads;
  *                       the default). Results are bit-identical at any
  *                       job count - see sim::SweepRunner.
- *   --out=<path>        where benches that emit JSON write it
+ *   --out=<path>        where the bench writes its JSON document
  */
 
 #pragma once
@@ -63,14 +64,6 @@ struct BenchOptions
         // paper's SimPoint-sliced methodology.
         cfg.warmupInstrPerCore = effectiveInstrPerCore();
         return cfg;
-    }
-
-    /** Sweep runner over @p nmBytes of NM with the --jobs worker count.
-     *  Benches submit their whole sweep up front, then render. */
-    sim::SweepRunner
-    makeRunner(u64 nmBytes) const
-    {
-        return sim::SweepRunner(runConfig(nmBytes), jobs);
     }
 };
 

@@ -1,61 +1,21 @@
 /**
  * @file
- * Figure 12 (a/b/c) reproduction: geometric-mean speedup over the
- * FM-only baseline per MPKI class for NM sizes of 1, 2 and 4 GB
- * (NM:FM = 1:16, 2:16, 4:16), across the six evaluated designs.
+ * Figure 12 (a/b/c) reproduction: an alias for `figures fig12`. The
+ * entry, its scenarios and its paper values live in bench/figures.cc.
  *
  * Paper "All" geomeans at 1 GB: MPOD 1.318, CHA 1.371, LGM 1.429,
  * TAGLESS 1.417, DFC 1.547, HYBRID2 1.542.
  */
 
-#include <cstdio>
+#include <string>
+#include <vector>
 
-#include "bench_common.h"
-#include "common/units.h"
-#include "core/dcmc.h"
+namespace h2::bench {
+int runFigures(std::vector<std::string> ids, int argc, char **argv);
+} // namespace h2::bench
 
 int
 main(int argc, char **argv)
 {
-    using namespace h2;
-    auto opts = bench::BenchOptions::parse(argc, argv);
-    bench::banner("Figure 12: speedup per MPKI class and NM:FM ratio",
-                  "Figures 12a-12c", opts);
-    setLogQuiet(true);
-
-    for (u64 nmGb : {1, 2, 4}) {
-        auto runner = opts.makeRunner(nmGb * GiB);
-        runner.submitSweep(opts.suite(), sim::evaluatedDesigns(),
-                           /*withBaseline=*/true);
-        // Available-memory advantage over cache designs (paper caption).
-        core::Hybrid2Params hp;
-        mem::MemSystemParams mp;
-        mp.nmBytes = nmGb * GiB;
-        core::Dcmc probe(mp, hp);
-        double morePct = 100.0 *
-            (double(probe.flatCapacity()) / double(mp.fmBytes) - 1.0);
-
-        if (!opts.csv)
-            std::printf("--- %lluGB NM (1:%llu); Hybrid2 offers %.1f%% "
-                        "more memory than caches ---\n",
-                        static_cast<unsigned long long>(nmGb),
-                        static_cast<unsigned long long>(16 / nmGb),
-                        morePct);
-        bench::Table table({"NM", "Design", "High", "Medium", "Low",
-                            "All"},
-                           opts.csv);
-        auto suite = opts.suite();
-        for (const auto &spec : sim::evaluatedDesigns()) {
-            auto g = bench::geomeansByClass(suite, [&](const auto &w) {
-                return runner.speedup(w, spec);
-            });
-            table.addRow({std::to_string(nmGb) + "GB", spec,
-                          bench::fmt(g.high, 3), bench::fmt(g.medium, 3),
-                          bench::fmt(g.low, 3), bench::fmt(g.all, 3)});
-        }
-        table.print();
-        if (!opts.csv)
-            std::printf("\n");
-    }
-    return 0;
+    return h2::bench::runFigures({"fig12"}, argc, argv);
 }

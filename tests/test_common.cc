@@ -126,7 +126,7 @@ TEST(Stats, RatioOrZero)
 {
     EXPECT_DOUBLE_EQ(ratioOrZero(6.0, 3.0), 2.0);
     EXPECT_DOUBLE_EQ(ratioOrZero(0.0, 3.0), 0.0);
-    // Regression (fig18_energy): a zero-energy baseline must yield a
+    // Regression (figures fig18): a zero-energy baseline must yield a
     // renderable 0, not inf/NaN in the table or the JSON artifact.
     EXPECT_DOUBLE_EQ(ratioOrZero(5.0, 0.0), 0.0);
     EXPECT_DOUBLE_EQ(ratioOrZero(0.0, 0.0), 0.0);
