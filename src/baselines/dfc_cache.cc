@@ -7,22 +7,8 @@
 
 namespace h2::baselines {
 
-namespace {
-
-DramCacheParams
-dfcParams(u32 lineBytes)
-{
-    DramCacheParams p;
-    p.lineBytes = lineBytes;
-    p.ways = 16;
-    p.tagLatencyPs = 0; // charged explicitly via the tag cache model
-    return p;
-}
-
-} // namespace
-
 DfcCache::DfcCache(const mem::MemSystemParams &sysParams, u32 lineBytes)
-    : IdealCache(sysParams, dfcParams(lineBytes),
+    : IdealCache(sysParams, DramCacheParams{lineBytes},
                  "DFC-" + std::to_string(lineBytes)),
       tagCache()
 {

@@ -16,7 +16,7 @@ tagParams(u64 nmBytes, const DramCacheParams &cp)
     cache::CacheParams p;
     p.name = "dramCacheTags";
     p.sizeBytes = nmBytes;
-    p.ways = cp.ways;
+    p.ways = 16;
     p.lineBytes = cp.lineBytes;
     p.repl = cache::ReplPolicy::Lru;
     return p;
@@ -39,13 +39,6 @@ IdealCache::IdealCache(const mem::MemSystemParams &sysParams,
               "DRAM-cache line must be a multiple of 64 B");
     h2_assert(cp.lineBytes / mem::llcLineBytes <= 64,
               "used-block tracking supports up to 4 KB lines");
-}
-
-void
-IdealCache::tagLookup(Addr, mem::Timeline &tl)
-{
-    // The IDEAL cache has no tag-lookup overhead (Figure 2).
-    tl.advance(cp.tagLatencyPs);
 }
 
 void

@@ -19,13 +19,10 @@
 
 namespace h2::baselines {
 
-/** Configuration of a DRAM-cache baseline. */
+/** Configuration of a DRAM-cache baseline (a 16-way tag store). */
 struct DramCacheParams
 {
     u32 lineBytes = 1024;
-    u32 ways = 16;
-    /** Extra fixed latency per lookup (tag handling), ps. */
-    Tick tagLatencyPs = 0;
 };
 
 class IdealCache : public mem::HybridMemory
@@ -54,9 +51,10 @@ class IdealCache : public mem::HybridMemory
     /**
      * Hook for subclasses: charge tag-lookup cost for @p addr. The
      * lookup gates the data access, so implementations serialize their
-     * latency (fixed or an NM tag-store read) onto @p tl.
+     * latency (an NM tag-store read) onto @p tl. The IDEAL cache has no
+     * tag-lookup overhead (Figure 2).
      */
-    virtual void tagLookup(Addr addr, mem::Timeline &tl);
+    virtual void tagLookup(Addr, mem::Timeline &) {}
 
     /** Hook: metadata update on a fill (e.g. tag store write); posted
      *  off the critical path. */

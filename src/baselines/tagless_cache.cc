@@ -4,22 +4,8 @@
 
 namespace h2::baselines {
 
-namespace {
-
-DramCacheParams
-taglessParams()
-{
-    DramCacheParams p;
-    p.lineBytes = 4096; // OS page granularity
-    p.ways = 16;
-    p.tagLatencyPs = 0; // TLB-resident metadata: no lookup overhead
-    return p;
-}
-
-} // namespace
-
 TaglessCache::TaglessCache(const mem::MemSystemParams &sysParams)
-    : IdealCache(sysParams, taglessParams(), "TAGLESS")
+    : IdealCache(sysParams, DramCacheParams{4096}, "TAGLESS")
 {
 }
 

@@ -27,10 +27,19 @@ Dcmc::computeLayout(const mem::MemSystemParams &sys,
         std::ceil(double(nmSectors) * cfg.metadataFraction));
     l.nmLocs = nmSectors - l.metaSectors;
     l.cacheSectors = cfg.cacheBytes / cfg.sectorBytes;
-    h2_assert(l.cacheSectors % cfg.ways == 0,
-              "cache sectors not divisible by XTA ways");
-    h2_assert(l.cacheSectors < l.nmLocs,
-              "DRAM cache larger than the lined NM region");
+    // Both reachable from settings (nm-mib, hybrid2:cache=/sector=):
+    // fatal, so a sweep fails only this point.
+    if (l.cacheSectors % cfg.ways != 0)
+        h2_fatal("hybrid2: cache=", cfg.cacheBytes / MiB, " MiB holds ",
+                 l.cacheSectors, " sectors of ", cfg.sectorBytes,
+                 " B, not a multiple of the ", cfg.ways,
+                 " XTA ways; change cache or sector");
+    if (l.cacheSectors >= l.nmLocs)
+        h2_fatal("hybrid2: cache=", cfg.cacheBytes / MiB,
+                 " MiB is larger than the ",
+                 l.nmLocs * cfg.sectorBytes / MiB, " MiB that nm-mib ",
+                 sys.nmBytes / MiB,
+                 " leaves after metadata; raise nm-mib or lower cache");
     l.nmFlatSectors = l.nmLocs - l.cacheSectors;
     l.fmSectors = sys.fmBytes / cfg.sectorBytes;
     return l;

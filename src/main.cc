@@ -19,10 +19,11 @@
  * (--format) to stdout or a file (--out).
  *
  * Sweeps are fault tolerant: a failing point (bad spec deep in a
- * grid, unreadable trace, injected fault, watchdog timeout) is
- * recorded in the report instead of killing the run, --journal makes
- * every completed point durable as it finishes, and --resume skips
- * journaled points after a crash. Ctrl-C flushes the journal and the
+ * grid, a design that does not fit the configured memory, unreadable
+ * trace, watchdog timeout) runs once and is recorded in the report
+ * instead of killing the run, --journal makes every completed point
+ * durable as it finishes, and --resume skips journaled points after a
+ * crash. Ctrl-C flushes the journal and the
  * partial report before exiting.
  *
  * Exit codes:
@@ -44,7 +45,6 @@
 #include "common/log.h"
 #include "sim/design_registry.h"
 #include "sim/experiment.h"
-#include "sim/fault_plan.h"
 #include "sim/interrupt.h"
 #include "sim/report.h"
 #include "workloads/trace_file.h"
@@ -82,10 +82,6 @@ void printUsage(std::FILE *out)
         "                       crash loses at most the points in flight\n"
         "  --resume             with --journal: skip points already in\n"
         "                       the journal and simulate only the rest\n"
-        "  --inject <plan>      deterministic fault injection for testing\n"
-        "                       recovery paths: comma-separated\n"
-        "                       fail=<key>, timeout=<key>, flaky=<key>:<n>\n"
-        "                       with <key> = \"workload|design\"\n"
         "  --list-workloads     list registered workloads and exit\n"
         "  --list-designs       list registered designs (with their\n"
         "                       parameter schemas) and exit\n"
@@ -131,7 +127,6 @@ int main(int argc, char **argv)
     std::string outPath;
     std::string journalPath;
     bool resume = false;
-    sim::FaultPlan faults;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -173,12 +168,6 @@ int main(int argc, char **argv)
             journalPath = next("--journal");
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--inject") {
-            std::string err;
-            auto parsed = sim::FaultPlan::parse(next("--inject"), &err);
-            if (!parsed)
-                usageError(err);
-            faults = *std::move(parsed);
         } else {
             std::fprintf(stderr, "h2sim: unknown option '%s'\n\n",
                          arg.c_str());
@@ -252,7 +241,6 @@ int main(int argc, char **argv)
         format = *sim::parseOutputFormat(experiment.format);
     experiment.journalPath = std::move(journalPath);
     experiment.resume = resume;
-    experiment.faults = std::move(faults);
 
     if (experiment.resume && experiment.journalPath.empty())
         usageError("--resume needs --journal <path>");
@@ -280,8 +268,8 @@ int main(int argc, char **argv)
         std::vector<sim::RunRecord> records =
             sim::runExperiment(experiment);
         for (const auto &rec : records) {
-            anyFailed |= !rec.ok;
-            interrupted |= rec.interrupted;
+            anyFailed |= !rec.outcome.ok;
+            interrupted |= rec.outcome.interrupted;
         }
         std::string rendered =
             sim::renderReport(experiment.config, records, format);

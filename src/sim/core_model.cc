@@ -10,10 +10,13 @@ AddressMap::AddressMap(u64 flatBytes, u64 virtualBytes, u64 seed)
     : flatSize(flatBytes), virtSize(virtualBytes),
       perm(flatBytes / pageBytes, seed)
 {
-    h2_assert(virtualBytes <= flatBytes,
-              "workload footprint exceeds flat memory capacity (",
-              virtualBytes, " > ", flatBytes,
-              "); the paper does not model page faults");
+    // Reachable from settings (fm-mib): fatal, so a sweep fails only
+    // this point.
+    if (virtualBytes > flatBytes)
+        h2_fatal("workload footprint exceeds flat memory capacity (",
+                 virtualBytes, " > ", flatBytes,
+                 " bytes); raise fm-mib, since the paper does not model "
+                 "page faults");
     pageLane.assign(ceilDiv(virtSize, u64(pageBytes)), kUnmapped);
 }
 

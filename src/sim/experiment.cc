@@ -176,11 +176,6 @@ const Setting kSettings[] = {
      [](Key k, Value v, Spec &s) {
          return parseCount(k, v, s.config.runTimeoutMs);
      }},
-    {"retries", "<n>", "re-run a failed sweep point up to <n> times [0]",
-     false, false,
-     [](Key k, Value v, Spec &s) {
-         return parseCount(k, v, s.config.retries);
-     }},
     {"format", "<text|json|csv>", "output format [text]", false, false,
      [](Key k, Value v, Spec &s) -> std::string {
          if (!parseOutputFormat(v))
@@ -325,8 +320,6 @@ runExperiment(const ExperimentSpec &spec)
     std::unique_ptr<ResultJournal> journal;
     SweepRunner runner(spec.config, spec.jobs);
 
-    if (!spec.faults.empty())
-        runner.setFaultPlan(&spec.faults);
     if (!spec.journalPath.empty()) {
         if (spec.resume) {
             std::string err;
@@ -357,16 +350,8 @@ runExperiment(const ExperimentSpec &spec)
     records.reserve(spec.workloads.size() * spec.designs.size());
     for (const workloads::Workload &w : spec.workloads) {
         for (const auto &design : spec.designs) {
-            RunRecord rec;
-            rec.workload = w.name;
-            rec.design = design;
-            const RunOutcome &o = runner.outcome(w, design);
-            rec.ok = o.ok;
-            rec.interrupted = o.interrupted;
-            rec.error = o.error;
-            rec.attempts = o.attempts;
-            if (o.ok)
-                rec.metrics = o.metrics;
+            RunRecord rec{w.name, design, runner.outcome(w, design)};
+            const RunOutcome &o = rec.outcome;
             if (spec.speedup && o.ok) {
                 const RunOutcome &base = runner.outcome(w, "baseline");
                 if (base.ok && o.metrics.timePs > 0) {

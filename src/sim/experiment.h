@@ -35,7 +35,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/fault_plan.h"
 #include "sim/runner.h"
 #include "workloads/workload_registry.h"
 
@@ -64,9 +63,6 @@ struct ExperimentSpec
     std::string journalPath;
     /** Seed the sweep from the journal before running (--resume). */
     bool resume = false;
-    /** Deterministic fault injection (h2sim --inject); command-line
-     *  only — faults are a test harness, not an experiment property. */
-    FaultPlan faults;
 
     /** Parse @p text, then apply @p overrides (command-line settings,
      *  which win over the file) and validateExperiment(); on error
@@ -123,14 +119,9 @@ struct RunRecord
 {
     std::string workload;
     std::string design; ///< canonical design spec
-    Metrics metrics;    ///< valid iff ok
+    RunOutcome outcome;
     bool hasSpeedup = false;
     double speedup = 0.0; ///< over the FM-only baseline, when requested
-
-    bool ok = true;           ///< the point simulated successfully
-    bool interrupted = false; ///< cancelled by SIGINT (implies !ok)
-    std::string error;        ///< non-empty iff !ok
-    u32 attempts = 1;         ///< attempts consumed (1 + retries used)
 };
 
 /**
@@ -138,9 +129,9 @@ struct RunRecord
  * workload when speedups were requested) on @p spec.jobs workers and
  * return the records in workload-major, design-minor file order.
  *
- * Fault tolerance: a failed point yields a record with ok=false and
- * the captured error — the sweep always completes and every point gets
- * a record. With a journalPath, completed outcomes are appended
+ * Fault tolerance: a failed point yields a record whose outcome has
+ * ok=false and the captured error — the sweep always completes and
+ * every point gets a record. With a journalPath, completed outcomes are appended
  * durably as they finish; with resume, journaled outcomes are seeded
  * first and only missing points simulate. h2_fatal (capturable) on an
  * unopenable or corrupt journal.

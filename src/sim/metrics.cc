@@ -138,9 +138,6 @@ Metrics::csvHeader()
            "flat_capacity_bytes,footprint_bytes";
 }
 
-namespace {
-
-/** RFC 4180 quoting: wrap in quotes, double any embedded quote. */
 std::string
 csvQuote(const std::string &field)
 {
@@ -153,8 +150,6 @@ csvQuote(const std::string &field)
     out += '"';
     return out;
 }
-
-} // namespace
 
 std::string
 Metrics::toCsvRow() const

@@ -70,4 +70,7 @@ struct Metrics
     bool operator==(const Metrics &) const = default;
 };
 
+/** RFC 4180 quoting: wrap in quotes, double any embedded quote. */
+std::string csvQuote(const std::string &field);
+
 } // namespace h2::sim

@@ -25,7 +25,6 @@ writeConfigJson(JsonWriter &w, const RunConfig &cfg)
         .kv("queue", cfg.queue)
         .kv("fm", dram::to_string(cfg.fm))
         .kv("run_timeout_ms", cfg.runTimeoutMs)
-        .kv("retries", cfg.retries)
         .endObject();
 }
 
@@ -34,15 +33,14 @@ renderText(const std::vector<RunRecord> &records)
 {
     std::ostringstream os;
     for (const auto &rec : records) {
-        if (!rec.ok) {
+        const RunOutcome &o = rec.outcome;
+        if (!o.ok) {
             os << rec.workload << " on " << rec.design << ": "
-               << (rec.interrupted ? "INTERRUPTED" : "FAILED")
-               << " after " << rec.attempts << " attempt"
-               << (rec.attempts == 1 ? "" : "s") << ": " << rec.error
-               << "\n\n";
+               << (o.interrupted ? "INTERRUPTED" : "FAILED") << ": "
+               << o.error << "\n\n";
             continue;
         }
-        os << rec.metrics.toString();
+        os << o.metrics.toString();
         if (rec.hasSpeedup) {
             char buf[64];
             std::snprintf(buf, sizeof(buf), "%.4f", rec.speedup);
@@ -62,19 +60,19 @@ renderJson(const RunConfig &config, const std::vector<RunRecord> &records)
     writeConfigJson(w, config);
     w.key("results").beginArray();
     for (const auto &rec : records) {
+        const RunOutcome &o = rec.outcome;
         w.beginObject()
             .kv("workload", rec.workload)
             .kv("design_spec", rec.design)
-            .kv("ok", rec.ok)
-            .kv("attempts", rec.attempts);
+            .kv("ok", o.ok);
         if (rec.hasSpeedup)
             w.kv("speedup_vs_baseline", rec.speedup);
-        if (rec.ok) {
+        if (o.ok) {
             w.key("metrics");
-            rec.metrics.writeJson(w);
+            o.metrics.writeJson(w);
         } else {
-            w.kv("error", rec.error);
-            if (rec.interrupted)
+            w.kv("error", o.error);
+            if (o.interrupted)
                 w.kv("interrupted", true);
         }
         w.endObject();
@@ -90,22 +88,25 @@ renderCsv(const std::vector<RunRecord> &records)
     bool anyFailed = false;
     for (const auto &rec : records) {
         anySpeedup |= rec.hasSpeedup;
-        anyFailed |= !rec.ok;
+        anyFailed |= !rec.outcome.ok;
     }
 
+    // The metrics' `design` column is the display name, which several
+    // specs share (every hybrid2 variant is "HYBRID2"); design_spec is
+    // the canonical spec that tells them apart.
     std::ostringstream os;
-    os << Metrics::csvHeader();
+    os << Metrics::csvHeader() << ",design_spec";
     if (anySpeedup)
         os << ",speedup_vs_baseline";
     // Failure columns appear only in reports that have failures (the
-    // same shape rule as the speedup column), so fully-successful CSV
-    // output is byte-identical to the pre-fault-tolerance format.
+    // same shape rule as the speedup column).
     if (anyFailed)
-        os << ",ok,attempts,error";
+        os << ",ok,error";
     os << "\n";
     for (const auto &rec : records) {
-        if (rec.ok) {
-            os << rec.metrics.toCsvRow();
+        const RunOutcome &o = rec.outcome;
+        if (o.ok) {
+            os << o.metrics.toCsvRow();
         } else {
             // Metric columns of a failed point render as a defaulted
             // row (zeros) so the column count always matches.
@@ -114,23 +115,15 @@ renderCsv(const std::vector<RunRecord> &records)
             empty.design = rec.design;
             os << empty.toCsvRow();
         }
+        os << ',' << csvQuote(rec.design);
         if (anySpeedup) {
             os << ',';
             if (rec.hasSpeedup)
                 os << JsonWriter::formatDouble(rec.speedup);
         }
-        if (anyFailed) {
-            os << ',' << (rec.ok ? "true" : "false") << ','
-               << rec.attempts << ',';
-            std::string err = "\"";
-            for (char c : rec.error) {
-                err += c;
-                if (c == '"')
-                    err += c;
-            }
-            err += '"';
-            os << err;
-        }
+        if (anyFailed)
+            os << ',' << (o.ok ? "true" : "false") << ','
+               << csvQuote(o.error);
         os << "\n";
     }
     return os.str();

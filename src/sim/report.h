@@ -24,8 +24,9 @@ std::optional<OutputFormat> parseOutputFormat(std::string_view name);
  * Render @p records under @p config in @p format. Text is the
  * human-readable Metrics::toString form; JSON is one document with the
  * run configuration and a result array (Metrics::writeJson per run);
- * CSV is Metrics::csvHeader plus one row per run (a speedup column is
- * appended when any record carries one).
+ * CSV is Metrics::csvHeader plus a design_spec column (the canonical
+ * spec) and one row per run; a speedup column is appended when any
+ * record carries one, and ok/error columns when any point failed.
  */
 std::string renderReport(const RunConfig &config,
                          const std::vector<RunRecord> &records,

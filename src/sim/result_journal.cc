@@ -37,7 +37,6 @@ ResultJournal::formatRecord(const std::string &key,
     w.beginObject()
         .kv("key", key)
         .kv("ok", outcome.ok)
-        .kv("attempts", outcome.attempts)
         .kv("wall_ms", outcome.wallMs)
         .kv("timed_out", outcome.timedOut);
     if (outcome.ok) {
@@ -75,9 +74,6 @@ ResultJournal::parseRecord(std::string_view line, std::string *error)
 
     RunOutcome out;
     out.ok = ok->asBool();
-    if (const JsonValue *f = doc->find("attempts");
-        f && f->isNumber())
-        out.attempts = static_cast<u32>(f->asU64());
     if (const JsonValue *f = doc->find("wall_ms"); f && f->isNumber())
         out.wallMs = f->asU64();
     if (const JsonValue *f = doc->find("timed_out"); f && f->isBool())

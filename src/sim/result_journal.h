@@ -12,10 +12,14 @@
  * shortest-round-trip form).
  *
  * Record shape (one line, compact):
- *   {"key":"lbm|dfc","ok":true,"attempts":1,"wall_ms":812,
- *    "timed_out":false,"metrics":{...Metrics::writeJson...}}
- *   {"key":"mcf|hybrid2","ok":false,"attempts":3,"wall_ms":42,
- *    "timed_out":false,"error":"..."}
+ *   {"key":"lbm|dfc","ok":true,"wall_ms":812,"timed_out":false,
+ *    "metrics":{...Metrics::writeJson...}}
+ *   {"key":"mcf|hybrid2","ok":false,"wall_ms":42,"timed_out":false,
+ *    "error":"..."}
+ *
+ * Keys are looked up by name and unknown keys are ignored, so journals
+ * written by older versions (which carried a per-point retry count)
+ * still load.
  *
  * A torn final line (the record being written when the process died)
  * is expected and skipped with a warning on load; a malformed record

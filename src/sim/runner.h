@@ -56,15 +56,13 @@ struct RunConfig
      *  deadline is cancelled with SimTimeoutError and its sweep point
      *  recorded as a timed-out failure (h2sim --run-timeout). */
     u64 runTimeoutMs = 0;
-    /** Retries per sweep point after a failure (h2sim --retries);
-     *  attempt counts land in RunOutcome and the result journal. */
-    u32 retries = 0;
 };
 
 /**
  * The structured result of one sweep point: Metrics on success, or a
  * captured failure — a failed point never kills the sweep (or the
- * process) any more.
+ * process). A point runs once: simulateOne is deterministic, so a
+ * failure would only repeat.
  *
  * wallMs is host wall clock, the one non-deterministic field; reports
  * never render it (resumed and fresh sweeps stay bit-identical), it
@@ -74,11 +72,10 @@ struct RunOutcome
 {
     bool ok = false;
     bool timedOut = false;    ///< the --run-timeout watchdog fired
-    bool interrupted = false; ///< SIGINT: never retried, never journaled
+    bool interrupted = false; ///< SIGINT: never journaled
     Metrics metrics;          ///< valid iff ok
     std::string error;        ///< non-empty iff !ok
-    u32 attempts = 1;         ///< attempts consumed (1 + retries used)
-    u64 wallMs = 0;           ///< wall clock across all attempts
+    u64 wallMs = 0;           ///< wall clock of the run
 
     bool operator==(const RunOutcome &) const = default;
 };

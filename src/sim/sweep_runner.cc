@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/log.h"
-#include "sim/fault_plan.h"
 #include "sim/interrupt.h"
 #include "sim/result_journal.h"
 
@@ -38,37 +37,27 @@ SweepRunner::executePoint(const std::string &resultKey,
 {
     auto start = std::chrono::steady_clock::now();
     RunOutcome out;
-    for (u32 attempt = 1; attempt <= cfg.retries + 1; ++attempt) {
-        out.attempts = attempt;
-        out.timedOut = false;
-        if (interruptRequested()) {
-            out.interrupted = true;
-            out.error = detail::concat(
-                "interrupted (SIGINT) before simulating '", resultKey,
-                "'");
-            break;
-        }
-        try {
-            // Library-level h2_fatal sites (bad design spec, bad trace,
-            // invalid config) throw FatalError inside this scope
-            // instead of exiting the process.
-            ScopedFatalCapture capture;
-            if (faults)
-                faults->inject(resultKey, attempt, cfg.runTimeoutMs);
-            out.metrics = simulateOne(cfg, workload, designSpec);
-            out.ok = true;
-            out.error.clear();
-            break;
-        } catch (const SimInterruptedError &e) {
-            out.interrupted = true;
-            out.error = e.what();
-            break;
-        } catch (const SimTimeoutError &e) {
-            out.timedOut = true;
-            out.error = e.what();
-        } catch (const std::exception &e) {
-            out.error = e.what();
-        }
+    if (interruptRequested()) {
+        out.interrupted = true;
+        out.error = detail::concat(
+            "interrupted (SIGINT) before simulating '", resultKey, "'");
+        return out;
+    }
+    try {
+        // Library-level h2_fatal sites (bad design spec, bad trace,
+        // invalid config) throw FatalError inside this scope instead
+        // of exiting the process.
+        ScopedFatalCapture capture;
+        out.metrics = simulateOne(cfg, workload, designSpec);
+        out.ok = true;
+    } catch (const SimInterruptedError &e) {
+        out.interrupted = true;
+        out.error = e.what();
+    } catch (const SimTimeoutError &e) {
+        out.timedOut = true;
+        out.error = e.what();
+    } catch (const std::exception &e) {
+        out.error = e.what();
     }
     out.wallMs = static_cast<u64>(
         std::chrono::duration_cast<std::chrono::milliseconds>(

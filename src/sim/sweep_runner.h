@@ -18,10 +18,11 @@
  * bad design spec, an unreadable trace, an invalid config, a thrown
  * exception, or a --run-timeout watchdog expiry fails only that point
  * — the sweep completes and the failure is recorded in the point's
- * RunOutcome (and the result journal, when one is attached). Failed
- * points are retried up to RunConfig::retries times. SIGINT marks the
- * remaining points interrupted; interrupted points are never journaled
- * (a --resume run re-simulates them) and never retried.
+ * RunOutcome (and the result journal, when one is attached). Each
+ * point runs once: the simulation is deterministic, so a failure would
+ * only repeat. SIGINT marks the remaining points interrupted;
+ * interrupted points are never journaled (a --resume run re-simulates
+ * them).
  */
 
 #pragma once
@@ -38,7 +39,6 @@
 
 namespace h2::sim {
 
-struct FaultPlan;
 class ResultJournal;
 
 class SweepRunner
@@ -56,10 +56,6 @@ class SweepRunner
     /** Attach a journal: every completed (non-interrupted) outcome is
      *  appended durably. Must outlive the runner; set before submit. */
     void setJournal(ResultJournal *j) { journal = j; }
-
-    /** Attach a fault-injection plan (h2sim --inject). Must outlive
-     *  the runner; set before the first submit. */
-    void setFaultPlan(const FaultPlan *plan) { faults = plan; }
 
     /**
      * Pre-populate one completed outcome (the --resume path: outcomes
@@ -115,7 +111,7 @@ class SweepRunner
     u64 totalAccesses();
 
     /** The sweep-point key "<workload>|<canonical design spec>" — the
-     *  result-map and journal key, and the --inject grammar's <key>.
+     *  result-map and journal key.
      *  An unparsable spec keeps its raw text (the point then fails
      *  with the parse error instead of killing the submitting
      *  thread). */
@@ -131,7 +127,6 @@ class SweepRunner
     RunConfig cfg;
     ThreadPool pool;
     ResultJournal *journal = nullptr;
-    const FaultPlan *faults = nullptr;
 
     std::mutex mu;
     std::condition_variable doneCv;

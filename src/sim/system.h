@@ -33,8 +33,8 @@ class SimTimeoutError : public std::runtime_error
 };
 
 /** The run was cancelled by a cooperative interrupt (SIGINT — see
- *  sim/interrupt.h). Never retried and never journaled: an interrupted
- *  point reruns on --resume. */
+ *  sim/interrupt.h). Never journaled: an interrupted point reruns on
+ *  --resume. */
 class SimInterruptedError : public std::runtime_error
 {
   public:

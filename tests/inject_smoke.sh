@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end fault injection: a sweep with an always-failing point, a
-# watchdog-timeout point, and a flaky-twice point (with enough retries
-# to recover) must complete every healthy point, journal every outcome,
-# and exit with the distinct partial-failure code 3.
+# End-to-end recovery from real faults. (i) A sweep where hybrid2's
+# DRAM cache does not fit in 64 MiB of NM: the hybrid2 point fails,
+# baseline and dfc complete, every point is journaled, and h2sim exits
+# with the distinct partial-failure code 3. (ii) A runaway point the
+# --run-timeout watchdog cancels: exit 3 with "run timeout" in both
+# the report and the journal.
 #
 # Usage: inject_smoke.sh <h2sim-binary> <workdir>
 set -u
@@ -14,46 +16,36 @@ rm -rf "$WORKDIR"
 mkdir -p "$WORKDIR"
 cd "$WORKDIR" || exit 1
 
-"$H2SIM" --design baseline --design dfc --design hybrid2 \
-    --workload lbm --workload mcf \
-    --nm-mib 1024 --fm-mib 16384 --cores 2 --instr 20000 \
-    --jobs 2 --format json --retries 2 --run-timeout 1000 \
-    --inject 'fail=lbm|baseline,timeout=lbm|hybrid2,flaky=lbm|dfc:2' \
-    --journal inject.jnl --out inject.json
-rc=$?
+fail() {
+    echo "FAIL: $*"
+    exit 1
+}
 
-if [ "$rc" -ne 3 ]; then
-    echo "FAIL: expected partial-failure exit 3, got $rc"
-    exit 1
-fi
-if ! grep -q '"ok": false' inject.json; then
-    echo "FAIL: report lists no failed points"
-    exit 1
-fi
-if ! grep -q '"error": "injected failure' inject.json; then
-    echo "FAIL: injected failure missing from report"
-    exit 1
-fi
-if ! grep -q 'run timeout' inject.json; then
-    echo "FAIL: injected timeout missing from report"
-    exit 1
-fi
-# The flaky point recovered on its third attempt.
-if ! grep -q '"attempts": 3' inject.json; then
-    echo "FAIL: flaky point did not record 3 attempts"
-    exit 1
-fi
-# Healthy points completed despite lbm's faults: all 3 mcf points plus
-# the recovered flaky lbm|dfc point.
-ok_count=$(grep -c '"ok": true' inject.json)
-if [ "$ok_count" -ne 4 ]; then
-    echo "FAIL: expected 4 successful records, got $ok_count"
-    exit 1
-fi
-# Every point, failed or not, landed in the journal.
-recs=$(wc -l < inject.jnl)
-if [ "$recs" -ne 6 ]; then
-    echo "FAIL: expected 6 journal records, got $recs"
-    exit 1
-fi
-echo "PASS: fault-injected sweep journaled everything and exited 3"
+# (i) A design that does not fit the configured NM.
+"$H2SIM" --design baseline --design dfc --design hybrid2 \
+    --workload xalanc --nm-mib 64 --cores 1 --instr 2000 \
+    --format json --journal undersized.jnl --out undersized.json
+rc=$?
+[ "$rc" -eq 3 ] || fail "undersized NM: expected exit 3, got $rc"
+# Each design_spec line is followed by its record's "ok" line.
+point_ok() {
+    grep -A1 "\"design_spec\": \"$1\"" undersized.json | grep -q "\"ok\": $2"
+}
+point_ok hybrid2 false || fail "undersized NM: hybrid2 point did not fail"
+point_ok baseline true || fail "undersized NM: baseline point failed"
+point_ok dfc true || fail "undersized NM: dfc point failed"
+grep -q 'nm-mib 64' undersized.json || fail "undersized NM: error does not name nm-mib"
+recs=$(wc -l < undersized.jnl)
+[ "$recs" -eq 3 ] || fail "undersized NM: expected 3 journal records, got $recs"
+
+# (ii) A run far longer than its watchdog allows.
+"$H2SIM" --design baseline --workload xalanc --cores 1 \
+    --run-timeout 20 --instr 50000000 \
+    --journal timeout.jnl --out timeout.txt
+rc=$?
+[ "$rc" -eq 3 ] || fail "watchdog: expected exit 3, got $rc"
+grep -q 'run timeout' timeout.txt || fail "watchdog: report lacks 'run timeout'"
+grep -q 'run timeout' timeout.jnl || fail "watchdog: journal lacks 'run timeout'"
+grep -q '"timed_out":true' timeout.jnl || fail "watchdog: journal not marked timed_out"
+
+echo "PASS: real-fault sweeps failed only their points, journaled them and exited 3"

@@ -9,6 +9,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -157,7 +158,7 @@ TEST(ExperimentParse, RangeChecksNameTheSetting)
     const std::string head = "design dfc\nworkload lbm\n";
     std::string err;
     // 32-bit settings stop at UINT32_MAX instead of wrapping.
-    for (std::string key : {"cores", "jobs", "retries"}) {
+    for (std::string key : {"cores", "jobs"}) {
         EXPECT_FALSE(
             ExperimentSpec::parse(head + key + " 4294967296\n", &err))
             << key;
@@ -166,9 +167,9 @@ TEST(ExperimentParse, RangeChecksNameTheSetting)
                   std::string::npos)
             << err;
     }
-    auto spec = ExperimentSpec::parse(head + "retries 4294967295\n", &err);
+    auto spec = ExperimentSpec::parse(head + "jobs 4294967295\n", &err);
     ASSERT_TRUE(spec) << err;
-    EXPECT_EQ(spec->config.retries, 4294967295u);
+    EXPECT_EQ(spec->jobs, 4294967295u);
 
     // A capacity whose byte count overflows u64 is rejected, not
     // wrapped (17592186060800 MiB would wrap to 16 GiB).
@@ -223,7 +224,7 @@ TEST(Settings, TableCoversEveryDirectiveOnce)
     const char *keys[] = {"design", "workload", "nm-mib", "fm-mib",
                           "cores",  "instr",    "warmup", "seed",
                           "queue",  "fm",       "jobs",   "speedup",
-                          "run-timeout", "retries", "format"};
+                          "run-timeout", "format"};
     ASSERT_EQ(settings().size(), std::size(keys));
     std::string help = settingsHelp();
     for (const char *key : keys) {
@@ -284,7 +285,7 @@ TEST_F(ExperimentRunTest, RunsSweepInFileOrder)
     EXPECT_EQ(records[0].design, "dfc");
     EXPECT_EQ(records[1].design, "baseline");
     for (const auto &rec : records) {
-        EXPECT_GT(rec.metrics.instructions, 0u);
+        EXPECT_GT(rec.outcome.metrics.instructions, 0u);
         EXPECT_TRUE(rec.hasSpeedup);
         EXPECT_GT(rec.speedup, 0.0);
     }
@@ -311,18 +312,61 @@ TEST_F(ExperimentRunTest, AllFormatsRenderTheSameRuns)
     EXPECT_NE(json.find("\"design_spec\": \"dfc\""), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"instructions\": " +
-                        std::to_string(records[0].metrics.instructions)),
+                        std::to_string(
+                            records[0].outcome.metrics.instructions)),
               std::string::npos);
     EXPECT_NE(json.find("\"speedup_vs_baseline\""), std::string::npos);
 
-    // CSV: header plus one row per record, speedup column appended.
-    ASSERT_EQ(csv.find(Metrics::csvHeader() + ",speedup_vs_baseline\n"),
+    // CSV: header plus one row per record, design_spec and speedup
+    // columns appended.
+    ASSERT_EQ(csv.find(Metrics::csvHeader() +
+                       ",design_spec,speedup_vs_baseline\n"),
               0u)
         << csv;
     size_t rows = 0;
     for (char c : csv)
         rows += c == '\n';
     EXPECT_EQ(rows, 1 + records.size());
+}
+
+/** The CSV design column is the display name, shared by every hybrid2
+ *  variant; design_spec tells the variants apart. */
+TEST_F(ExperimentRunTest, CsvDesignSpecSeparatesVariants)
+{
+    std::string err;
+    auto spec = ExperimentSpec::parse("design hybrid2\n"
+                                      "design hybrid2:noremap\n"
+                                      "workload xalanc\n"
+                                      "instr 2000\n"
+                                      "cores 1\n",
+                                      &err);
+    ASSERT_TRUE(spec) << err;
+    std::vector<RunRecord> records = runExperiment(*spec);
+    std::string csv = renderReport(spec->config, records, OutputFormat::Csv);
+
+    std::istringstream lines(csv);
+    std::string header;
+    std::getline(lines, header);
+    size_t at = header.find(",design_spec");
+    ASSERT_NE(at, std::string::npos) << header;
+    // No field before design_spec holds a comma, so splitting on ','
+    // finds its cells.
+    size_t index = std::count(header.begin(), header.begin() + at, ',') + 1;
+
+    std::vector<std::string> designs, specs;
+    for (std::string row; std::getline(lines, row);) {
+        std::vector<std::string> cells;
+        std::istringstream fields(row);
+        for (std::string cell; std::getline(fields, cell, ',');)
+            cells.push_back(cell);
+        ASSERT_GT(cells.size(), index) << row;
+        designs.push_back(cells[1]);
+        specs.push_back(cells[index]);
+    }
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_EQ(designs[0], designs[1]); // both "HYBRID2"
+    EXPECT_EQ(specs[0], "\"hybrid2\"");
+    EXPECT_EQ(specs[1], "\"hybrid2:noremap\"");
 }
 
 TEST(OutputFormatTest, ParseNames)

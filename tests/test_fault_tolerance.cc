@@ -1,10 +1,11 @@
 /**
  * @file
  * Fault-tolerant sweep execution: library-level fatals are capturable
- * (ScopedFatalCapture), a failing point fails only itself, the
- * --run-timeout watchdog cancels runaway runs, --retries re-runs
- * failed points, and deterministic fault injection (sim/fault_plan.h)
- * drives every recovery path on demand.
+ * (ScopedFatalCapture), a failing point fails only itself, and the
+ * --run-timeout watchdog cancels runaway runs. Every recovery path is
+ * driven by a real fault: a bad design spec, settings a design or
+ * workload does not fit, a trace replayed on the wrong core count, an
+ * invalid config, a watchdog expiry, a pending SIGINT.
  *
  * The death tests also pin the preserved CLI behavior: h2_fatal
  * without a capture still exits the process with code 1.
@@ -18,7 +19,6 @@
 #include "common/log.h"
 #include "common/units.h"
 #include "sim/experiment.h"
-#include "sim/fault_plan.h"
 #include "sim/interrupt.h"
 #include "sim/sweep_runner.h"
 #include "workloads/trace_file.h"
@@ -106,6 +106,51 @@ TEST(SweepFaultTolerance, BadDesignSpecFailsOnlyItsPoint)
     EXPECT_GT(good.metrics.instructions, 0u);
 }
 
+TEST(SweepFaultTolerance, UndersizedNmFailsOnlyItsPoint)
+{
+    // hybrid2's default 64 MiB DRAM cache does not fit in 64 MiB of NM
+    // once the metadata region is reserved; dfc runs fine there.
+    RunConfig cfg = quickCfg();
+    cfg.nmBytes = 64 * MiB;
+    SweepRunner sweep(cfg, 2);
+    auto w = tinyWorkload();
+    sweep.submit(w, "hybrid2");
+    sweep.submit(w, "dfc");
+
+    const RunOutcome &bad = sweep.outcome(w, "hybrid2");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("nm-mib 64"), std::string::npos) << bad.error;
+
+    const RunOutcome &good = sweep.outcome(w, "dfc");
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_GT(good.metrics.instructions, 0u);
+}
+
+TEST(SweepFaultTolerance, DesignParamsThatDoNotFitFailOnlyTheirPoint)
+{
+    // A 1 MiB cache of 1 MiB sectors is one sector: not a whole number
+    // of 16-way XTA sets.
+    SweepRunner sweep(quickCfg(), 1);
+    auto w = tinyWorkload();
+    const RunOutcome &bad =
+        sweep.outcome(w, "hybrid2:cache=1,sector=1048576,line=1048576");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("cache=1 MiB"), std::string::npos)
+        << bad.error;
+    EXPECT_TRUE(sweep.outcome(w, "hybrid2").ok);
+}
+
+TEST(SweepFaultTolerance, FootprintBeyondFmFailsOnlyItsPoint)
+{
+    SweepRunner sweep(quickCfg(), 1);
+    auto big = tinyWorkload("mcf");
+    big.footprintBytes = 2 * quickCfg().fmBytes;
+    const RunOutcome &bad = sweep.outcome(big, "baseline");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("fm-mib"), std::string::npos) << bad.error;
+    EXPECT_TRUE(sweep.outcome(tinyWorkload(), "baseline").ok);
+}
+
 TEST(SweepFaultTolerance, RunThrowsFatalErrorForFailedPoint)
 {
     SweepRunner sweep(quickCfg(), 1);
@@ -161,12 +206,12 @@ TEST(SweepFaultTolerance, ExperimentCompletesAroundBadDesign)
 
     std::vector<RunRecord> records = runExperiment(spec);
     ASSERT_EQ(records.size(), 3u);
-    EXPECT_TRUE(records[0].ok) << records[0].error;
+    EXPECT_TRUE(records[0].outcome.ok) << records[0].outcome.error;
     EXPECT_TRUE(records[0].hasSpeedup);
-    EXPECT_FALSE(records[1].ok);
+    EXPECT_FALSE(records[1].outcome.ok);
     EXPECT_FALSE(records[1].hasSpeedup);
-    EXPECT_NE(records[1].error.find("nosuchdesign"), std::string::npos);
-    EXPECT_TRUE(records[2].ok) << records[2].error;
+    EXPECT_NE(records[1].outcome.error.find("nosuchdesign"), std::string::npos);
+    EXPECT_TRUE(records[2].outcome.ok) << records[2].outcome.error;
     EXPECT_TRUE(records[2].hasSpeedup);
 }
 
@@ -180,7 +225,6 @@ TEST(Watchdog, RunTimeoutCancelsRunawayRun)
     EXPECT_FALSE(o.ok);
     EXPECT_TRUE(o.timedOut);
     EXPECT_NE(o.error.find("run timeout"), std::string::npos);
-    EXPECT_EQ(o.attempts, 1u);
 }
 
 TEST(Interrupt, PendingInterruptMarksPointsInterrupted)
@@ -191,127 +235,6 @@ TEST(Interrupt, PendingInterruptMarksPointsInterrupted)
     clearInterruptForTest();
     EXPECT_FALSE(o.ok);
     EXPECT_TRUE(o.interrupted);
-}
-
-TEST(FaultPlanParse, AcceptsFullGrammar)
-{
-    std::string err;
-    auto plan = FaultPlan::parse(
-        "fail=lbm|baseline,timeout=lbm|hybrid2,flaky=lbm|dfc:1024:2",
-        &err);
-    ASSERT_TRUE(plan) << err;
-    EXPECT_EQ(plan->failKeys.count("lbm|baseline"), 1u);
-    EXPECT_EQ(plan->timeoutKeys.count("lbm|hybrid2"), 1u);
-    // The flaky count is after the final ':'; the key keeps its own.
-    ASSERT_EQ(plan->flakyKeys.count("lbm|dfc:1024"), 1u);
-    EXPECT_EQ(plan->flakyKeys.at("lbm|dfc:1024"), 2u);
-}
-
-TEST(FaultPlanParse, RejectsBadPlans)
-{
-    std::string err;
-    EXPECT_FALSE(FaultPlan::parse("", &err));
-    EXPECT_FALSE(FaultPlan::parse("explode=lbm|dfc", &err));
-    EXPECT_NE(err.find("explode"), std::string::npos);
-    EXPECT_FALSE(FaultPlan::parse("fail", &err));
-    EXPECT_FALSE(FaultPlan::parse("fail=", &err));
-    EXPECT_FALSE(FaultPlan::parse("flaky=lbm|dfc", &err));
-    EXPECT_FALSE(FaultPlan::parse("flaky=lbm|dfc:zero", &err));
-    EXPECT_FALSE(FaultPlan::parse("flaky=lbm|dfc:0", &err));
-}
-
-TEST(FaultInjection, InjectedFailureFailsThePoint)
-{
-    RunConfig cfg = quickCfg();
-    auto w = tinyWorkload();
-    std::string err;
-    auto plan = FaultPlan::parse("fail=" + SweepRunner::key(w, "baseline"),
-                                 &err);
-    ASSERT_TRUE(plan) << err;
-
-    SweepRunner sweep(cfg, 1);
-    sweep.setFaultPlan(&*plan);
-    const RunOutcome &bad = sweep.outcome(w, "baseline");
-    EXPECT_FALSE(bad.ok);
-    EXPECT_NE(bad.error.find("injected failure"), std::string::npos);
-    // Other points are untouched by the plan.
-    EXPECT_TRUE(sweep.outcome(w, "dfc").ok);
-}
-
-TEST(FaultInjection, FlakySucceedsWithEnoughRetries)
-{
-    RunConfig cfg = quickCfg();
-    cfg.retries = 2;
-    auto w = tinyWorkload();
-    std::string err;
-    auto plan = FaultPlan::parse(
-        "flaky=" + SweepRunner::key(w, "baseline") + ":2", &err);
-    ASSERT_TRUE(plan) << err;
-
-    SweepRunner sweep(cfg, 1);
-    sweep.setFaultPlan(&*plan);
-    const RunOutcome &o = sweep.outcome(w, "baseline");
-    EXPECT_TRUE(o.ok) << o.error;
-    EXPECT_EQ(o.attempts, 3u);
-
-    // A flaky-free retried point reports exactly one attempt, and its
-    // metrics match an unretried run bit-for-bit.
-    SweepRunner plain(quickCfg(), 1);
-    EXPECT_EQ(o.metrics, plain.outcome(w, "baseline").metrics);
-}
-
-TEST(FaultInjection, FlakyFailsWithTooFewRetries)
-{
-    RunConfig cfg = quickCfg();
-    cfg.retries = 1;
-    auto w = tinyWorkload();
-    std::string err;
-    auto plan = FaultPlan::parse(
-        "flaky=" + SweepRunner::key(w, "baseline") + ":2", &err);
-    ASSERT_TRUE(plan) << err;
-
-    SweepRunner sweep(cfg, 1);
-    sweep.setFaultPlan(&*plan);
-    const RunOutcome &o = sweep.outcome(w, "baseline");
-    EXPECT_FALSE(o.ok);
-    EXPECT_EQ(o.attempts, 2u);
-    EXPECT_NE(o.error.find("injected flaky failure"), std::string::npos);
-}
-
-TEST(FaultInjection, InjectedTimeoutReportsTimedOut)
-{
-    RunConfig cfg = quickCfg();
-    cfg.runTimeoutMs = 30;
-    auto w = tinyWorkload();
-    std::string err;
-    auto plan = FaultPlan::parse(
-        "timeout=" + SweepRunner::key(w, "baseline"), &err);
-    ASSERT_TRUE(plan) << err;
-
-    SweepRunner sweep(cfg, 1);
-    sweep.setFaultPlan(&*plan);
-    const RunOutcome &o = sweep.outcome(w, "baseline");
-    EXPECT_FALSE(o.ok);
-    EXPECT_TRUE(o.timedOut);
-}
-
-TEST(FaultInjection, InjectedTimeoutWithoutWatchdogIsAnError)
-{
-    // No --run-timeout: the injection refuses to hang forever and
-    // fails the point immediately instead.
-    RunConfig cfg = quickCfg();
-    auto w = tinyWorkload();
-    std::string err;
-    auto plan = FaultPlan::parse(
-        "timeout=" + SweepRunner::key(w, "baseline"), &err);
-    ASSERT_TRUE(plan) << err;
-
-    SweepRunner sweep(cfg, 1);
-    sweep.setFaultPlan(&*plan);
-    const RunOutcome &o = sweep.outcome(w, "baseline");
-    EXPECT_FALSE(o.ok);
-    EXPECT_FALSE(o.timedOut);
-    EXPECT_NE(o.error.find("needs --run-timeout"), std::string::npos);
 }
 
 } // namespace

@@ -64,6 +64,17 @@ lineParams(u32 lineBytes)
     return p;
 }
 
+/** Read the 16 lines that share line 0's set in the 16-way tag store
+ *  (they lie NM / 16 bytes apart), starting at @p t; LRU then evicts
+ *  line 0. */
+void
+evictLineZero(IdealCache &c, const mem::MemSystemParams &sys, Tick t)
+{
+    for (u64 k = 1; k <= 16; ++k)
+        c.access(k * (sys.nmBytes / 16), AccessType::Read,
+                 t + k * 1000000);
+}
+
 TEST(IdealCache, MissThenHit)
 {
     IdealCache c(smallSys(), lineParams(256));
@@ -95,50 +106,42 @@ TEST(IdealCache, FillFetchesWholeLineFromFm)
 TEST(IdealCache, DirtyVictimWritesBackWholeLine)
 {
     auto sys = smallSys();
-    DramCacheParams p = lineParams(256);
-    p.ways = 1; // direct-mapped: easy conflicts
-    IdealCache c(sys, p, "IDEAL-DM");
+    IdealCache c(sys, lineParams(256));
     c.access(0, AccessType::Write, 0);
     u64 fmWritesBefore = c.fmDevice().stats().bytesWritten;
-    // Conflict on the same NM frame: line 0 + nmBytes aliases set 0.
-    c.access(sys.nmBytes, AccessType::Read, 1000000);
+    // The conflicting lines are clean; only line 0 writes back.
+    evictLineZero(c, sys, 1000000);
     EXPECT_EQ(c.fmDevice().stats().bytesWritten, fmWritesBefore + 256);
 }
 
 TEST(IdealCache, WastedFetchTracking)
 {
     auto sys = smallSys();
-    DramCacheParams p = lineParams(4096);
-    p.ways = 1;
-    IdealCache c(sys, p);
-    // Touch one 64 B block of a 4 KB line, then evict it with another
-    // singly-touched line: both lines wasted 63 of 64 fetched blocks.
+    IdealCache c(sys, lineParams(4096));
+    // Touch one 64 B block of a 4 KB line, then evict it with other
+    // singly-touched lines: every line wasted 63 of 64 fetched blocks.
     c.access(0, AccessType::Read, 0);
-    c.access(sys.nmBytes, AccessType::Read, 1000000); // evicts line 0
+    evictLineZero(c, sys, 1000000);
     EXPECT_NEAR(c.wastedFetchFraction(), 63.0 / 64.0, 1e-9);
 }
 
 TEST(IdealCache, FullyUsedLinesWasteNothing)
 {
     auto sys = smallSys();
-    DramCacheParams p = lineParams(256);
-    p.ways = 1;
-    IdealCache c(sys, p);
-    // Use every 64 B block of two lines: nothing fetched is unused,
-    // whether the line is later evicted or still resident.
-    for (u64 b = 0; b < 256; b += 64)
-        c.access(b, AccessType::Read, b * 1000);
-    for (u64 b = 0; b < 256; b += 64)
-        c.access(sys.nmBytes + b, AccessType::Read, 1000000 + b);
+    IdealCache c(sys, lineParams(256));
+    // Use every 64 B block of 17 lines sharing a set: nothing fetched
+    // is unused, whether the line is later evicted or still resident.
+    for (u64 k = 0; k <= 16; ++k)
+        for (u64 b = 0; b < 256; b += 64)
+            c.access(k * (sys.nmBytes / 16) + b, AccessType::Read,
+                     k * 1000000 + b * 1000);
     EXPECT_DOUBLE_EQ(c.wastedFetchFraction(), 0.0);
 }
 
 TEST(IdealCache, ResidentUnusedBlocksCountAsWaste)
 {
     auto sys = smallSys();
-    DramCacheParams p = lineParams(256);
-    p.ways = 1;
-    IdealCache c(sys, p);
+    IdealCache c(sys, lineParams(256));
     // One resident line with 1 of 4 blocks used: 3/4 wasted.
     c.access(0, AccessType::Read, 0);
     EXPECT_DOUBLE_EQ(c.wastedFetchFraction(), 0.75);

