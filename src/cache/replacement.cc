@@ -1,8 +1,5 @@
 #include "cache/replacement.h"
 
-#include "common/log.h"
-#include "common/rng.h"
-
 namespace h2::cache {
 
 std::string
@@ -14,25 +11,6 @@ to_string(ReplPolicy policy)
       case ReplPolicy::Random: return "Random";
     }
     return "?";
-}
-
-u32
-selectVictim(ReplPolicy policy, const u64 *stamps, const bool *valids,
-             u32 ways, u64 tiebreak)
-{
-    h2_assert(ways > 0, "victim selection over zero ways");
-    for (u32 w = 0; w < ways; ++w)
-        if (!valids[w])
-            return w;
-    if (policy == ReplPolicy::Random)
-        return static_cast<u32>(splitmix64(tiebreak) % ways);
-    // LRU and FIFO both evict the smallest stamp; they differ in when the
-    // caller refreshes stamps (every access vs. insertion only).
-    u32 victim = 0;
-    for (u32 w = 1; w < ways; ++w)
-        if (stamps[w] < stamps[victim])
-            victim = w;
-    return victim;
 }
 
 } // namespace h2::cache

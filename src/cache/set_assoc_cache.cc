@@ -1,7 +1,5 @@
 #include "cache/set_assoc_cache.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "common/rng.h"
 
@@ -25,10 +23,8 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
         setMask = sets - 1;
     }
     u64 n = u64(sets) * cfg.ways;
-    lane.resize(2 * n);
-    for (u32 set = 0; set < sets; ++set)
-        std::fill_n(lane.begin() + setBase(set), cfg.ways, kInvalidTag);
-    dirtyLane.assign(n, 0);
+    lane = ZeroLane<u64>(2 * n);
+    dirtyLane = ZeroLane<u8>(n);
 }
 
 SetAssocCache::Slot
@@ -84,9 +80,10 @@ SetAssocCache::insert(Addr addr, bool dirty)
 
     // One pass over the set: the double-insert check, the first
     // invalid way, and the lowest-index smallest stamp. The victim
-    // rule is selectVictim()'s: first invalid way, else the Random
-    // hash, else the oldest stamp. It draws one clock tick for the
-    // tiebreak and one for the new stamp, whatever the policy.
+    // rule (pinned by the reference model in tests/test_cache.cc):
+    // first invalid way, else the Random hash, else the oldest stamp.
+    // It draws one clock tick for the tiebreak and one for the new
+    // stamp, whatever the policy.
     u32 invalid = kNoWay;
     u32 oldest = 0;
     for (u32 w = 0; w < cfg.ways; ++w) {

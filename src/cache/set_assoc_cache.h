@@ -11,11 +11,11 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cache/replacement.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zero_lane.h"
 
 namespace h2::cache {
 
@@ -94,11 +94,11 @@ class SetAssocCache
         u32 way;   ///< way index within the set, or kNoWay
     };
     static constexpr u32 kNoWay = ~u32(0);
-    /** Tag-lane value of an invalid way. Real tags are block/sets and
-     *  stay far below 2^64 for any addressable capacity, so the
-     *  all-ones pattern is free to mean "invalid" — the hit scan then
-     *  needs no separate valid bit. */
-    static constexpr u64 kInvalidTag = ~u64(0);
+    /** Tag-lane value of an invalid way. The lane stores ~tag: real
+     *  tags are block/sets and stay far below 2^64 for any addressable
+     *  capacity, so no stored tag is 0, the hit scan needs no separate
+     *  valid bit, and a fresh (demand-zero) lane is all invalid. */
+    static constexpr u64 kInvalidTag = 0;
 
     // Hot-path index math: every lookup needs block/set/tag, so the
     // usual power-of-two geometries fold the div/mod into shift/mask
@@ -114,14 +114,16 @@ class SetAssocCache
     {
         return static_cast<u32>(setPow2 ? block & setMask : block % sets);
     }
+    /** Stored (complemented) tag of @p block. */
     u64
     tagOf(u64 block) const
     {
-        return setPow2 ? block >> setShift : block / sets;
+        return ~(setPow2 ? block >> setShift : block / sets);
     }
-    Addr lineAddr(u32 set, u64 tag) const
+    /** Base address of @p set's line whose stored tag is @p stored. */
+    Addr lineAddr(u32 set, u64 stored) const
     {
-        return (tag * sets + set) * u64(cfg.lineBytes);
+        return (~stored * sets + set) * u64(cfg.lineBytes);
     }
     /** Offset of @p set's tags in `lane`; its stamps follow at
      *  + ways. Its dirty flags start at half of it in `dirtyLane`. */
@@ -143,9 +145,10 @@ class SetAssocCache
     // `ways` recency stamps in one lane, so a fill's hit scan, victim
     // scan and stamp write stay within the set's own cache lines.
     // Dirty flags (touched on writes and evictions only) keep their
-    // own sets * ways lane.
-    std::vector<u64> lane;
-    std::vector<u8> dirtyLane;
+    // own sets * ways lane. Zero bytes are an invalid, clean, never
+    // stamped way, so construction touches neither lane.
+    ZeroLane<u64> lane;
+    ZeroLane<u8> dirtyLane;
     u64 clock = 0; ///< recency stamp source
     u64 nHits = 0;
     u64 nMisses = 0;

@@ -18,21 +18,15 @@ RemapTable::RemapTable(u64 flatSectors, u64 nmFlatSectors, u64 cacheSectors,
               "remap table indices need more than 31 bits: ", nFlat,
               " flat sectors, ", nCache + nNmFlat,
               " NM locations (limit 2^31 each; use larger sectors)");
-    forward.resize(nFlat);
-    for (u64 s = 0; s < nNmFlat; ++s)
-        forward[s] = kInNm | static_cast<u32>(nCache + s);
-    for (u64 s = nNmFlat; s < nFlat; ++s)
-        forward[s] = static_cast<u32>(s - nNmFlat);
-    inverse.assign(nCache + nNmFlat, kNoOccupant);
-    for (u64 l = nCache; l < nCache + nNmFlat; ++l)
-        inverse[l] = static_cast<u32>(l - nCache);
+    forward = ZeroLane<u32>(nFlat);
+    inverse = ZeroLane<u32>(nCache + nNmFlat);
 }
 
 Loc
 RemapTable::lookup(u64 flatSector) const
 {
     h2_assert(flatSector < nFlat, "remap lookup out of range: ", flatSector);
-    u32 e = forward[flatSector];
+    u32 e = forward[flatSector] ^ identityFwd(flatSector);
     return Loc{(e & kInNm) != 0, e & kIdxMask};
 }
 
@@ -45,15 +39,16 @@ RemapTable::update(u64 flatSector, Loc loc)
                   "remap to bad NM location ", loc.idx);
     else
         h2_assert(loc.idx < nFm, "remap to bad FM location ", loc.idx);
-    forward[flatSector] =
-        (loc.inNm ? kInNm : 0) | static_cast<u32>(loc.idx);
+    forward[flatSector] = ((loc.inNm ? kInNm : 0) |
+                           static_cast<u32>(loc.idx)) ^
+        identityFwd(flatSector);
 }
 
 std::optional<u64>
 RemapTable::invLookup(u64 nmLoc) const
 {
     h2_assert(nmLoc < nCache + nNmFlat, "invLookup out of range: ", nmLoc);
-    u32 e = inverse[nmLoc];
+    u32 e = inverse[nmLoc] ^ identityInv(nmLoc);
     if (e == kNoOccupant)
         return std::nullopt;
     return e;
@@ -66,7 +61,8 @@ RemapTable::invUpdate(u64 nmLoc, std::optional<u64> flatSector)
     if (flatSector)
         h2_assert(*flatSector < nFlat, "invUpdate to bad flat sector");
     inverse[nmLoc] =
-        flatSector ? static_cast<u32>(*flatSector) : kNoOccupant;
+        (flatSector ? static_cast<u32>(*flatSector) : kNoOccupant) ^
+        identityInv(nmLoc);
 }
 
 } // namespace h2::core

@@ -8,24 +8,29 @@
  * models both as the dense, sector-indexed arrays the paper describes;
  * the DCMC charges NM traffic for each logical access.
  *
- * Initial layout: flat sectors [0, nmFlatSectors) live in the NM flat
- * region (NM locations [cacheSectors, nmLocs)); the remaining flat
- * sectors live in FM identity-mapped. NM locations [0, cacheSectors)
- * start as the DRAM cache's boot data region and hold no flat sector.
+ * Initial (identity) layout: flat sectors [0, nmFlatSectors) live in
+ * the NM flat region (NM locations [cacheSectors, nmLocs)); the
+ * remaining flat sectors live in FM identity-mapped. NM locations
+ * [0, cacheSectors) start as the DRAM cache's boot data region and hold
+ * no flat sector.
  *
  * Entries are 32 bits wide: a forward entry spends bit 31 on "in NM"
  * and 31 bits on the NM location or FM sector index, and an inverse
  * entry reserves all-ones for "no occupant". Every flat sector and
  * every NM location must therefore fit in 31 bits (2^31 sectors, e.g.
  * 4 TiB of 2 KB sectors); the constructor rejects larger geometries.
+ *
+ * Each stored word is the entry XOR its identity value, so the tables
+ * start as demand-zero memory (common/zero_lane.h) and only the
+ * entries a run changes ever occupy a page.
  */
 
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "common/types.h"
+#include "common/zero_lane.h"
 
 namespace h2::core {
 
@@ -41,7 +46,8 @@ struct Loc
     }
 };
 
-/** Combined remap + inverted remap tables, dense and identity-filled. */
+/** Combined remap + inverted remap tables, dense and stored as XOR
+ *  deltas from the identity layout. */
 class RemapTable
 {
   public:
@@ -71,19 +77,41 @@ class RemapTable
     u64 fmSectors() const { return nFm; }
     u64 cacheSectors() const { return nCache; }
 
+    /** Stored forward / inverse words (0 = the identity entry). */
+    u32 rawForward(u64 flatSector) const { return forward[flatSector]; }
+    u32 rawInverse(u64 nmLoc) const { return inverse[nmLoc]; }
+
   private:
     static constexpr u32 kInNm = u32(1) << 31;
     static constexpr u32 kIdxMask = kInNm - 1;
     static constexpr u32 kNoOccupant = ~u32(0);
 
+    /** Initial forward entry of @p flatSector. */
+    u32
+    identityFwd(u64 flatSector) const
+    {
+        return flatSector < nNmFlat
+            ? kInNm | static_cast<u32>(nCache + flatSector)
+            : static_cast<u32>(flatSector - nNmFlat);
+    }
+    /** Initial inverse entry of @p nmLoc. */
+    u32
+    identityInv(u64 nmLoc) const
+    {
+        return nmLoc < nCache ? kNoOccupant
+                              : static_cast<u32>(nmLoc - nCache);
+    }
+
     u64 nFlat;
     u64 nNmFlat;
     u64 nCache;
     u64 nFm;
-    /** Per flat sector: kInNm | NM location, or the FM sector index. */
-    std::vector<u32> forward;
-    /** Per NM location: resident flat sector, or kNoOccupant. */
-    std::vector<u32> inverse;
+    /** Per flat sector: (kInNm | NM location, or the FM sector index)
+     *  ^ identityFwd. */
+    ZeroLane<u32> forward;
+    /** Per NM location: (resident flat sector, or kNoOccupant)
+     *  ^ identityInv. */
+    ZeroLane<u32> inverse;
 };
 
 } // namespace h2::core

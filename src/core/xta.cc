@@ -18,14 +18,14 @@ Xta::Xta(u64 numSectors, u32 ways, u32 linesPerSector)
     sets = u64(1) << floorLog2(numSectors / ways);
     setShift = floorLog2(sets);
     setMask = sets - 1;
-    tagLane.assign(sets * waysN, kInvalidTag);
-    entries.resize(sets * waysN);
+    tagLane = ZeroLane<u64>(sets * waysN);
+    entries = ZeroLane<XtaEntry>(sets * waysN);
 }
 
 XtaEntry *
 Xta::find(u64 flatSector)
 {
-    u64 tag = tagOf(flatSector);
+    u64 tag = ~tagOf(flatSector);
     u64 base = setOf(flatSector) * waysN;
     for (u32 w = 0; w < waysN; ++w) {
         if (tagLane[base + w] == tag) {
@@ -41,7 +41,7 @@ Xta::find(u64 flatSector)
 const XtaEntry *
 Xta::peek(u64 flatSector) const
 {
-    u64 tag = tagOf(flatSector);
+    u64 tag = ~tagOf(flatSector);
     u64 base = setOf(flatSector) * waysN;
     for (u32 w = 0; w < waysN; ++w)
         if (tagLane[base + w] == tag)
@@ -66,7 +66,7 @@ Xta::victimWay(u64 flatSector)
 void
 Xta::fill(u64 flatSector, XtaEntry &entry)
 {
-    tagLane[indexOf(entry)] = tagOf(flatSector);
+    tagLane[indexOf(entry)] = ~tagOf(flatSector);
     entry.validMask = 0;
     entry.dirtyMask = 0;
     entry.accessCounter = 0;

@@ -19,10 +19,9 @@
 
 #pragma once
 
-#include <vector>
-
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zero_lane.h"
 
 namespace h2::core {
 
@@ -84,7 +83,7 @@ class Xta
     }
 
     /** Tag of an in-array entry (lives in the tag lane). */
-    u64 entryTag(const XtaEntry &e) const { return tagLane[indexOf(e)]; }
+    u64 entryTag(const XtaEntry &e) const { return ~tagLane[indexOf(e)]; }
 
     /** Invalidate an in-array entry (clears its tag-lane slot). */
     void releaseWay(XtaEntry &e) { tagLane[indexOf(e)] = kInvalidTag; }
@@ -143,10 +142,11 @@ class Xta
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
-    /** Tag-lane value of an invalid way. Real tags are
-     *  flatSector >> setShift and stay far below 2^64 for any
-     *  modeled capacity, so all-ones doubles as the absent marker. */
-    static constexpr u64 kInvalidTag = ~u64(0);
+    /** Tag-lane value of an invalid way. The lane stores ~tag: real
+     *  tags are flatSector >> setShift and stay far below 2^64 for any
+     *  modeled capacity, so no stored tag is 0 and a fresh
+     *  (demand-zero) lane is all invalid. */
+    static constexpr u64 kInvalidTag = 0;
 
     u64 indexOf(const XtaEntry &e) const { return u64(&e - entries.data()); }
 
@@ -155,11 +155,13 @@ class Xta
     u64 setMask;
     u32 waysN;
     u32 lps;
-    /** Contiguous tags (way-major within a set): the hot way scan
-     *  reads only this lane; the payload in @c entries is touched
-     *  only on a hit or for the chosen victim. */
-    std::vector<u64> tagLane;
-    std::vector<XtaEntry> entries;
+    /** Contiguous stored tags (way-major within a set): the hot way
+     *  scan reads only this lane; the payload in @c entries is touched
+     *  only on a hit or for the chosen victim. Both lanes start as
+     *  zero bytes: every way invalid, every payload a default
+     *  XtaEntry. */
+    ZeroLane<u64> tagLane;
+    ZeroLane<XtaEntry> entries;
     u64 clock = 0;
     u64 nHits = 0;
     u64 nMisses = 0;

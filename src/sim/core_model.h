@@ -21,6 +21,7 @@
 #include "cache/cache_hierarchy.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/zero_lane.h"
 #include "mem/hybrid_memory.h"
 #include "sim/sim_config.h"
 #include "workloads/trace.h"
@@ -43,10 +44,10 @@ class AddressMap
         // simulation when taken per access; the translation is a pure
         // function of the page, so each page pays it once and every
         // later access is one contiguous-lane load.
-        u64 ppage = pageLane[vpage];
-        if (ppage == kUnmapped)
-            ppage = pageLane[vpage] = perm.map(vpage);
-        return ppage * u64(pageBytes) + globalVaddr % pageBytes;
+        u64 stored = pageLane[vpage];
+        if (stored == kUnmapped)
+            stored = pageLane[vpage] = ~perm.map(vpage);
+        return ~stored * u64(pageBytes) + globalVaddr % pageBytes;
     }
 
     u64 flatBytes() const { return flatSize; }
@@ -55,15 +56,16 @@ class AddressMap
     static constexpr u32 pageBytes = 4096;
 
   private:
-    static constexpr u64 kUnmapped = ~u64(0);
+    static constexpr u64 kUnmapped = 0;
 
     u64 flatSize;
     u64 virtSize;
     RandomPermutation perm;
-    /** Memoized vpage -> ppage lane (~0 = not yet translated). One
-     *  u64 per footprint page (0.2% overhead); filled lazily so the
-     *  first touch of each page keeps the exact permutation result. */
-    mutable std::vector<u64> pageLane;
+    /** Memoized vpage -> ~ppage lane (0 = not yet translated, so a
+     *  fresh demand-zero lane is all untranslated). One u64 per
+     *  footprint page (0.2% overhead); filled lazily so the first
+     *  touch of each page keeps the exact permutation result. */
+    mutable ZeroLane<u64> pageLane;
 };
 
 /** One simulated core consuming a trace. */

@@ -12,6 +12,7 @@
 
 #include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -29,6 +30,30 @@ smallCache(u32 ways = 4, u32 lineBytes = 64,
     p.lineBytes = lineBytes;
     p.repl = repl;
     return p;
+}
+
+/**
+ * Reference victim rule among @p ways entries: an invalid way wins
+ * immediately, Random hashes @p tiebreak, and LRU and FIFO evict the
+ * lowest-index smallest stamp (they differ only in when the caller
+ * refreshes stamps). SetAssocCache::insert applies this rule inside its
+ * own single scan of the set; MatchesReferenceModel pins it here.
+ */
+u32
+selectVictim(ReplPolicy policy, const u64 *stamps, const bool *valids,
+             u32 ways, u64 tiebreak)
+{
+    h2_assert(ways > 0, "victim selection over zero ways");
+    for (u32 w = 0; w < ways; ++w)
+        if (!valids[w])
+            return w;
+    if (policy == ReplPolicy::Random)
+        return static_cast<u32>(splitmix64(tiebreak) % ways);
+    u32 victim = 0;
+    for (u32 w = 1; w < ways; ++w)
+        if (stamps[w] < stamps[victim])
+            victim = w;
+    return victim;
 }
 
 TEST(Replacement, InvalidWayWinsFirst)
@@ -169,6 +194,26 @@ TEST(SetAssocCache, NumValidLines)
     c.insert(0, false);
     c.insert(64, false);
     EXPECT_EQ(c.numValidLines(), 2u);
+}
+
+TEST(SetAssocCache, FreshCacheFillsWayZeroFirst)
+{
+    // A fresh tag lane is all invalid, so fills take ways 0..3 in
+    // order. Random replacement then names the victim by way index;
+    // the fifth fill's tiebreak is clock tick 9 (two ticks per fill).
+    CacheParams p = smallCache(4, 64, ReplPolicy::Random);
+    p.sizeBytes = 4 * 64; // one set
+    SetAssocCache c(p);
+    EXPECT_EQ(c.numValidLines(), 0u);
+    for (Addr a = 0; a < 4 * 64; a += 64)
+        EXPECT_FALSE(c.insert(a, false).has_value());
+    EXPECT_EQ(c.numValidLines(), 4u);
+    u64 stamps[4] = {};
+    bool valids[4] = {true, true, true, true};
+    u32 way = selectVictim(ReplPolicy::Random, stamps, valids, 4, 9);
+    auto evicted = c.insert(4 * 64, false);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->addr, Addr(way) * 64);
 }
 
 TEST(SetAssocCacheDeath, DoubleInsert)

@@ -10,12 +10,15 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "common/zero_lane.h"
 
 namespace h2 {
 namespace {
@@ -254,6 +257,40 @@ TEST(Log, QuietFlagRoundTrip)
 TEST(LogDeath, AssertPanics)
 {
     EXPECT_DEATH(h2_assert(false, "boom"), "boom");
+}
+
+TEST(ZeroLane, StartsZeroedAndMovesOwnership)
+{
+    for (u64 count : {u64(3), u64(3) << 18}) { // 24 B; 6 MiB (huge)
+        ZeroLane<u64> lane(count);
+        ASSERT_EQ(lane.size(), count);
+        EXPECT_EQ(lane[0], 0u);
+        EXPECT_EQ(lane[count - 1], 0u);
+        if (count * sizeof(u64) >= 2 * MiB) {
+            EXPECT_EQ(reinterpret_cast<u64>(lane.data()) % (2 * MiB), 0u);
+        }
+        lane[count - 1] = 7;
+        ZeroLane<u64> moved(std::move(lane));
+        EXPECT_EQ(moved[count - 1], 7u);
+        EXPECT_EQ(lane.size(), 0u);
+        EXPECT_EQ(lane.data(), nullptr);
+        lane = std::move(moved);
+        EXPECT_EQ(lane[count - 1], 7u);
+    }
+}
+
+TEST(ZeroLane, FailedMapIsFatalAndNamesTheByteCount)
+{
+    // 2^60 bytes exceeds any user address space, so the map fails.
+    ScopedFatalCapture capture;
+    try {
+        ZeroLane<u8> lane(u64(1) << 60);
+        FAIL() << "a 2^60-byte lane mapped";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1152921504606846976 bytes"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ThreadPool, RunsAllTasksAcrossWorkers)

@@ -44,6 +44,27 @@ TEST(AddressMap, SpreadsProportionally)
     EXPECT_NEAR(double(inFirstQuarter) / pages, 0.25, 0.06);
 }
 
+TEST(AddressMap, TranslatesPhysicalPageZero)
+{
+    // The page lane stores ~ppage so that 0 means "not yet
+    // translated"; the page placed at physical page 0 must still
+    // memoize and keep the permutation's result.
+    const u64 pages = 64;
+    const u64 seed = 5;
+    RandomPermutation perm(pages, seed);
+    u64 vpage = 0;
+    while (perm.map(vpage) != 0)
+        ++vpage;
+    AddressMap map(pages * AddressMap::pageBytes,
+                   pages * AddressMap::pageBytes, seed);
+    Addr v = vpage * AddressMap::pageBytes + 40;
+    EXPECT_EQ(map.toPhysical(v), 40u);
+    EXPECT_EQ(map.toPhysical(v), 40u);
+    for (u64 p = 0; p < pages; ++p)
+        EXPECT_EQ(map.toPhysical(p * AddressMap::pageBytes),
+                  perm.map(p) * AddressMap::pageBytes);
+}
+
 TEST(AddressMapDeath, FootprintTooLarge)
 {
     EXPECT_DEATH(AddressMap(4 * MiB, 8 * MiB, 1), "page faults");

@@ -8,7 +8,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +57,36 @@ TEST(DesignRegistry, EveryEvaluatedDesignResolves)
         EXPECT_EQ(*again.spec, *r.spec);
         // And instantiates.
         EXPECT_NE(makeDesign(*r.spec, mp, llc), nullptr);
+    }
+}
+
+/** Resident bytes of this process, from /proc/self/statm. */
+u64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 sizePages = 0, residentPages = 0;
+    statm >> sizePages >> residentPages;
+    EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+    return residentPages * u64(sysconf(_SC_PAGESIZE));
+}
+
+TEST(DesignRegistry, BuildingADesignTouchesNoDenseTable)
+{
+    // The dense tables (remap tables, tag stores) are sized by the
+    // machine, 35 MB of remap table at 1 GiB NM over 16 GiB FM, but
+    // start as demand-zero memory: a design costs resident memory only
+    // for the entries a run touches.
+    mem::EmptyLlcView llc;
+    mem::MemSystemParams mp;
+    mp.nmBytes = 1024 * MiB;
+    mp.fmBytes = 16384 * MiB;
+    for (const char *spec : {"hybrid2", "mempod", "lgm", "dfc"}) {
+        u64 before = residentBytes();
+        auto design = makeDesign(spec, mp, llc);
+        u64 after = residentBytes();
+        ASSERT_NE(design, nullptr) << spec;
+        EXPECT_LT(after > before ? after - before : 0, 4 * MiB) << spec;
     }
 }
 

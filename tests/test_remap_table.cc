@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/remap_table.h"
@@ -84,6 +85,41 @@ TEST(RemapTable, ZeroCacheRegion)
     RemapTable t(500, 100, 0, 400);
     EXPECT_EQ(t.lookup(0), (Loc{true, 0}));
     EXPECT_EQ(t.invLookup(0).value(), 0u);
+}
+
+TEST(RemapTable, NeverWrittenEntriesAreIdentityAtTheBoundaries)
+{
+    // The tables store each entry XOR its identity value, so a fresh
+    // table must read back the identity layout at the edges of every
+    // region, and writing the identity back must restore a zero word.
+    for (u64 cache : {u64(20), u64(0)}) {
+        SCOPED_TRACE(cache);
+        const u64 flat = 500, nmFlat = 100, fm = 400;
+        RemapTable t(flat, nmFlat, cache, fm);
+        for (u64 s : {u64(0), nmFlat - 1, nmFlat, flat - 1}) {
+            Loc identity = s < nmFlat ? Loc{true, cache + s}
+                                      : Loc{false, s - nmFlat};
+            EXPECT_EQ(t.lookup(s), identity) << s;
+            EXPECT_EQ(t.rawForward(s), 0u) << s;
+            t.update(s, Loc{false, 7});
+            EXPECT_NE(t.rawForward(s), 0u) << s;
+            t.update(s, identity);
+            EXPECT_EQ(t.rawForward(s), 0u) << s;
+        }
+        std::vector<u64> locs = {0, cache, cache + nmFlat - 1};
+        if (cache > 0)
+            locs.push_back(cache - 1);
+        for (u64 l : locs) {
+            std::optional<u64> identity =
+                l < cache ? std::nullopt : std::optional<u64>(l - cache);
+            EXPECT_EQ(t.invLookup(l), identity) << l;
+            EXPECT_EQ(t.rawInverse(l), 0u) << l;
+            t.invUpdate(l, 42u);
+            EXPECT_NE(t.rawInverse(l), 0u) << l;
+            t.invUpdate(l, identity);
+            EXPECT_EQ(t.rawInverse(l), 0u) << l;
+        }
+    }
 }
 
 TEST(RemapTableDeath, LookupOutOfRange)

@@ -33,6 +33,26 @@ TEST(Xta, MissThenHit)
     EXPECT_EQ(x.hits(), 1u);
 }
 
+TEST(Xta, FreshArrayHasNoValidWayAndFillsWayZeroFirst)
+{
+    Xta x(64, 4, 8);
+    for (u64 set = 0; set < x.numSets(); ++set)
+        for (u32 w = 0; w < x.numWays(); ++w) {
+            const XtaEntry &e = x.entryAt(set, w);
+            EXPECT_FALSE(x.entryValid(e));
+            EXPECT_EQ(e.validMask, 0u);
+            EXPECT_EQ(e.lruStamp, 0u);
+        }
+    const u64 sector = 13;
+    XtaEntry *way = x.victimWay(sector);
+    EXPECT_EQ(way, &x.entryAt(x.setOf(sector), 0));
+    x.fill(sector, *way);
+    EXPECT_TRUE(x.entryValid(*way));
+    EXPECT_EQ(x.entryTag(*way), x.tagOf(sector));
+    EXPECT_EQ(x.flatSectorOf(x.setOf(sector), *way), sector);
+    EXPECT_EQ(x.victimWay(sector), &x.entryAt(x.setOf(sector), 1));
+}
+
 TEST(Xta, FillInitializesEntry)
 {
     Xta x(64, 4, 8);
