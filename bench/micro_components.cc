@@ -2,12 +2,13 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * XTA lookups, remap-table lookups, DRAM-device accesses, SRAM cache
- * operations, and trace generation throughput.
+ * and hierarchy operations, and trace generation throughput.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "baselines/mea.h"
+#include "cache/cache_hierarchy.h"
 #include "cache/set_assoc_cache.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -74,6 +75,28 @@ BM_SramCacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SramCacheAccess);
+
+/** The hierarchy on h2-xalanc-low's shape: 8 cores, each reading and
+ *  writing a random 192 KiB working set, so most accesses miss the
+ *  64 KiB L1, hit the 256 KiB L2 and fill L1, whose victim falls into
+ *  L2. Ungated: it tracks the fill path, not a CI reference. */
+void
+BM_HierarchyAccess(benchmark::State &state)
+{
+    cache::CacheHierarchy h(cache::HierarchyParams{});
+    const u64 lines = 192 * KiB / 64;
+    const u32 cores = h.params().numCores;
+    Rng rng(8);
+    CoreId core = 0;
+    for (auto _ : state) {
+        Addr a = (u64(core) * lines + rng.below(lines)) * 64;
+        AccessType t =
+            rng.below(4) == 0 ? AccessType::Write : AccessType::Read;
+        benchmark::DoNotOptimize(h.access(core, a, t));
+        core = core + 1 == cores ? 0 : core + 1;
+    }
+}
+BENCHMARK(BM_HierarchyAccess);
 
 void
 BM_MeaTouch(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "cache/cache_hierarchy.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace h2::cache {
@@ -21,13 +23,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params)
 void
 CacheHierarchy::insertLlc(Addr addr, bool dirty, HierarchyResult &result)
 {
-    if (llc->probe(addr)) {
-        // Non-inclusive: a copy may already live here; just merge dirt.
-        if (dirty)
-            llc->setDirty(addr);
-        return;
-    }
-    auto victim = llc->insert(addr, dirty);
+    // Non-inclusive: a copy may already live here; fill merges dirt.
+    auto victim = llc->fill(addr, dirty);
     if (victim && victim->dirty) {
         h2_assert(!result.writeback,
                   "one access produced two LLC writebacks");
@@ -43,12 +40,7 @@ CacheHierarchy::fillL1(CoreId core, Addr addr, bool dirty,
     if (!v1)
         return;
     // L1 victim falls into L2 (merge if already present).
-    if (l2s[core]->probe(v1->addr)) {
-        if (v1->dirty)
-            l2s[core]->setDirty(v1->addr);
-        return;
-    }
-    auto v2 = l2s[core]->insert(v1->addr, v1->dirty);
+    auto v2 = l2s[core]->fill(v1->addr, v1->dirty);
     if (v2)
         insertLlc(v2->addr, v2->dirty, result);
 }
@@ -95,6 +87,13 @@ CacheHierarchy::llcHolds(Addr addr) const
 {
     Addr line = addr & ~Addr(cfg.llc.lineBytes - 1);
     return llc->probe(line);
+}
+
+u64
+CacheHierarchy::addrLimit() const
+{
+    return std::min({l1s[0]->addrLimit(), l2s[0]->addrLimit(),
+                     llc->addrLimit()});
 }
 
 u32

@@ -65,6 +65,10 @@ class CacheHierarchy
     bool llcHolds(Addr addr) const;
     u32 llcResidentLinesInRange(Addr base, u64 bytes) const;
 
+    /** Exclusive bound of the addresses every level's tags can name
+     *  (SetAssocCache::addrLimit over L1, L2 and the LLC). */
+    u64 addrLimit() const;
+
     const HierarchyParams &params() const { return cfg; }
     u64 llcMisses() const { return nLlcMisses; }
     u64 accesses() const { return nAccesses; }
@@ -78,8 +82,8 @@ class CacheHierarchy
     void collectStats(StatSet &out) const;
 
   private:
-    /** Insert into @p level, cascading the victim downward. A dirty LLC
-     *  victim is reported through @p result. */
+    /** Insert into L1, cascading each victim downward with one fill()
+     *  per level. A dirty LLC victim is reported through @p result. */
     void fillL1(CoreId core, Addr addr, bool dirty, HierarchyResult &result);
     void insertLlc(Addr addr, bool dirty, HierarchyResult &result);
 

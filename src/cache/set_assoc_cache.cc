@@ -1,6 +1,5 @@
 #include "cache/set_assoc_cache.h"
 
-#include "common/log.h"
 #include "common/rng.h"
 
 namespace h2::cache {
@@ -23,119 +22,118 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
         setMask = sets - 1;
     }
     u64 n = u64(sets) * cfg.ways;
-    lane = ZeroLane<u64>(2 * n);
-    dirtyLane = ZeroLane<u8>(n);
+    tagLane = ZeroLane<u32>(n);
+    metaLane = ZeroLane<u64>(n);
 }
 
-SetAssocCache::Slot
-SetAssocCache::findSlot(Addr addr) const
+u64
+SetAssocCache::addrLimit() const
 {
-    u64 block = blockIndex(addr);
-    u64 tag = tagOf(block);
-    u64 base = setBase(setIndex(block));
-    for (u32 w = 0; w < cfg.ways; ++w)
-        if (lane[base + w] == tag)
-            return {base, w};
-    return {base, kNoWay};
+    u64 span = u64(sets) * cfg.lineBytes;
+    return span > ~u64(0) / kTagLimit ? ~u64(0) : kTagLimit * span;
 }
 
 bool
 SetAssocCache::access(Addr addr, AccessType type)
 {
-    Slot slot = findSlot(addr);
-    if (slot.way == kNoWay) {
+    SetRef s = locate(addr);
+    u32 way = hitWay(s);
+    if (way == kNoWay) {
         ++nMisses;
         return false;
     }
     ++nHits;
+    u64 &meta = metaLane[s.base + way];
     if (cfg.repl == ReplPolicy::Lru)
-        stampAt(slot) = ++clock;
+        meta = ++clock << 1 | (meta & 1);
     if (type == AccessType::Write)
-        dirtyAt(slot) = 1;
+        meta |= 1;
     return true;
 }
 
 bool
 SetAssocCache::probe(Addr addr) const
 {
-    return findSlot(addr).way != kNoWay;
+    return hitWay(locate(addr)) != kNoWay;
 }
 
 bool
 SetAssocCache::probeDirty(Addr addr) const
 {
-    Slot slot = findSlot(addr);
-    return slot.way != kNoWay && dirtyAt(slot);
+    SetRef s = locate(addr);
+    u32 way = hitWay(s);
+    return way != kNoWay && (metaLane[s.base + way] & 1);
+}
+
+std::optional<Eviction>
+SetAssocCache::place(const SetRef &s, bool dirty)
+{
+    // The victim rule (pinned by the reference model in
+    // tests/test_cache.cc): first invalid way, else the Random hash,
+    // else the oldest stamp. Invalid ways have meta 0, below every
+    // valid way, so the lowest-index smallest meta word is the first
+    // invalid way if there is one and the lowest-index oldest stamp
+    // otherwise. Like hitWay(), the scan picks with selects to the end
+    // of the set. It draws one clock tick for the tiebreak and one for
+    // the new stamp, whatever the policy.
+    const u64 *meta = &metaLane[s.base];
+    u32 oldest = 0;
+    u64 oldestMeta = meta[0];
+    for (u32 w = 1; w < cfg.ways; ++w) {
+        bool older = meta[w] < oldestMeta;
+        oldest = older ? w : oldest;
+        oldestMeta = older ? meta[w] : oldestMeta;
+    }
+    u64 tiebreak = ++clock;
+    u32 victim = oldestMeta != 0 && cfg.repl == ReplPolicy::Random
+        ? static_cast<u32>(splitmix64(tiebreak) % cfg.ways)
+        : oldest;
+
+    u64 slot = s.base + victim;
+    std::optional<Eviction> evicted;
+    if (tagLane[slot] != kInvalidTag) {
+        bool wasDirty = metaLane[slot] & 1;
+        ++nEvictions;
+        nDirtyEvictions += wasDirty;
+        evicted = Eviction{lineAddr(s.set, tagLane[slot]), wasDirty};
+    }
+    tagLane[slot] = s.tag;
+    metaLane[slot] = ++clock << 1 | u64(dirty);
+    return evicted;
 }
 
 std::optional<Eviction>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
-    u64 block = blockIndex(addr);
-    u32 set = setIndex(block);
-    u64 tag = tagOf(block);
-    u64 base = setBase(set);
-    const u64 *tags = &lane[base];
-    const u64 *stamps = tags + cfg.ways;
+    SetRef s = locate(addr);
+    h2_assert(hitWay(s) == kNoWay, cfg.name, ": double insert of addr ",
+              addr);
+    return place(s, dirty);
+}
 
-    // One pass over the set: the double-insert check, the first
-    // invalid way, and the lowest-index smallest stamp. The victim
-    // rule (pinned by the reference model in tests/test_cache.cc):
-    // first invalid way, else the Random hash, else the oldest stamp.
-    // It draws one clock tick for the tiebreak and one for the new
-    // stamp, whatever the policy.
-    u32 invalid = kNoWay;
-    u32 oldest = 0;
-    for (u32 w = 0; w < cfg.ways; ++w) {
-        h2_assert(tags[w] != tag, cfg.name, ": double insert of addr ",
-                  addr);
-        if (tags[w] == kInvalidTag) {
-            if (invalid == kNoWay)
-                invalid = w;
-        } else if (stamps[w] < stamps[oldest]) {
-            oldest = w;
-        }
-    }
-    u64 tiebreak = ++clock;
-    u32 victim = invalid != kNoWay ? invalid
-        : cfg.repl == ReplPolicy::Random
-            ? static_cast<u32>(splitmix64(tiebreak) % cfg.ways)
-            : oldest;
-
-    std::optional<Eviction> evicted;
-    Slot slot{base, victim};
-    if (tagAt(slot) != kInvalidTag) {
-        ++nEvictions;
-        if (dirtyAt(slot))
-            ++nDirtyEvictions;
-        evicted = Eviction{lineAddr(set, tagAt(slot)), dirtyAt(slot) != 0};
-    }
-    tagAt(slot) = tag;
-    dirtyAt(slot) = dirty ? 1 : 0;
-    stampAt(slot) = ++clock;
-    return evicted;
+std::optional<Eviction>
+SetAssocCache::fill(Addr addr, bool dirty)
+{
+    SetRef s = locate(addr);
+    u32 way = hitWay(s);
+    if (way == kNoWay)
+        return place(s, dirty);
+    if (dirty)
+        metaLane[s.base + way] |= 1;
+    return std::nullopt;
 }
 
 std::optional<bool>
 SetAssocCache::invalidate(Addr addr)
 {
-    Slot slot = findSlot(addr);
-    if (slot.way == kNoWay)
+    SetRef s = locate(addr);
+    u32 way = hitWay(s);
+    if (way == kNoWay)
         return std::nullopt;
-    bool wasDirty = dirtyAt(slot) != 0;
-    tagAt(slot) = kInvalidTag;
-    dirtyAt(slot) = 0;
-    stampAt(slot) = 0;
+    bool wasDirty = metaLane[s.base + way] & 1;
+    tagLane[s.base + way] = kInvalidTag;
+    metaLane[s.base + way] = 0;
     return wasDirty;
-}
-
-void
-SetAssocCache::setDirty(Addr addr)
-{
-    Slot slot = findSlot(addr);
-    h2_assert(slot.way != kNoWay, cfg.name, ": setDirty on absent line ",
-              addr);
-    dirtyAt(slot) = 1;
 }
 
 u32
@@ -152,10 +150,8 @@ u64
 SetAssocCache::numValidLines() const
 {
     u64 n = 0;
-    for (u32 set = 0; set < sets; ++set)
-        for (u32 w = 0; w < cfg.ways; ++w)
-            if (lane[setBase(set) + w] != kInvalidTag)
-                ++n;
+    for (u64 i = 0; i < tagLane.size(); ++i)
+        n += tagLane[i] != kInvalidTag;
     return n;
 }
 

@@ -13,11 +13,13 @@ RemapTable::RemapTable(u64 flatSectors, u64 nmFlatSectors, u64 cacheSectors,
               "flat space must be NM flat region + FM");
     // Entries are u32: 31 index bits (plus the in-NM flag forward, and
     // the all-ones no-occupant value inverse). nFm <= nFlat, so these
-    // two bounds cover every index either table stores.
-    h2_assert(nFlat <= kInNm && nCache + nNmFlat <= kInNm,
-              "remap table indices need more than 31 bits: ", nFlat,
-              " flat sectors, ", nCache + nNmFlat,
-              " NM locations (limit 2^31 each; use larger sectors)");
+    // two bounds cover every index either table stores. Reachable from
+    // settings (fm-mib, nm-mib): fatal, so a sweep fails only this point.
+    if (nFlat > kInNm || nCache + nNmFlat > kInNm)
+        h2_fatal("remap table indices need more than 31 bits: ", nFlat,
+                 " flat sectors, ", nCache + nNmFlat,
+                 " NM locations (limit 2^31 each); lower fm-mib or "
+                 "nm-mib, or use larger sectors");
     forward = ZeroLane<u32>(nFlat);
     inverse = ZeroLane<u32>(nCache + nNmFlat);
 }

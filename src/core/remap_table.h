@@ -18,7 +18,8 @@
  * and 31 bits on the NM location or FM sector index, and an inverse
  * entry reserves all-ones for "no occupant". Every flat sector and
  * every NM location must therefore fit in 31 bits (2^31 sectors, e.g.
- * 4 TiB of 2 KB sectors); the constructor rejects larger geometries.
+ * 4 TiB of 2 KB sectors); the constructor rejects larger geometries
+ * with a fatal naming fm-mib, so a sweep fails only that point.
  *
  * Each stored word is the entry XOR its identity value, so the tables
  * start as demand-zero memory (common/zero_lane.h) and only the

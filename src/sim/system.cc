@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/units.h"
 #include "sim/interrupt.h"
 #include "sim/phase_timers.h"
 
@@ -28,6 +29,12 @@ System::System(const SystemConfig &config,
     llcView = std::make_unique<HierarchyLlcView>(*hier);
     mem = factory(cfg.mem, *llcView);
     h2_assert(mem, "design factory returned nothing");
+    // Reachable from settings (fm-mib): fatal, so a sweep fails only
+    // this point.
+    if (mem->flatCapacity() > hier->addrLimit())
+        h2_fatal("flat memory of ", mem->flatCapacity() / MiB,
+                 " MiB is beyond the ", hier->addrLimit() / MiB,
+                 " MiB the SRAM caches' 32-bit tags can name; lower fm-mib");
 
     u64 virtualBytes = wl.totalVirtualBytes(cfg.numCores);
     map = std::make_unique<AddressMap>(mem->flatCapacity(), virtualBytes,

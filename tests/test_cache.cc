@@ -8,16 +8,18 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "ref_cache.h"
 
 namespace h2::cache {
 namespace {
+
+using ref::RefCache;
+using ref::selectVictim;
 
 CacheParams
 smallCache(u32 ways = 4, u32 lineBytes = 64,
@@ -30,30 +32,6 @@ smallCache(u32 ways = 4, u32 lineBytes = 64,
     p.lineBytes = lineBytes;
     p.repl = repl;
     return p;
-}
-
-/**
- * Reference victim rule among @p ways entries: an invalid way wins
- * immediately, Random hashes @p tiebreak, and LRU and FIFO evict the
- * lowest-index smallest stamp (they differ only in when the caller
- * refreshes stamps). SetAssocCache::insert applies this rule inside its
- * own single scan of the set; MatchesReferenceModel pins it here.
- */
-u32
-selectVictim(ReplPolicy policy, const u64 *stamps, const bool *valids,
-             u32 ways, u64 tiebreak)
-{
-    h2_assert(ways > 0, "victim selection over zero ways");
-    for (u32 w = 0; w < ways; ++w)
-        if (!valids[w])
-            return w;
-    if (policy == ReplPolicy::Random)
-        return static_cast<u32>(splitmix64(tiebreak) % ways);
-    u32 victim = 0;
-    for (u32 w = 1; w < ways; ++w)
-        if (stamps[w] < stamps[victim])
-            victim = w;
-    return victim;
 }
 
 TEST(Replacement, InvalidWayWinsFirst)
@@ -168,12 +146,44 @@ TEST(SetAssocCache, Invalidate)
     EXPECT_FALSE(c.invalidate(0x100).has_value());
 }
 
-TEST(SetAssocCache, SetDirty)
+TEST(SetAssocCache, FillMergesDirtIntoPresentLine)
 {
+    // A present line takes the fill's dirt and nothing else: no
+    // eviction, no stats, and a clean fill never cleans it.
     SetAssocCache c(smallCache());
     c.insert(0x200, false);
-    c.setDirty(0x200);
+    EXPECT_FALSE(c.fill(0x200, false).has_value());
+    EXPECT_FALSE(c.probeDirty(0x200));
+    EXPECT_FALSE(c.fill(0x200, true).has_value());
     EXPECT_TRUE(c.probeDirty(0x200));
+    EXPECT_FALSE(c.fill(0x200, false).has_value());
+    EXPECT_TRUE(c.probeDirty(0x200));
+    EXPECT_EQ(c.numValidLines(), 1u);
+    EXPECT_EQ(c.hits() + c.misses() + c.evictions(), 0u);
+}
+
+TEST(SetAssocCache, FillInsertsAbsentLine)
+{
+    SetAssocCache c(smallCache(1)); // direct-mapped, 8 sets
+    EXPECT_FALSE(c.fill(0x40, true).has_value());
+    EXPECT_TRUE(c.probeDirty(0x40));
+    auto victim = c.fill(0x40 + 8 * 64, false); // same set
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->addr, 0x40u);
+    EXPECT_TRUE(victim->dirty);
+    EXPECT_FALSE(c.probeDirty(0x40 + 8 * 64));
+    EXPECT_EQ(c.dirtyEvictions(), 1u);
+}
+
+TEST(SetAssocCache, AddrLimitIsThe32BitTagRange)
+{
+    // 8 sets of 64 B lines: a set span of 512 B per tag value.
+    SetAssocCache c(smallCache());
+    Addr limit = c.addrLimit();
+    EXPECT_EQ(limit, (u64(1) << 32) * 512 - 512);
+    c.insert(limit - 64, true);
+    EXPECT_TRUE(c.probeDirty(limit - 64));
+    EXPECT_EQ(c.numValidLines(), 1u);
 }
 
 TEST(SetAssocCache, ResidentLinesInRange)
@@ -223,129 +233,20 @@ TEST(SetAssocCacheDeath, DoubleInsert)
     EXPECT_DEATH(c.insert(0x40, false), "double insert");
 }
 
-TEST(SetAssocCacheDeath, SetDirtyOnAbsent)
+TEST(SetAssocCacheDeath, AddressBeyondTagRange)
 {
     SetAssocCache c(smallCache());
-    EXPECT_DEATH(c.setDirty(0x40), "absent");
+    EXPECT_DEATH(c.probe(c.addrLimit()), "32-bit tag range");
 }
 
-// ---------------------------------------------------------------------
-// reference model: separate tag / stamp / dirty lanes
-// ---------------------------------------------------------------------
-
-/** The tag store as first written: way-major tag, stamp and dirty
- *  lanes of sets * ways each, plain div/mod indexing, and the victim
- *  rule applied through selectVictim(). */
-class RefCache
+/** Both evicted nothing, or both evicted one line equally dirty. */
+bool
+sameEviction(const std::optional<Eviction> &a,
+             const std::optional<Eviction> &b)
 {
-  public:
-    explicit RefCache(const CacheParams &params)
-        : cfg(params),
-          sets(params.sizeBytes / (u64(params.ways) * params.lineBytes)),
-          tagLane(sets * params.ways, kInvalid),
-          stampLane(sets * params.ways, 0), dirtyLane(sets * params.ways, 0)
-    {
-    }
-
-    bool
-    access(Addr addr, AccessType type)
-    {
-        u64 slot = findSlot(addr);
-        if (slot == kNone) {
-            ++misses;
-            return false;
-        }
-        ++hits;
-        if (cfg.repl == ReplPolicy::Lru)
-            stampLane[slot] = ++clock;
-        if (type == AccessType::Write)
-            dirtyLane[slot] = 1;
-        return true;
-    }
-
-    bool probe(Addr addr) const { return findSlot(addr) != kNone; }
-
-    bool
-    probeDirty(Addr addr) const
-    {
-        u64 slot = findSlot(addr);
-        return slot != kNone && dirtyLane[slot];
-    }
-
-    std::optional<Eviction>
-    insert(Addr addr, bool dirty)
-    {
-        u64 block = addr / cfg.lineBytes;
-        u64 set = block % sets;
-        u64 base = set * cfg.ways;
-        bool valids[64];
-        for (u32 w = 0; w < cfg.ways; ++w)
-            valids[w] = tagLane[base + w] != kInvalid;
-        u32 victim = selectVictim(cfg.repl, &stampLane[base], valids,
-                                  cfg.ways, ++clock);
-        std::optional<Eviction> evicted;
-        u64 slot = base + victim;
-        if (tagLane[slot] != kInvalid) {
-            ++evictions;
-            if (dirtyLane[slot])
-                ++dirtyEvictions;
-            evicted = Eviction{(tagLane[slot] * sets + set) * cfg.lineBytes,
-                               dirtyLane[slot] != 0};
-        }
-        tagLane[slot] = block / sets;
-        dirtyLane[slot] = dirty ? 1 : 0;
-        stampLane[slot] = ++clock;
-        return evicted;
-    }
-
-    std::optional<bool>
-    invalidate(Addr addr)
-    {
-        u64 slot = findSlot(addr);
-        if (slot == kNone)
-            return std::nullopt;
-        bool wasDirty = dirtyLane[slot] != 0;
-        tagLane[slot] = kInvalid;
-        dirtyLane[slot] = 0;
-        stampLane[slot] = 0;
-        return wasDirty;
-    }
-
-    void setDirty(Addr addr) { dirtyLane[findSlot(addr)] = 1; }
-
-    u64
-    numValidLines() const
-    {
-        u64 n = 0;
-        for (u64 tag : tagLane)
-            n += tag != kInvalid;
-        return n;
-    }
-
-    u64 hits = 0, misses = 0, evictions = 0, dirtyEvictions = 0;
-
-  private:
-    static constexpr u64 kInvalid = ~u64(0);
-    static constexpr u64 kNone = ~u64(0);
-
-    u64
-    findSlot(Addr addr) const
-    {
-        u64 block = addr / cfg.lineBytes;
-        u64 base = (block % sets) * cfg.ways;
-        for (u32 w = 0; w < cfg.ways; ++w)
-            if (tagLane[base + w] == block / sets)
-                return base + w;
-        return kNone;
-    }
-
-    CacheParams cfg;
-    u64 sets;
-    std::vector<u64> tagLane;
-    std::vector<u64> stampLane;
-    std::vector<u8> dirtyLane;
-    u64 clock = 0;
-};
+    return a.has_value() == b.has_value() &&
+        (!a || (a->addr == b->addr && a->dirty == b->dirty));
+}
 
 /** Drive SetAssocCache and RefCache with one seeded op stream,
  *  asserting equal results, evictions and counters after every op. */
@@ -377,23 +278,20 @@ runAgainstReference(const CacheParams &p, u64 seed)
                 bool dirty = rng.chance(0.4);
                 auto got = c.insert(a, dirty);
                 auto want = ref.insert(a, dirty);
-                ASSERT_EQ(got.has_value(), want.has_value());
-                if (want) {
-                    ASSERT_EQ(got->addr, want->addr);
-                    ASSERT_EQ(got->dirty, want->dirty);
-                }
+                ASSERT_TRUE(sameEviction(got, want));
             }
             break;
           case 4:
             ASSERT_EQ(c.invalidate(a), ref.invalidate(a));
             break;
-          default:
-            if (present && rng.chance(0.5)) {
-                c.setDirty(a);
-                ref.setDirty(a);
-            }
+          default: {
+            bool dirty = rng.chance(0.5);
+            auto got = c.fill(a, dirty);
+            auto want = ref.fill(a, dirty);
+            ASSERT_TRUE(sameEviction(got, want));
             ASSERT_EQ(c.probeDirty(a), ref.probeDirty(a));
             break;
+          }
         }
         ASSERT_EQ(c.hits(), ref.hits);
         ASSERT_EQ(c.misses(), ref.misses);

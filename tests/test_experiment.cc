@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -16,12 +14,9 @@
 #include <sstream>
 
 #include "common/units.h"
+#include "h2sim_cli.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
-
-#ifndef H2SIM_BIN
-#error "H2SIM_BIN must point at the h2sim executable"
-#endif
 
 namespace h2::sim {
 namespace {
@@ -386,30 +381,6 @@ TEST(ReportWrite, WritesToFile)
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     EXPECT_EQ(content, "{\"ok\": true}\n");
-}
-
-struct CliRun
-{
-    int exitCode = -1;
-    std::string output; ///< stdout and stderr
-};
-
-/** Run the h2sim binary with @p args. */
-CliRun
-runH2sim(const std::string &args)
-{
-    std::string cmd = std::string(H2SIM_BIN) + " " + args + " 2>&1";
-    FILE *pipe = popen(cmd.c_str(), "r");
-    CliRun run;
-    if (!pipe)
-        return run;
-    char buf[256];
-    while (size_t n = std::fread(buf, 1, sizeof buf, pipe))
-        run.output.append(buf, n);
-    int rc = pclose(pipe);
-    if (WIFEXITED(rc))
-        run.exitCode = WEXITSTATUS(rc);
-    return run;
 }
 
 /** A flag the CLI does not know, such as a removed knob, is a usage

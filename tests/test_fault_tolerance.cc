@@ -8,16 +8,19 @@
  * invalid config, a watchdog expiry, a pending SIGINT.
  *
  * The death tests also pin the preserved CLI behavior: h2_fatal
- * without a capture still exits the process with code 1.
+ * without a capture still exits the process with code 1, and the
+ * capacity-bound tests drive the h2sim binary to its exit 3.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "common/units.h"
+#include "h2sim_cli.h"
 #include "sim/experiment.h"
 #include "sim/interrupt.h"
 #include "sim/sweep_runner.h"
@@ -149,6 +152,59 @@ TEST(SweepFaultTolerance, FootprintBeyondFmFailsOnlyItsPoint)
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.error.find("fm-mib"), std::string::npos) << bad.error;
     EXPECT_TRUE(sweep.outcome(tinyWorkload(), "baseline").ok);
+}
+
+/** The CSV report line of the point whose design spec is @p spec. */
+std::string
+csvRow(const std::string &output, const std::string &spec)
+{
+    size_t at = output.find(",\"" + spec + "\",");
+    if (at == std::string::npos)
+        return "";
+    size_t begin = output.rfind('\n', at) + 1;
+    return output.substr(begin, output.find('\n', at) - begin);
+}
+
+/** Capacity settings past a design's index bounds fail only that
+ *  design's point: exit 3, an error naming fm-mib, and a healthy
+ *  baseline point in the same sweep. */
+void
+expectOnlyTheseFail(const std::string &fmMib,
+                    const std::vector<std::string> &failing,
+                    const std::string &reason)
+{
+    std::string args = "--workload xalanc --cores 1 --instr 2000 "
+                       "--format csv --fm-mib " + fmMib;
+    for (const auto &d : failing)
+        args += " --design " + d;
+    CliRun r = runH2sim(args + " --design baseline");
+    EXPECT_EQ(r.exitCode, 3) << r.output;
+    for (const auto &d : failing) {
+        std::string row = csvRow(r.output, d);
+        EXPECT_NE(row.find(",\"" + d + "\",false,\""), std::string::npos)
+            << r.output;
+        EXPECT_NE(row.find(reason), std::string::npos) << row;
+        EXPECT_NE(row.find("fm-mib"), std::string::npos) << row;
+    }
+    EXPECT_NE(csvRow(r.output, "baseline").find(",\"baseline\",true,\"\""),
+              std::string::npos)
+        << r.output;
+}
+
+TEST(SweepFaultTolerance, RemapIndexBeyond31BitsFailsOnlyItsPoints)
+{
+    // 8 TiB of FM is 2^32 2 KiB sectors: past the remap tables' 31-bit
+    // indices in hybrid2, MemPod and LGM. Baseline has no remap table.
+    expectOnlyTheseFail("8388608", {"hybrid2", "mempod", "lgm"},
+                        "31 bits");
+}
+
+TEST(SweepFaultTolerance, FlatSpaceBeyond32BitTagsFailsOnlyItsPoint)
+{
+    // 512 MiB short of 64 TiB of FM: baseline's flat space (FM alone)
+    // stays below Table 1's L1 tag range, Chameleon's (NM group
+    // segments plus FM) crosses it.
+    expectOnlyTheseFail("67108352", {"chameleon"}, "32-bit tags");
 }
 
 TEST(SweepFaultTolerance, RunThrowsFatalErrorForFailedPoint)

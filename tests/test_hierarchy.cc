@@ -1,12 +1,19 @@
 /**
  * @file
- * Tests for the three-level SRAM hierarchy.
+ * Tests for the three-level SRAM hierarchy, including op-by-op
+ * equality with the probe + setDirty / insert cascade it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cache/cache_hierarchy.h"
+#include "common/rng.h"
 #include "common/units.h"
+#include "ref_cache.h"
 
 namespace h2::cache {
 namespace {
@@ -157,6 +164,166 @@ TEST(Hierarchy, Table1Geometry)
     EXPECT_EQ(p.l1LatencyCycles, 1u);
     EXPECT_EQ(p.l2LatencyCycles, 9u);
     EXPECT_EQ(p.llcLatencyCycles, 14u);
+}
+
+TEST(Hierarchy, AddrLimitIsTheNarrowestLevels)
+{
+    // Table 1's L1 has the smallest set span (256 sets * 64 B = 16 KiB),
+    // so its 32-bit tags bound the hierarchy just below 64 TiB.
+    CacheHierarchy h(HierarchyParams{});
+    EXPECT_EQ(h.addrLimit(), (u64(1) << 32) * 16 * KiB - 16 * KiB);
+}
+
+// ---------------------------------------------------------------------
+// reference model: the hierarchy's fill cascade as first written
+// ---------------------------------------------------------------------
+
+/** CacheHierarchy as first written, over reference tag stores: every
+ *  fill into L2 or the LLC is a probe, then setDirty on a present line
+ *  or insert of an absent one. */
+class RefHierarchy
+{
+  public:
+    explicit RefHierarchy(const HierarchyParams &params)
+        : llc(params.llc), cfg(params)
+    {
+        for (u32 c = 0; c < cfg.numCores; ++c) {
+            l1s.push_back(std::make_unique<ref::RefCache>(cfg.l1));
+            l2s.push_back(std::make_unique<ref::RefCache>(cfg.l2));
+        }
+    }
+
+    HierarchyResult
+    access(CoreId core, Addr addr, AccessType type)
+    {
+        Addr line = addr & ~Addr(cfg.l1.lineBytes - 1);
+        HierarchyResult result;
+        if (l1s[core]->access(line, type)) {
+            result.latencyCycles = cfg.l1LatencyCycles;
+            result.hitLevel = 1;
+            return result;
+        }
+        if (l2s[core]->access(line, type)) {
+            result.latencyCycles = cfg.l2LatencyCycles;
+            result.hitLevel = 2;
+            fillL1(core, line, false, result);
+            return result;
+        }
+        if (llc.access(line, type)) {
+            result.latencyCycles = cfg.llcLatencyCycles;
+            result.hitLevel = 3;
+            fillL1(core, line, false, result);
+            return result;
+        }
+        result.latencyCycles = cfg.llcLatencyCycles;
+        result.llcMiss = true;
+        ++llcMisses;
+        fillL1(core, line, type == AccessType::Write, result);
+        return result;
+    }
+
+    u32
+    llcResidentLinesInRange(Addr base, u64 bytes) const
+    {
+        u32 n = 0;
+        for (Addr a = base; a < base + bytes; a += cfg.llc.lineBytes)
+            n += llc.probe(a);
+        return n;
+    }
+
+    u64 llcMisses = 0;
+    ref::RefCache llc;
+
+  private:
+    void
+    insertLlc(Addr addr, bool dirty, HierarchyResult &result)
+    {
+        if (llc.probe(addr)) {
+            if (dirty)
+                llc.setDirty(addr);
+            return;
+        }
+        auto victim = llc.insert(addr, dirty);
+        if (victim && victim->dirty)
+            result.writeback = victim->addr;
+    }
+
+    void
+    fillL1(CoreId core, Addr addr, bool dirty, HierarchyResult &result)
+    {
+        auto v1 = l1s[core]->insert(addr, dirty);
+        if (!v1)
+            return;
+        if (l2s[core]->probe(v1->addr)) {
+            if (v1->dirty)
+                l2s[core]->setDirty(v1->addr);
+            return;
+        }
+        auto v2 = l2s[core]->insert(v1->addr, v1->dirty);
+        if (v2)
+            insertLlc(v2->addr, v2->dirty, result);
+    }
+
+    HierarchyParams cfg;
+    std::vector<std::unique_ptr<ref::RefCache>> l1s;
+    std::vector<std::unique_ptr<ref::RefCache>> l2s;
+};
+
+/** Drive CacheHierarchy and RefHierarchy with one seeded multi-core
+ *  read/write stream, asserting equal results and LLC state after
+ *  every access. */
+void
+runHierarchyAgainstReference(const HierarchyParams &p, u64 seed)
+{
+    CacheHierarchy h(p);
+    RefHierarchy ref(p);
+    // Half the accesses go to a region every core shares (so L2
+    // victims often find their line already in the LLC), half to the
+    // core's own region; together ~3x the LLC keeps every level under
+    // replacement pressure.
+    const u64 lines = 3 * p.llc.sizeBytes / 64;
+    Rng rng(seed);
+    u64 writebacks = 0;
+    for (int op = 0; op < 20000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        CoreId core = static_cast<CoreId>(rng.below(p.numCores));
+        u64 region = rng.chance(0.5) ? 0 : core + 1;
+        Addr a = (region * lines + rng.below(lines)) * 64 + rng.below(64);
+        AccessType t = rng.chance(0.3) ? AccessType::Write : AccessType::Read;
+        HierarchyResult got = h.access(core, a, t);
+        HierarchyResult want = ref.access(core, a, t);
+        ASSERT_EQ(got.latencyCycles, want.latencyCycles);
+        ASSERT_EQ(got.hitLevel, want.hitLevel);
+        ASSERT_EQ(got.llcMiss, want.llcMiss);
+        ASSERT_EQ(got.writeback, want.writeback);
+        writebacks += want.writeback.has_value();
+        ASSERT_EQ(h.llcMisses(), ref.llcMisses);
+        const SetAssocCache &llc = h.llcCache();
+        ASSERT_EQ(llc.hits(), ref.llc.hits);
+        ASSERT_EQ(llc.misses(), ref.llc.misses);
+        ASSERT_EQ(llc.evictions(), ref.llc.evictions);
+        Addr page = a & ~Addr(4 * KiB - 1);
+        ASSERT_EQ(h.llcResidentLinesInRange(page, 4 * KiB),
+                  ref.llcResidentLinesInRange(page, 4 * KiB));
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_GT(h.llcCache().hits(), 0u);
+}
+
+TEST(Hierarchy, MatchesReferenceModel)
+{
+    HierarchyParams lru = tinyHierarchy(4);
+    HierarchyParams mixed = tinyHierarchy(3);
+    mixed.l1.repl = ReplPolicy::Fifo;
+    mixed.l2 = {"L2", 3 * KiB, 4, 64, ReplPolicy::Random}; // 12 sets
+    mixed.llc = {"LLC", 24 * KiB, 8, 64, ReplPolicy::Fifo};
+    u64 seed = 0;
+    for (const HierarchyParams &p : {lru, mixed}) {
+        SCOPED_TRACE("params " + std::to_string(seed));
+        runHierarchyAgainstReference(p, ++seed);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(HierarchyDeath, BadCoreId)
