@@ -134,73 +134,6 @@ DramDevice::probeChunkDone(u32 ch, u64 bank, u64 row, u32 bytes,
     return chunkDone(b, row, c.busUntil, bytes, std::max(start, b.readyAt));
 }
 
-Tick
-DramDevice::probeLatency(Addr addr, u32 bytes, Tick now,
-                         AccessType type) const
-{
-    // Const replay of access(): identical chunking, with the bank and
-    // bus state a real access would mutate kept in small local
-    // overlays so multi-chunk requests that revisit a channel or bank
-    // still agree with the mutable path. (The earlier first-chunk
-    // shortcut diverged from access() for requests starting inside an
-    // interleave block: it sized the first burst from the request
-    // length instead of the distance to the chunk boundary.)
-    struct BankPatch { u32 ch; u64 bank; BankState state; };
-    struct BusPatch { u32 ch; Tick busUntil; };
-    std::vector<BankPatch> bankPatches;
-    std::vector<BusPatch> busPatches;
-
-    Tick done = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = cfg.interleaveBytes - (cur & geo.ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-
-        u32 chIdx;
-        u64 bankIdx, row;
-        decode(cur, chIdx, bankIdx, row);
-        BankState bank = channels[chIdx].banks[bankIdx];
-        for (const BankPatch &p : bankPatches)
-            if (p.ch == chIdx && p.bank == bankIdx)
-                bank = p.state;
-        Tick busUntil = channels[chIdx].busUntil;
-        for (const BusPatch &p : busPatches)
-            if (p.ch == chIdx)
-                busUntil = p.busUntil;
-
-        Tick start = std::max(now, bank.readyAt);
-        Tick dataEnd = chunkDone(bank, row, busUntil, take, start);
-        done = std::max(done, dataEnd);
-
-        bank.open = true;
-        bank.row = row;
-        bank.readyAt = type == AccessType::Write
-            ? dataEnd + Tick(cfg.tWr) * cfg.clockPs
-            : dataEnd;
-        bool found = false;
-        for (BankPatch &p : bankPatches)
-            if (p.ch == chIdx && p.bank == bankIdx) {
-                p.state = bank;
-                found = true;
-            }
-        if (!found)
-            bankPatches.push_back({chIdx, bankIdx, bank});
-        found = false;
-        for (BusPatch &p : busPatches)
-            if (p.ch == chIdx) {
-                p.busUntil = dataEnd;
-                found = true;
-            }
-        if (!found)
-            busPatches.push_back({chIdx, dataEnd});
-
-        cur += take;
-        remaining -= take;
-    }
-    return done - now;
-}
-
 double
 DramDevice::dynamicEnergyPj() const
 {

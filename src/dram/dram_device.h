@@ -58,26 +58,6 @@ class DramDevice
      */
     Tick access(Addr addr, u32 bytes, AccessType type, Tick now);
 
-    /**
-     * Latency the device would add for a @p bytes access at @p now,
-     * without mutating any state (used as the timing oracle in tests).
-     *
-     * Replays the exact chunking and bank/channel arithmetic of
-     * access() against a local overlay of the state the access would
-     * mutate, so probe == access-completion - now for any address and
-     * size, aligned or not.
-     *
-     * The probe sees only device state. With the queued controller
-     * (mem::MemController, queue=on) a subsequent access may first
-     * trigger a write-queue drain that pushes bank/bus availability
-     * past what the probe saw — the divergence is intentional: the
-     * probe answers "what would the *device* cost", not "what will the
-     * controller schedule". In queue=off mode the two are identical
-     * (pinned by a property test).
-     */
-    Tick probeLatency(Addr addr, u32 bytes, Tick now,
-                      AccessType type = AccessType::Read) const;
-
     /** Number of channels (chunk interleave targets). */
     u32 channelCount() const { return static_cast<u32>(channels.size()); }
 
@@ -240,8 +220,8 @@ class DramDevice
 
     Tick accessChunk(Addr addr, u32 bytes, AccessType type, Tick now);
 
-    /** Chunk completion given explicit bank/bus state (shared by the
-     *  mutable path's arithmetic and the const probes). */
+    /** Chunk completion given explicit bank/bus state (shared by
+     *  accessChunk and probeChunkDone). */
     Tick chunkDone(const BankState &bank, u64 row, Tick busUntil,
                    u32 bytes, Tick start) const;
 

@@ -11,8 +11,8 @@ HybridMemory::HybridMemory(const MemSystemParams &params,
     : sys(params),
       nm(std::make_unique<dram::DramDevice>(nmParams)),
       fm(std::make_unique<dram::DramDevice>(fmParams)),
-      nmCtrl(std::make_unique<MemController>(*nm, params.queue)),
-      fmCtrl(std::make_unique<MemController>(*fm, params.queue))
+      nmCtrl(std::make_unique<MemController>(*nm, QueueParams{})),
+      fmCtrl(std::make_unique<MemController>(*fm, QueueParams{}))
 {
 }
 
@@ -20,7 +20,7 @@ HybridMemory::HybridMemory(const MemSystemParams &params,
                            const dram::DramParams &fmParams)
     : sys(params), nm(nullptr),
       fm(std::make_unique<dram::DramDevice>(fmParams)),
-      fmCtrl(std::make_unique<MemController>(*fm, params.queue))
+      fmCtrl(std::make_unique<MemController>(*fm, QueueParams{}))
 {
 }
 
@@ -149,7 +149,7 @@ HybridMemory::collectStats(StatSet &out) const
     out.add("mem.avgWritebackLatencyPs", avgWritebackLatencyPs());
     out.add("mem.dynamicEnergyPj", dynamicEnergyPj());
     // Demand-facing queueing wait across both controllers (ps per
-    // demand access; 0 with queues off or no demand traffic).
+    // demand access; 0 with no demand traffic).
     u64 demand = fmCtrl->demandAccesses()
         + (nmCtrl ? nmCtrl->demandAccesses() : 0);
     Tick delayTotal = fmCtrl->readQueueDelayPsTotal()

@@ -51,9 +51,6 @@ struct MemSystemParams
     Tick corePeriodPs = 313;       ///< 3.2 GHz core clock (rounded to ps)
     /** Fixed controller/on-chip interconnect traversal per request. */
     Tick controllerLatencyPs = 3130; ///< ~10 core cycles
-    /** Memory-controller queueing model (queue.enabled = false
-     *  restores the pre-controller analytic dispatch). */
-    QueueParams queue;
 };
 
 /** Outcome of one 64 B request into the memory organization. */
@@ -116,8 +113,7 @@ class HybridMemory
     dram::DramDevice &fmDevice() { return *fm; }
     const dram::DramDevice &fmDevice() const { return *fm; }
 
-    /** Queued controllers in front of the devices (queue=off: pure
-     *  pass-through). */
+    /** Queued controllers in front of the devices. */
     MemController &nmController();
     const MemController &nmController() const;
     MemController &fmController() { return *fmCtrl; }
@@ -173,15 +169,17 @@ class HybridMemory
      * never the critical path. Every access() implementation calls
      * this once before returning, after its serialized reads — so
      * posted writes enter the queues (and can trigger a forced drain)
-     * only once the demand path has claimed its banks. With queues
-     * off the controller dispatches each write at its ready tick,
-     * which is exactly the pre-controller flush.
+     * only once the demand path has claimed its banks. A queued
+     * write's completion is unknown until a drain dispatches it, so
+     * @p tl's trailing edge extends only to its ready tick.
      */
     void
     flushPostedWrites(Timeline &tl)
     {
-        for (const PostedWrite &w : postedWrites)
-            tl.overlap(ctrlFor(*w.dev).post(w.addr, w.bytes, w.readyAt));
+        for (const PostedWrite &w : postedWrites) {
+            ctrlFor(*w.dev).post(w.addr, w.bytes, w.readyAt);
+            tl.overlap(w.readyAt);
+        }
         postedWrites.clear();
     }
 
@@ -234,8 +232,8 @@ class HybridMemory
     }
 
     /** Controller shorthand for design access() code: all device
-     *  traffic goes through these so queued scheduling (and the
-     *  queue=off pass-through) applies uniformly. */
+     *  traffic goes through these so queued scheduling applies
+     *  uniformly. */
     MemController &nmc() { return nmController(); }
     MemController &fmc() { return *fmCtrl; }
 

@@ -101,9 +101,6 @@ MemController::sampleReadDepth(u32 ch, Tick now)
 Tick
 MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
 {
-    if (!cfg.enabled)
-        return dev.access(addr, bytes, type, now);
-
     // Walk the chunks the device will split this request into: sweep
     // idle-gap writes on each touched channel, then measure the wait
     // the request will serialize behind (bus + bank occupancy left by
@@ -150,15 +147,9 @@ MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
     return done;
 }
 
-Tick
+void
 MemController::post(Addr addr, u32 bytes, Tick readyAt)
 {
-    if (!cfg.enabled) {
-        // Pre-controller behavior: the posted write dispatches the
-        // moment its data is ready; the device clamps to bank/bus
-        // availability.
-        return dev.access(addr, bytes, AccessType::Write, readyAt);
-    }
     Addr cur = addr;
     u64 remaining = bytes;
     const u32 ilv = dev.params().interleaveBytes;
@@ -176,7 +167,6 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
         cur += take;
         remaining -= take;
     }
-    return readyAt;
 }
 
 Tick

@@ -36,12 +36,6 @@
  * access (no write could fit — exact), and completed in-flight chunks
  * pop off a per-channel min-heap.
  *
- * `queue=off` (QueueParams::enabled = false) bypasses all of the
- * above: access() forwards verbatim to DramDevice::access and posted
- * writes dispatch at their ready tick, reproducing the pre-controller
- * analytic behavior bit-identically (pinned by the golden-metrics
- * noqueue suite).
- *
  * Stats (all zero-guarded for empty classes): average read queue
  * delay (the serialized wait between arrival and service start that
  * demand requests experience), average write queue residency, mean and
@@ -65,8 +59,6 @@ namespace h2::mem {
 /** Queueing knobs shared by the NM and FM controllers of a design. */
 struct QueueParams
 {
-    /** Off = forward straight to the device (PR-5 analytic model). */
-    bool enabled = true;
     /** Per-channel write-queue depth that forces a drain episode. */
     u32 writeHighWatermark = 32;
     /** Depth a forced drain stops at. */
@@ -96,15 +88,10 @@ class MemController
     /**
      * Enqueue a posted write whose data is ready at @p readyAt. Never
      * blocks the caller; may trigger a high-watermark drain episode
-     * on the channels it lands on (contending with later reads).
-     * With queues off, dispatches to the device at @p readyAt —
-     * exactly the pre-controller posted-write flush.
-     *
-     * @return the device completion tick when dispatched immediately
-     *         (queues off), else @p readyAt (completion unknown until
-     *         a drain dispatches the entry).
+     * on the channels it lands on (contending with later reads). Its
+     * completion is unknown until a drain dispatches the entry.
      */
-    Tick post(Addr addr, u32 bytes, Tick readyAt);
+    void post(Addr addr, u32 bytes, Tick readyAt);
 
     /** Dispatch every queued write (end of run / warm-up boundary so
      *  traffic and energy are fully accounted). @return completion of
@@ -133,8 +120,9 @@ class MemController
     void resetStats();
 
     /** Counters under @p prefix (e.g. "nmq"): avgReadQueueDelayPs,
-     *  avgWriteQueueDelayPs, queuedWrites, drainEpisodes,
-     *  rowHitBypasses, writeQueueDepthMean/P99. */
+     *  avgWriteQueueDelayPs, drainEpisodes, rowHitBypasses,
+     *  queuedWrites (still queued at collection), readDepthMean/Max
+     *  and writeDepthMean/Max. */
     void collectStats(StatSet &out, const std::string &prefix) const;
 
     /** Sum of read queue delays (ps), for cross-controller means. */

@@ -143,14 +143,6 @@ const Setting kSettings[] = {
      [](Key k, Value v, Spec &s) {
          return parseCount(k, v, s.config.seed);
      }},
-    {"queue", "[on|off]",
-     "queued memory-controller model (FR-FCFS write queues with drain "
-     "watermarks); off restores the analytic immediate-dispatch model "
-     "[on]",
-     true, false,
-     [](Key k, Value v, Spec &s) {
-         return parseBool(k, v, s.config.queue);
-     }},
     {"fm", "<dram|pcm>",
      "far-memory technology: DDR4 DRAM, or a PCM-like NVM with "
      "asymmetric read/write latency and energy plus per-bank wear stats "

@@ -22,7 +22,6 @@ writeConfigJson(JsonWriter &w, const RunConfig &cfg)
         .kv("warmup_instr_per_core", cfg.warmupInstrPerCore)
         .kv("num_cores", cfg.numCores)
         .kv("seed", cfg.seed)
-        .kv("queue", cfg.queue)
         .kv("fm", dram::to_string(cfg.fm))
         .kv("run_timeout_ms", cfg.runTimeoutMs)
         .endObject();

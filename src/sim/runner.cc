@@ -58,6 +58,9 @@ validateRunConfig(const RunConfig &cfg)
             ") must be smaller than FM capacity (",
             formatBytes(cfg.fmBytes),
             "); the paper evaluates NM:FM ratios of 1:16 to 4:16");
+    if (!cfg.queue)
+        return "queue=false is no longer supported: the queued memory "
+               "controller is the only dispatch path";
     return {};
 }
 
@@ -71,7 +74,6 @@ makeSystemConfig(const RunConfig &cfg)
     sc.instrPerCore = cfg.instrPerCore;
     sc.warmupInstrPerCore = cfg.warmupInstrPerCore;
     sc.seed = cfg.seed;
-    sc.mem.queue.enabled = cfg.queue;
     sc.mem.fmTech = cfg.fm;
     sc.runTimeoutMs = cfg.runTimeoutMs;
     return sc;

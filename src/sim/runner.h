@@ -44,9 +44,9 @@ struct RunConfig
     u64 warmupInstrPerCore = 0;
     u32 numCores = 8;
     u64 seed = 42;
-    /** Queued memory-controller model (mem/mem_controller.h). Off
-     *  restores the pre-queue analytic dispatch, for A/B runs and the
-     *  noqueue golden suite. */
+    /** Inert: the queued memory controller (mem/mem_controller.h) is
+     *  the only dispatch path, and validateRunConfig rejects false.
+     *  Kept only until the benchmark harness stops assigning it. */
     bool queue = true;
     /** Far-memory technology (h2sim --fm, experiment-file `fm`): DDR4
      *  DRAM (default) or a PCM-like NVM with asymmetric read/write

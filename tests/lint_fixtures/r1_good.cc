@@ -11,7 +11,7 @@ struct GoodDesign : HybridMemory
     touch(Timeline &tl)
     {
         tl.serialize(nmc().access(0, 64, AccessType::Read, 0));
-        tl.overlap(fmc().post(64, 64, 0));
+        fmc().post(64, 64, 0);
         postWrite(*fm, 128, 64, 0); // the sanctioned buffered form
         tags.access(0);             // a cache, not a DramDevice
     }

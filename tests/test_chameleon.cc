@@ -16,10 +16,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 8 * MiB;
     p.fmBytes = 64 * MiB;
     return p;
@@ -203,6 +199,7 @@ TEST(Chameleon, SwapChargesTraffic)
     u64 before = c.nmDevice().stats().totalBytes();
     for (int i = 0; i < 4; ++i)
         c.access(fmAddr, AccessType::Read, t += 100000);
+    c.drainQueues(t);
     // The promotion moved 2 KB into the NM slot (plus cache-mode fills).
     EXPECT_GE(c.nmDevice().stats().totalBytes(), before + 4096);
 }

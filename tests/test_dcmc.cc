@@ -19,10 +19,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 16 * MiB;
     p.fmBytes = 64 * MiB;
     return p;
@@ -379,6 +375,7 @@ TEST(DcmcReconciliation, TrafficCountersMatchDramDevices)
         d.access(a, rng.chance(0.3) ? AccessType::Write : AccessType::Read,
                  t += 4000);
     }
+    d.drainQueues(t);
     const DcmcTraffic &b = d.traffic();
     // The scenario must exercise the once-missing counter.
     EXPECT_GT(d.evictionsToFm(), 0u);

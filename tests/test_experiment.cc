@@ -193,14 +193,14 @@ TEST(ExperimentParse, OverridesWinOverTheFile)
     const SettingValue overrides[] = {{findSetting("cores"), "2"},
                                       {findSetting("format"), "csv"},
                                       {findSetting("speedup"), "off"},
-                                      {findSetting("queue"), "false"}};
+                                      {findSetting("warmup"), "500"}};
     std::string err;
     auto spec = ExperimentSpec::parse(kGoodExperiment, &err, overrides);
     ASSERT_TRUE(spec) << err;
     EXPECT_EQ(spec->config.numCores, 2u);
     EXPECT_EQ(spec->format, "csv");
     EXPECT_FALSE(spec->speedup);
-    EXPECT_FALSE(spec->config.queue);
+    EXPECT_EQ(spec->config.warmupInstrPerCore, 500u);
     EXPECT_EQ(spec->config.seed, 7u); // not overridden: the file's
 
     // The finished spec is validated, so an override can break it...
@@ -218,7 +218,7 @@ TEST(Settings, TableCoversEveryDirectiveOnce)
 {
     const char *keys[] = {"design", "workload", "nm-mib", "fm-mib",
                           "cores",  "instr",    "warmup", "seed",
-                          "queue",  "fm",       "jobs",   "speedup",
+                          "fm",     "jobs",     "speedup",
                           "run-timeout", "format"};
     ASSERT_EQ(settings().size(), std::size(keys));
     std::string help = settingsHelp();
@@ -405,13 +405,41 @@ TEST(H2simCli, OutOfRangeCoresExitsTwoNamingIt)
         << r.output;
 }
 
-TEST(H2simCli, JsonConfigRecordsQueue)
+/** The queue on/off setting is gone: its flag and directive fail like
+ *  any unknown input, reports carry no queue key, and a RunConfig that
+ *  still asks for the removed mode is rejected by name. */
+TEST(H2simCli, RemovedQueueSettingFailsPrecisely)
 {
-    CliRun r = runH2sim("--design baseline --workload lbm --cores 1 "
-                        "--instr 2000 --queue off --format json");
-    EXPECT_EQ(r.exitCode, 0) << r.output;
-    EXPECT_NE(r.output.find("\"queue\": false"), std::string::npos)
-        << r.output;
+    CliRun flag = runH2sim("--queue off --design baseline --workload lbm");
+    EXPECT_EQ(flag.exitCode, 2);
+    EXPECT_NE(flag.output.find("unknown option '--queue'"),
+              std::string::npos)
+        << flag.output;
+
+    std::string path = ::testing::TempDir() + "h2_cli_queue.experiment";
+    {
+        std::ofstream out(path);
+        out << "design baseline\nworkload lbm\nqueue on\n";
+    }
+    CliRun file = runH2sim("--experiment " + path);
+    std::remove(path.c_str());
+    EXPECT_EQ(file.exitCode, 2);
+    EXPECT_NE(file.output.find("line 3: unknown directive 'queue'"),
+              std::string::npos)
+        << file.output;
+
+    CliRun json = runH2sim("--design baseline --workload lbm --cores 1 "
+                           "--instr 2000 --format json");
+    EXPECT_EQ(json.exitCode, 0) << json.output;
+    EXPECT_NE(json.output.find("\"seed\""), std::string::npos)
+        << json.output;
+    EXPECT_EQ(json.output.find("\"queue\""), std::string::npos)
+        << json.output;
+
+    RunConfig cfg;
+    cfg.queue = false;
+    std::string why = validateRunConfig(cfg);
+    EXPECT_NE(why.find("queue"), std::string::npos) << why;
 }
 
 /** With --experiment, command-line settings override the file's;

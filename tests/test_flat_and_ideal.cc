@@ -18,10 +18,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 8 * MiB;
     p.fmBytes = 64 * MiB;
     return p;
@@ -99,6 +95,7 @@ TEST(IdealCache, FillFetchesWholeLineFromFm)
 {
     IdealCache c(smallSys(), lineParams(1024));
     c.access(0, AccessType::Read, 0);
+    c.drainQueues(0);
     EXPECT_EQ(c.fmDevice().stats().bytesRead, 1024u);
     EXPECT_EQ(c.nmDevice().stats().bytesWritten, 1024u);
 }
@@ -108,9 +105,11 @@ TEST(IdealCache, DirtyVictimWritesBackWholeLine)
     auto sys = smallSys();
     IdealCache c(sys, lineParams(256));
     c.access(0, AccessType::Write, 0);
+    c.drainQueues(0);
     u64 fmWritesBefore = c.fmDevice().stats().bytesWritten;
     // The conflicting lines are clean; only line 0 writes back.
     evictLineZero(c, sys, 1000000);
+    c.drainQueues(20000000);
     EXPECT_EQ(c.fmDevice().stats().bytesWritten, fmWritesBefore + 256);
 }
 

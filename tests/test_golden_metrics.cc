@@ -51,14 +51,6 @@ goldenConfig()
 }
 
 sim::RunConfig
-noQueueConfig()
-{
-    sim::RunConfig cfg = goldenConfig();
-    cfg.queue = false;
-    return cfg;
-}
-
-sim::RunConfig
 pcmConfig()
 {
     sim::RunConfig cfg = goldenConfig();
@@ -238,34 +230,12 @@ TEST(GoldenMetrics, TaglessLbm) { checkGolden("tagless", "lbm"); }
 TEST(GoldenMetrics, LgmLbm) { checkGolden("lgm", "lbm"); }
 TEST(GoldenMetrics, MempodLbm) { checkGolden("mempod", "lbm"); }
 
-// queue=off legs: pin the pre-queue analytic dispatch model so the
-// `queue off` escape hatch stays bit-compatible with the metrics the
-// earlier analytic-only simulator produced. One leg per structural
-// memory organization is enough — the controller passthrough is
-// design-agnostic.
-
-TEST(GoldenMetricsNoQueue, BaselineLbm)
-{
-    checkGolden("baseline", "lbm", "noqueue", noQueueConfig());
-}
-TEST(GoldenMetricsNoQueue, DfcMcf)
-{
-    checkGolden("dfc", "mcf", "noqueue", noQueueConfig());
-}
-TEST(GoldenMetricsNoQueue, Hybrid2Lbm)
-{
-    checkGolden("hybrid2", "lbm", "noqueue", noQueueConfig());
-}
-TEST(GoldenMetricsNoQueue, Hybrid2Mix)
-{
-    checkGolden("hybrid2", "mix:mcf+xalanc:2", "noqueue", noQueueConfig());
-}
-
 // fm=pcm legs: pin the PCM far-memory backend — asymmetric read/write
 // timing (tRCD/tWR), the asymmetric per-operation energy split, and
 // the per-bank wear counters (`fm.wearTotalBytes` etc. appear only
-// here). Same three structural organizations as the noqueue suite,
-// plus one pointer-heavy workload for a second traffic shape.
+// here). One leg per structural organization (FM-only, DRAM cache,
+// Hybrid2), plus one pointer-heavy workload for a second traffic
+// shape.
 
 TEST(GoldenMetricsPcm, BaselineLbm)
 {

@@ -97,8 +97,9 @@ TEST(DramDecode, Table1PresetsMatchReference)
 
 TEST(DramDecode, ProbeEqualsAccessForSingleChunk)
 {
-    // probeLatency must predict exactly what a mutating access of one
-    // interleave chunk reports, at every point of a random sequence.
+    // probeChunkDone must predict exactly what a mutating access of
+    // one interleave chunk reports, at every point of a random
+    // sequence.
     Rng rng(17);
     auto p = geometry(3, 8, 2048, 256); // non-pow2 channels on purpose
     dram::DramDevice dev(p);
@@ -108,9 +109,12 @@ TEST(DramDecode, ProbeEqualsAccessForSingleChunk)
         u64 chunks = p.capacityBytes / p.interleaveBytes;
         Addr addr = rng.below(chunks) * p.interleaveBytes;
         u32 bytes = 64u << rng.below(3); // 64..256 = full chunk
-        Tick predicted = dev.probeLatency(addr, bytes, now);
+        u32 ch;
+        u64 bank, row;
+        dev.decode(addr, ch, bank, row);
+        Tick predicted = dev.probeChunkDone(ch, bank, row, bytes, now);
         Tick done = dev.access(addr, bytes, AccessType::Read, now);
-        ASSERT_EQ(now + predicted, done) << "access " << i;
+        ASSERT_EQ(predicted, done) << "access " << i;
     }
 }
 

@@ -26,10 +26,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 8 * MiB;
     p.fmBytes = 32 * MiB;
     return p;
@@ -104,6 +100,7 @@ TEST(IntegrityDcmc, WrittenLinesStayDirtyUntilEviction)
     u64 victim = nmFlat + 5; // FM sector
     d.access(victim * 2048, AccessType::Write, t += 5000);
     EXPECT_EQ(d.inspect(victim).dirtyMask, 1u);
+    d.drainQueues(t);
     u64 fmWritesBefore = d.fmDevice().stats().bytesWritten;
     // Evict it by filling its set with 16 more FM sectors.
     u64 sets = d.xta().numSets();
@@ -111,6 +108,7 @@ TEST(IntegrityDcmc, WrittenLinesStayDirtyUntilEviction)
         d.access((victim + k * sets) * 2048, AccessType::Read, t += 5000);
     EXPECT_FALSE(d.inspect(victim).cached);
     // The dirty line was written back: data not lost.
+    d.drainQueues(t);
     EXPECT_EQ(d.fmDevice().stats().bytesWritten,
               fmWritesBefore + hp.lineBytes);
 }

@@ -97,7 +97,8 @@ minReadLatencyPs(const dram::DramParams &params, u32 bytes)
 {
     dram::DramDevice dev(params);
     dev.access(0, bytes, AccessType::Read, 0); // open the covered rows
-    return dev.probeLatency(0, bytes, Tick(1) << 40);
+    const Tick idle = Tick(1) << 40;
+    return dev.access(0, bytes, AccessType::Read, idle) - idle;
 }
 
 /** Latency of one quiesced access. */

@@ -16,10 +16,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 8 * MiB;
     p.fmBytes = 64 * MiB;
     return p;
@@ -113,8 +109,10 @@ TEST(MemPod, MigrationChargesSwapTraffic)
     Tick t = 0;
     for (int i = 0; i < 50; ++i)
         m.access(hot, AccessType::Read, t += 1000);
+    m.drainQueues(t);
     u64 fmBytesBefore = m.fmDevice().stats().totalBytes();
     m.access(0, AccessType::Read, 2 * psPerUs);
+    m.drainQueues(2 * psPerUs);
     // Swap = 2 KB read + 2 KB write on each device (at least).
     EXPECT_GE(m.fmDevice().stats().totalBytes(), fmBytesBefore + 4096);
 }

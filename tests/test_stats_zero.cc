@@ -101,21 +101,6 @@ TEST(ZeroCountStats, AvgMissLatencyZeroWhenEveryReadHitsNm)
     expectZeroAndFinite(s, "mem.avgMissLatencyPs");
 }
 
-// avgQueueDelayPs: demand traffic exists but queues are disabled — the
-// aggregate must stay a hard 0, not divide by the demand count of a
-// controller that never measured a wait.
-TEST(ZeroCountStats, AvgQueueDelayZeroWithQueuesDisabled)
-{
-    mem::MemSystemParams p = sys();
-    p.queue.enabled = false;
-    baselines::FlatBaseline b(p);
-    b.access(0, AccessType::Read, 0);
-    StatSet s;
-    b.collectStats(s);
-    EXPECT_GT(s.get("mem.avgLatencyPs"), 0.0);
-    expectZeroAndFinite(s, "mem.avgQueueDelayPs");
-}
-
 // The mix intensity math divides by each component's memRatio; a
 // zero-intensity component used to propagate inf/NaN into the mix's
 // memRatio and from there into every derived stat. Now it dies with a

@@ -17,10 +17,6 @@ mem::MemSystemParams
 smallSys()
 {
     mem::MemSystemParams p;
-    // These suites white-box the designs against the analytic
-    // immediate-dispatch device model; the queued controller has its
-    // own suite (test_mem_controller) and the queue=on goldens.
-    p.queue.enabled = false;
     p.nmBytes = 8 * MiB;
     p.fmBytes = 64 * MiB;
     return p;
@@ -57,6 +53,7 @@ TEST(Tagless, NoTagLookupCost)
     // only NM traffic is data.
     TaglessCache c(smallSys());
     c.access(0, AccessType::Read, 0);
+    c.drainQueues(0);
     EXPECT_EQ(c.nmDevice().stats().bytesWritten, 4096u);
     EXPECT_EQ(c.nmDevice().stats().bytesRead, 0u);
 }
