@@ -132,6 +132,7 @@ TEST_F(DcmcTest, Case2aLinksNmSectorWithoutCopy)
     EXPECT_EQ(view.validMask, 0xFFu);
     EXPECT_EQ(view.dirtyMask, 0xFFu);
     // Linking must not touch FM and must not consume cache pool space.
+    dcmc.drainQueues(t);
     EXPECT_EQ(dcmc.fmDevice().stats().totalBytes(), fmBytesBefore);
     EXPECT_EQ(dcmc.allocator().poolSize(), kCacheSectors);
 }
@@ -155,6 +156,7 @@ TEST_F(DcmcTest, NmSectorEvictionMovesNothing)
     EXPECT_EQ(dcmc.migrations() + dcmc.evictionsToFm(), 0u);
     EXPECT_GE(dcmc.xta().numSets(), 1u);
     dcmc.checkInvariants();
+    dcmc.drainQueues(t);
     EXPECT_EQ(dcmc.fmDevice().stats().totalBytes(), 0u);
 }
 

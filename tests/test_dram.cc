@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "common/units.h"
 #include "dram/dram_device.h"
 
@@ -240,43 +239,6 @@ TEST(DramDevice, BusUtilizationDegenerateWindowIsZero)
     // busy in.
     EXPECT_DOUBLE_EQ(dev.busUtilization(done), 0.0);
     EXPECT_DOUBLE_EQ(dev.busUtilization(0), 0.0);
-}
-
-TEST(DramDevice, ProbeChunkDoneEqualsAccess)
-{
-    // MemController's idle drain issues a queued write into a gap only
-    // if probeChunkDone says it completes in time, so the probe must
-    // predict exactly what access() then reports for that chunk: reads
-    // and writes (PCM's write recovery included), row hits, misses and
-    // contended starts, on a geometry that takes the div/mod decode.
-    for (const char *preset : {"hbm2", "ddr4", "pcm"}) {
-        std::string name(preset);
-        auto p = name == "hbm2" ? DramParams::hbm2(96 * MiB)
-            : name == "ddr4"    ? DramParams::ddr4_3200(96 * MiB)
-                                : DramParams::pcm(96 * MiB);
-        p.channels = 3;
-        p.banksPerChannel = 6;
-        DramDevice dev(p);
-        Rng rng(31);
-        Tick now = 0;
-        for (int i = 0; i < 3000; ++i) {
-            now += rng.below(8 * p.clockPs);
-            // Half the traffic revisits a few rows per bank.
-            Addr addr = rng.chance(0.5) ? rng.below(64 * KiB)
-                                        : rng.below(p.capacityBytes);
-            u32 room = p.interleaveBytes - u32(addr % p.interleaveBytes);
-            u32 bytes = 1 + u32(rng.below(room));
-            AccessType t = rng.chance(0.5) ? AccessType::Read
-                                           : AccessType::Write;
-            u32 ch;
-            u64 bank, row;
-            dev.decode(addr, ch, bank, row);
-            Tick predicted = dev.probeChunkDone(ch, bank, row, bytes, now);
-            ASSERT_EQ(predicted, dev.access(addr, bytes, t, now))
-                << preset << " access " << i << " addr " << addr
-                << " bytes " << bytes;
-        }
-    }
 }
 
 // ----- PCM far-memory backend ----------------------------------------

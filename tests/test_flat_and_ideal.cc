@@ -41,6 +41,7 @@ TEST(FlatBaseline, TrafficAndEnergyAccumulate)
     FlatBaseline b(smallSys());
     b.access(0, AccessType::Read, 0);
     b.access(4096, AccessType::Write, 100000);
+    b.drainQueues(100000);
     EXPECT_EQ(b.fmDevice().stats().bytesRead, 64u);
     EXPECT_EQ(b.fmDevice().stats().bytesWritten, 64u);
     EXPECT_GT(b.dynamicEnergyPj(), 0.0);

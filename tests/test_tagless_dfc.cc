@@ -33,6 +33,7 @@ TEST(Tagless, PageFillOverFetches)
 {
     TaglessCache c(smallSys());
     c.access(0, AccessType::Read, 0);
+    c.drainQueues(0);
     // One 64 B request pulled a whole 4 KB page from FM.
     EXPECT_EQ(c.fmDevice().stats().bytesRead, 4096u);
 }
@@ -81,6 +82,7 @@ TEST(Dfc, TagStoreTrafficInNm)
 {
     DfcCache c(smallSys());
     c.access(0, AccessType::Read, 0);
+    c.drainQueues(0);
     StatSet out;
     c.collectStats(out);
     // One tag-store read (lookup miss) and one write (fill update).
@@ -110,6 +112,7 @@ TEST(Dfc, CustomLineSize)
     EXPECT_EQ(c.cacheParams().lineBytes, 128u);
     EXPECT_EQ(c.name(), "DFC-128");
     c.access(0, AccessType::Read, 0);
+    c.drainQueues(0);
     EXPECT_EQ(c.fmDevice().stats().bytesRead, 128u);
 }
 
