@@ -64,8 +64,7 @@ BENCHMARK(BM_DramAccess);
 void
 BM_SramCacheAccess(benchmark::State &state)
 {
-    cache::CacheParams p{"bench", 8 * MiB, 16, 64,
-                         cache::ReplPolicy::Lru};
+    cache::CacheParams p{"bench", 8 * MiB, 16, 64};
     cache::SetAssocCache c(p);
     Rng rng(4);
     for (auto _ : state) {

@@ -26,19 +26,6 @@ cacheModeParams(const ChameleonParams &cfg)
     p.sizeBytes = cfg.cacheSliceBytes;
     p.ways = 16;
     p.lineBytes = cfg.segmentBytes;
-    p.repl = cache::ReplPolicy::Lru;
-    return p;
-}
-
-cache::CacheParams
-sketchParams()
-{
-    cache::CacheParams p;
-    p.name = "chameleonOnceSketch";
-    p.sizeBytes = 64 * 1024 * 8; // 64K segment entries of 8 B each
-    p.ways = 8;
-    p.lineBytes = 8;
-    p.repl = cache::ReplPolicy::Lru;
     return p;
 }
 
@@ -55,8 +42,7 @@ Chameleon::Chameleon(const mem::MemSystemParams &sysParams,
                   / cfg.segmentBytes),
       fmSegs(sysParams.fmBytes / cfg.segmentBytes),
       remapCache(),
-      cacheMode(cacheModeParams(cfg)),
-      onceSketch(sketchParams())
+      cacheMode(cacheModeParams(cfg))
 {
     h2_assert(cfg.cacheSliceBytes < sysParams.nmBytes,
               "cache slice must leave room for group mode");
@@ -90,15 +76,6 @@ Chameleon::state(u64 group)
     if (it == groups.end())
         it = groups.emplace(group, GroupState{nativeOf(group)}).first;
     return it->second;
-}
-
-bool
-Chameleon::touchedBefore(u64 seg)
-{
-    if (onceSketch.access(seg * 8, AccessType::Read))
-        return true;
-    onceSketch.insert(seg * 8, false);
-    return false;
 }
 
 bool
@@ -209,7 +186,7 @@ Chameleon::access(Addr addr, AccessType type, Tick now)
             tl.serialize(fmc().access(fmLoc * segB + offset,
                                     mem::llcLineBytes, type, tl.now()));
             fromNm = false;
-            if (cfg.cacheMode && touchedBefore(seg)) {
+            if (cfg.cacheMode && seenSegments.lookup(seg)) {
                 // Fill the whole segment into the cache slice on
                 // reuse; first touches only register in the sketch.
                 // The demand word already returned, so the fill (and

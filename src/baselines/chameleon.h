@@ -26,6 +26,7 @@
 
 #include "baselines/remap_cache.h"
 #include "cache/set_assoc_cache.h"
+#include "common/units.h"
 #include "mem/hybrid_memory.h"
 
 namespace h2::baselines {
@@ -69,9 +70,6 @@ class Chameleon : public mem::HybridMemory
         u32 counter = 0;
     };
 
-    /** True iff @p seg was seen before (recency sketch); inserts it. */
-    bool touchedBefore(u64 seg);
-
     u64 groupOf(u64 seg) const;
     u64 nativeOf(u64 group) const { return group; }
     bool isNative(u64 seg) const { return seg < nmGroupSegs; }
@@ -86,8 +84,9 @@ class Chameleon : public mem::HybridMemory
     RemapCache remapCache;
     cache::SetAssocCache cacheMode;
     /** Tracks once-touched segments so cache-mode fills happen on
-     *  reuse, not on first touch (filters streaming pollution). */
-    cache::SetAssocCache onceSketch;
+     *  reuse, not on first touch (filters streaming pollution): 64K
+     *  segment entries of 8 B each, 8-way. */
+    RemapCache seenSegments{512 * KiB, 8, 8};
 
     u64 nSwaps = 0;
     u64 nCacheModeHits = 0;

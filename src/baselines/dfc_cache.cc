@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "common/units.h"
 #include "sim/design_registry.h"
 
 namespace h2::baselines {
 
 DfcCache::DfcCache(const mem::MemSystemParams &sysParams, u32 lineBytes)
-    : IdealCache(sysParams, DramCacheParams{lineBytes},
-                 "DFC-" + std::to_string(lineBytes)),
+    : IdealCache(sysParams, lineBytes, "DFC-" + std::to_string(lineBytes)),
       tagCache()
 {
 }
@@ -17,8 +15,8 @@ DfcCache::DfcCache(const mem::MemSystemParams &sysParams, u32 lineBytes)
 void
 DfcCache::tagLookup(Addr addr, mem::Timeline &tl)
 {
-    Addr lineAddr = addr & ~Addr(cp.lineBytes - 1);
-    if (tagCache.lookup(lineAddr / cp.lineBytes))
+    Addr lineAddr = addr & ~Addr(lineB - 1);
+    if (tagCache.lookup(lineAddr / lineB))
         return; // fused on-chip tag hit: no overhead
     // The tag store occupies a reserved NM slice; reads gate the data
     // access, writes are posted.
@@ -62,7 +60,8 @@ H2_REGISTER_DESIGN(dfc, [] {
     line.description = "cache-line (fetch) bytes";
     line.defU64 = 1024;
     line.minU64 = 64;
-    line.maxU64 = 1 * MiB;
+    // IdealCache's used-block bitmap holds at most 64 blocks of 64 B.
+    line.maxU64 = 4096;
     line.powerOfTwo = true;
     line.positional = true;
     d.params = {line};

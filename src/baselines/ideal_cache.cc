@@ -3,41 +3,23 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/units.h"
 #include "sim/design_registry.h"
 
 namespace h2::baselines {
 
-namespace {
-
-cache::CacheParams
-tagParams(u64 nmBytes, const DramCacheParams &cp)
-{
-    cache::CacheParams p;
-    p.name = "dramCacheTags";
-    p.sizeBytes = nmBytes;
-    p.ways = 16;
-    p.lineBytes = cp.lineBytes;
-    p.repl = cache::ReplPolicy::Lru;
-    return p;
-}
-
-} // namespace
-
 IdealCache::IdealCache(const mem::MemSystemParams &sysParams,
-                       const DramCacheParams &cacheParams,
-                       const std::string &displayName)
+                       u32 lineBytes, const std::string &displayName)
     : mem::HybridMemory(sysParams,
                         dram::DramParams::hbm2(sysParams.nmBytes),
                         dram::DramParams::farMemory(sysParams.fmTech,
                                                     sysParams.fmBytes)),
-      cp(cacheParams), label(displayName),
-      tags(tagParams(sysParams.nmBytes, cacheParams))
+      lineB(lineBytes), label(displayName),
+      tags({"dramCacheTags", sysParams.nmBytes, 16, lineBytes})
 {
-    h2_assert(cp.lineBytes >= mem::llcLineBytes &&
-              cp.lineBytes % mem::llcLineBytes == 0,
+    h2_assert(lineB >= mem::llcLineBytes &&
+              lineB % mem::llcLineBytes == 0,
               "DRAM-cache line must be a multiple of 64 B");
-    h2_assert(cp.lineBytes / mem::llcLineBytes <= 64,
+    h2_assert(lineB / mem::llcLineBytes <= 64,
               "used-block tracking supports up to 4 KB lines");
 }
 
@@ -52,7 +34,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
 {
     h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
               "access beyond FM capacity");
-    Addr lineAddr = addr & ~Addr(cp.lineBytes - 1);
+    Addr lineAddr = addr & ~Addr(lineB - 1);
     u32 blockIdx = static_cast<u32>((addr - lineAddr) / mem::llcLineBytes);
     mem::Timeline tl(now);
     tl.advance(sys.controllerLatencyPs);
@@ -77,7 +59,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
         ++evictedLines;
         auto it = usedBlocks.find(victim->addr);
         u64 used = it == usedBlocks.end() ? 0 : it->second;
-        u32 blocksPerLine = cp.lineBytes / mem::llcLineBytes;
+        u32 blocksPerLine = lineB / mem::llcLineBytes;
         wastedBlocks += blocksPerLine - __builtin_popcountll(used);
         if (it != usedBlocks.end())
             usedBlocks.erase(it);
@@ -87,13 +69,13 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
             // FM write is posted once the data is buffered and drains
             // behind the demand fetch.
             tl.serialize(nmc().access(victim->addr % sys.nmBytes,
-                                    cp.lineBytes, AccessType::Read,
+                                    lineB, AccessType::Read,
                                     tl.now()));
-            postWrite(*fm, victim->addr, cp.lineBytes, tl.now());
+            postWrite(*fm, victim->addr, lineB, tl.now());
         }
     }
     ++nFills;
-    fetchedBlocks += cp.lineBytes / mem::llcLineBytes;
+    fetchedBlocks += lineB / mem::llcLineBytes;
     usedBlocks[lineAddr] = u64(1) << blockIdx;
 
     // Critical word first; the rest of the line and the NM fill stream
@@ -102,7 +84,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
                             tl.now()));
     Tick critical = tl.now();
     Tick lineReady = critical; // when the whole line is buffered
-    if (cp.lineBytes > mem::llcLineBytes) {
+    if (lineB > mem::llcLineBytes) {
         // Remaining bytes of the line (split around the critical block).
         if (addr > lineAddr) {
             Tick rd = fmc().access(lineAddr,
@@ -112,15 +94,15 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
             lineReady = std::max(lineReady, rd);
         }
         Addr after = addr + mem::llcLineBytes;
-        if (after < lineAddr + cp.lineBytes) {
+        if (after < lineAddr + lineB) {
             Tick rd = fmc().access(
-                after, static_cast<u32>(lineAddr + cp.lineBytes - after),
+                after, static_cast<u32>(lineAddr + lineB - after),
                 AccessType::Read, critical);
             tl.overlap(rd);
             lineReady = std::max(lineReady, rd);
         }
     }
-    postWrite(*nm, lineAddr % sys.nmBytes, cp.lineBytes, lineReady);
+    postWrite(*nm, lineAddr % sys.nmBytes, lineB, lineReady);
     onFill(lineAddr, tl);
     flushPostedWrites(tl);
     recordService(type, false, tl);
@@ -134,7 +116,7 @@ IdealCache::wastedFetchFraction() const
     // resident lines (fetched but not yet used); with a 1 GB cache and
     // bounded traces most fetched lines are still resident at the end
     // of the run.
-    u32 blocksPerLine = cp.lineBytes / mem::llcLineBytes;
+    u32 blocksPerLine = lineB / mem::llcLineBytes;
     u64 fetched = evictedLines * u64(blocksPerLine);
     u64 wasted = wastedBlocks;
     for (const auto &[line, used] : usedBlocks) {
@@ -180,17 +162,39 @@ H2_REGISTER_DESIGN(ideal, [] {
     line.description = "cache-line (fetch) bytes";
     line.defU64 = 256;
     line.minU64 = 64;
-    line.maxU64 = 1 * MiB;
+    // The used-block bitmap holds at most 64 blocks of 64 B.
+    line.maxU64 = 4096;
     line.powerOfTwo = true;
     line.positional = true;
     d.params = {line};
     d.factory = [](const sim::DesignSpec &spec,
                    const mem::MemSystemParams &mp, const mem::LlcView &)
         -> std::unique_ptr<mem::HybridMemory> {
-        DramCacheParams p;
-        p.lineBytes = static_cast<u32>(spec.u64Param("line"));
+        auto lineBytes = static_cast<u32>(spec.u64Param("line"));
         return std::make_unique<IdealCache>(
-            mp, p, "IDEAL-" + std::to_string(p.lineBytes));
+            mp, lineBytes, "IDEAL-" + std::to_string(lineBytes));
+    };
+    return d;
+}())
+
+// The Tagless DRAM cache (Lee et al., ISCA'15) tracks DRAM-cache
+// contents through the page tables and TLBs, so it pays no tag-lookup
+// cost, but it caches whole 4 KB pages. Per the paper's methodology
+// ("we optimistically do not model any operating system overheads") it
+// behaves as an overhead-free page-granular cache, which is exactly the
+// IDEAL cache at a 4 KB line. Its weakness, reproduced here, is
+// page-granularity over-fetch on workloads with poor spatial locality.
+H2_REGISTER_DESIGN(tagless, [] {
+    sim::DesignInfo d;
+    d.name = "tagless";
+    d.description =
+        "Tagless DRAM cache (Lee et al., ISCA'15): page-granular, "
+        "TLB-tracked, no tag cost";
+    d.figure12Order = 3;
+    d.factory = [](const sim::DesignSpec &, const mem::MemSystemParams &mp,
+                   const mem::LlcView &)
+        -> std::unique_ptr<mem::HybridMemory> {
+        return std::make_unique<IdealCache>(mp, 4096, "TAGLESS");
     };
     return d;
 }())

@@ -1,8 +1,9 @@
 /**
  * @file
  * DRAM-cache baselines: the IDEAL cache of Figure 2 (no tag or metadata
- * overheads, parametric line size) and, as thin specializations in
- * sibling headers, the Tagless DRAM cache and the Decoupled Fused Cache.
+ * overheads, parametric line size), the Tagless DRAM cache (registered
+ * in ideal_cache.cc as the IDEAL cache at a 4 KB line) and, as a thin
+ * specialization in a sibling header, the Decoupled Fused Cache.
  *
  * All NM capacity is the cache's data array; main memory is FM only.
  * The cache also tracks which 64 B blocks of each fetched line were
@@ -19,17 +20,12 @@
 
 namespace h2::baselines {
 
-/** Configuration of a DRAM-cache baseline (a 16-way tag store). */
-struct DramCacheParams
-{
-    u32 lineBytes = 1024;
-};
-
+/** A DRAM cache over all of NM with a 16-way tag store of
+ *  @p lineBytes lines. */
 class IdealCache : public mem::HybridMemory
 {
   public:
-    IdealCache(const mem::MemSystemParams &sysParams,
-               const DramCacheParams &cacheParams,
+    IdealCache(const mem::MemSystemParams &sysParams, u32 lineBytes,
                const std::string &displayName = "IDEAL");
 
     mem::MemResult access(Addr addr, AccessType type, Tick now) override;
@@ -38,7 +34,7 @@ class IdealCache : public mem::HybridMemory
     void collectStats(StatSet &out) const override;
     void resetStats() override;
 
-    const DramCacheParams &cacheParams() const { return cp; }
+    u32 lineBytes() const { return lineB; }
 
     /** Fraction of fetched 64 B blocks never accessed before eviction
      *  (evaluated over evicted lines; Figure 1). */
@@ -60,7 +56,7 @@ class IdealCache : public mem::HybridMemory
      *  off the critical path. */
     virtual void onFill(Addr lineAddr, mem::Timeline &tl);
 
-    DramCacheParams cp;
+    u32 lineB;
     std::string label;
     cache::SetAssocCache tags;
 

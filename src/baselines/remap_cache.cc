@@ -13,7 +13,6 @@ makeParams(u64 storageBytes, u32 entryBytes, u32 ways)
     p.sizeBytes = storageBytes / entryBytes * entryBytes;
     p.ways = ways;
     p.lineBytes = entryBytes;
-    p.repl = cache::ReplPolicy::Lru;
     return p;
 }
 

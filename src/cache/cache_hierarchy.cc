@@ -82,13 +82,6 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
     return result;
 }
 
-bool
-CacheHierarchy::llcHolds(Addr addr) const
-{
-    Addr line = addr & ~Addr(cfg.llc.lineBytes - 1);
-    return llc->probe(line);
-}
-
 u64
 CacheHierarchy::addrLimit() const
 {

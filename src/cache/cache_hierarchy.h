@@ -24,9 +24,9 @@ namespace h2::cache {
 struct HierarchyParams
 {
     u32 numCores = 8;
-    CacheParams l1{"L1", 64 * 1024, 4, 64, ReplPolicy::Lru};
-    CacheParams l2{"L2", 256 * 1024, 8, 64, ReplPolicy::Lru};
-    CacheParams llc{"LLC", 8ull * 1024 * 1024, 16, 64, ReplPolicy::Lru};
+    CacheParams l1{"L1", 64 * 1024, 4, 64};
+    CacheParams l2{"L2", 256 * 1024, 8, 64};
+    CacheParams llc{"LLC", 8ull * 1024 * 1024, 16, 64};
     u32 l1LatencyCycles = 1;
     u32 l2LatencyCycles = 9;
     u32 llcLatencyCycles = 14;
@@ -62,7 +62,6 @@ class CacheHierarchy
     HierarchyResult access(CoreId core, Addr addr, AccessType type);
 
     /** LLC occupancy probe for LGM-style migration policies. */
-    bool llcHolds(Addr addr) const;
     u32 llcResidentLinesInRange(Addr base, u64 bytes) const;
 
     /** Exclusive bound of the addresses every level's tags can name

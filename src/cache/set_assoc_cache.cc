@@ -1,7 +1,5 @@
 #include "cache/set_assoc_cache.h"
 
-#include "common/rng.h"
-
 namespace h2::cache {
 
 SetAssocCache::SetAssocCache(const CacheParams &params)
@@ -44,10 +42,7 @@ SetAssocCache::access(Addr addr, AccessType type)
     }
     ++nHits;
     u64 &meta = metaLane[s.base + way];
-    if (cfg.repl == ReplPolicy::Lru)
-        meta = ++clock << 1 | (meta & 1);
-    if (type == AccessType::Write)
-        meta |= 1;
+    meta = ++clock << 1 | (meta & 1) | u64(type == AccessType::Write);
     return true;
 }
 
@@ -69,25 +64,19 @@ std::optional<Eviction>
 SetAssocCache::place(const SetRef &s, bool dirty)
 {
     // The victim rule (pinned by the reference model in
-    // tests/test_cache.cc): first invalid way, else the Random hash,
-    // else the oldest stamp. Invalid ways have meta 0, below every
-    // valid way, so the lowest-index smallest meta word is the first
-    // invalid way if there is one and the lowest-index oldest stamp
-    // otherwise. Like hitWay(), the scan picks with selects to the end
-    // of the set. It draws one clock tick for the tiebreak and one for
-    // the new stamp, whatever the policy.
+    // tests/test_cache.cc): first invalid way, else the oldest stamp.
+    // Invalid ways have meta 0, below every valid way, so the
+    // lowest-index smallest meta word is the first invalid way if there
+    // is one and the lowest-index oldest stamp otherwise. Like
+    // hitWay(), the scan picks with selects to the end of the set.
     const u64 *meta = &metaLane[s.base];
-    u32 oldest = 0;
+    u32 victim = 0;
     u64 oldestMeta = meta[0];
     for (u32 w = 1; w < cfg.ways; ++w) {
         bool older = meta[w] < oldestMeta;
-        oldest = older ? w : oldest;
+        victim = older ? w : victim;
         oldestMeta = older ? meta[w] : oldestMeta;
     }
-    u64 tiebreak = ++clock;
-    u32 victim = oldestMeta != 0 && cfg.repl == ReplPolicy::Random
-        ? static_cast<u32>(splitmix64(tiebreak) % cfg.ways)
-        : oldest;
 
     u64 slot = s.base + victim;
     std::optional<Eviction> evicted;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Generic set-associative tag store.
+ * Generic set-associative LRU tag store.
  *
- * Used for the SRAM hierarchy (L1/L2/LLC) and as the tag structure of
- * several DRAM-cache baselines. Purely functional+statistical: it tracks
- * presence/dirtiness, not data values.
+ * Every tag store but Hybrid2's sectored XTA (core/xta.h) is one of
+ * these: the SRAM hierarchy (L1/L2/LLC), the DRAM-cache baselines' tag
+ * arrays and the remap caches. Purely functional+statistical: it
+ * tracks presence/dirtiness, not data values.
  *
  * Tags are stored in 32 bits, so an instance names addresses below
  * addrLimit() only; lookups beyond it panic. System rejects a flat
@@ -16,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "cache/replacement.h"
 #include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -24,14 +24,13 @@
 
 namespace h2::cache {
 
-/** Geometry and policy of a SetAssocCache. */
+/** Geometry of a SetAssocCache. */
 struct CacheParams
 {
     std::string name = "cache";
     u64 sizeBytes = 0;
     u32 ways = 1;
     u32 lineBytes = 64;
-    ReplPolicy repl = ReplPolicy::Lru;
 };
 
 /** A line evicted by an insertion. */

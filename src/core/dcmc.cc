@@ -586,6 +586,13 @@ H2_REGISTER_DESIGN(hybrid2, [] {
             return detail::concat("line (", spec.u64Param("line"),
                                   ") must not exceed sector (",
                                   spec.u64Param("sector"), ")");
+        // The XTA's valid/dirty vectors hold one bit per line.
+        if (spec.u64Param("sector") / spec.u64Param("line") > 64)
+            return detail::concat(
+                "sector (", spec.u64Param("sector"), ") holds ",
+                spec.u64Param("sector") / spec.u64Param("line"),
+                " lines of line (", spec.u64Param("line"),
+                "); at most 64 are supported");
         if (spec.flag("migrall") &&
             (spec.flag("migrnone") || spec.flag("cacheonly")))
             return "migrall conflicts with migrnone/cacheonly";

@@ -9,30 +9,23 @@ namespace h2::dram {
 DramDevice::DramDevice(const DramParams &params)
     : cfg(params)
 {
-    h2_assert(cfg.channels > 0 && cfg.banksPerChannel > 0,
-              "DRAM geometry must be non-empty");
-    h2_assert(isPowerOf2(cfg.interleaveBytes),
-              "interleave must be a power of two");
+    // Every preset's geometry is a power of two in each dimension, so
+    // decode() and burstClocks() are shifts and masks.
+    u64 beatBytes = u64(cfg.busBytes) * 2;
+    h2_assert(isPowerOf2(cfg.channels) && isPowerOf2(cfg.banksPerChannel) &&
+                  isPowerOf2(cfg.rowBytes) &&
+                  isPowerOf2(cfg.interleaveBytes) && isPowerOf2(beatBytes),
+              cfg.name, ": DRAM channels, banks, row, interleave and beat "
+              "bytes must be powers of two");
     geo.ilvShift = floorLog2(cfg.interleaveBytes);
     geo.ilvMask = cfg.interleaveBytes - 1;
-    geo.chPow2 = isPowerOf2(cfg.channels);
-    if (geo.chPow2) {
-        geo.chShift = floorLog2(cfg.channels);
-        geo.chMask = cfg.channels - 1;
-    }
-    geo.rowBankPow2 =
-        isPowerOf2(cfg.rowBytes) && isPowerOf2(cfg.banksPerChannel);
-    if (geo.rowBankPow2) {
-        geo.rowShift = floorLog2(cfg.rowBytes);
-        geo.bankMask = cfg.banksPerChannel - 1;
-        geo.rowBankShift = geo.rowShift + floorLog2(cfg.banksPerChannel);
-    }
-    u64 beatBytes = u64(cfg.busBytes) * 2;
-    geo.beatPow2 = isPowerOf2(beatBytes);
-    if (geo.beatPow2) {
-        geo.beatShift = floorLog2(beatBytes);
-        geo.beatMask = beatBytes - 1;
-    }
+    geo.chShift = floorLog2(cfg.channels);
+    geo.chMask = cfg.channels - 1;
+    geo.rowShift = floorLog2(cfg.rowBytes);
+    geo.bankMask = cfg.banksPerChannel - 1;
+    geo.rowBankShift = geo.rowShift + floorLog2(cfg.banksPerChannel);
+    geo.beatShift = floorLog2(beatBytes);
+    geo.beatMask = beatBytes - 1;
     channels.resize(cfg.channels);
     for (auto &ch : channels)
         ch.banks.resize(cfg.banksPerChannel);

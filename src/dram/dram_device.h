@@ -99,33 +99,19 @@ class DramDevice
     /**
      * Resolve an address to channel index / bank / row.
      *
-     * Hot path: the geometry is folded into shifts and masks at
-     * construction when the channel count and row/bank geometry are
-     * powers of two (the interleave always is); otherwise a div/mod
-     * fallback keeps arbitrary geometries exact. Public so property
-     * tests can pin the fast path to the reference arithmetic.
+     * Hot path: the power-of-two geometry (asserted at construction)
+     * is folded into shifts and masks. Public so property tests can pin
+     * it to the reference div/mod arithmetic.
      */
     void
     decode(Addr addr, u32 &channel, u64 &bank, u64 &row) const
     {
         u64 chunk = addr >> geo.ilvShift;
-        u64 chAddr;
-        if (geo.chPow2) {
-            channel = static_cast<u32>(chunk & geo.chMask);
-            chAddr = ((chunk >> geo.chShift) << geo.ilvShift)
-                | (addr & geo.ilvMask);
-        } else {
-            channel = static_cast<u32>(chunk % cfg.channels);
-            chAddr = ((chunk / cfg.channels) << geo.ilvShift)
-                | (addr & geo.ilvMask);
-        }
-        if (geo.rowBankPow2) {
-            bank = (chAddr >> geo.rowShift) & geo.bankMask;
-            row = chAddr >> geo.rowBankShift;
-        } else {
-            bank = (chAddr / cfg.rowBytes) % cfg.banksPerChannel;
-            row = chAddr / (u64(cfg.rowBytes) * cfg.banksPerChannel);
-        }
+        channel = static_cast<u32>(chunk & geo.chMask);
+        u64 chAddr = ((chunk >> geo.chShift) << geo.ilvShift)
+            | (addr & geo.ilvMask);
+        bank = (chAddr >> geo.rowShift) & geo.bankMask;
+        row = chAddr >> geo.rowBankShift;
     }
 
     const DramParams &params() const { return cfg; }
@@ -197,15 +183,12 @@ class DramDevice
     {
         u32 ilvShift = 0;
         u64 ilvMask = 0;
-        bool chPow2 = false;
         u32 chShift = 0;
         u64 chMask = 0;
-        bool rowBankPow2 = false;
         u32 rowShift = 0;
         u64 bankMask = 0;
         u32 rowBankShift = 0;
-        bool beatPow2 = false; ///< busBytes * 2 is a power of two
-        u32 beatShift = 0;
+        u32 beatShift = 0; ///< log2 of busBytes * 2
         u64 beatMask = 0;
     };
 
@@ -213,9 +196,7 @@ class DramDevice
     u64
     burstClocks(u64 bytes) const
     {
-        if (geo.beatPow2)
-            return (bytes + geo.beatMask) >> geo.beatShift;
-        return ceilDiv(bytes, u64(cfg.busBytes) * 2);
+        return (bytes + geo.beatMask) >> geo.beatShift;
     }
 
     Tick accessChunk(Addr addr, u32 bytes, AccessType type, Tick now);

@@ -48,7 +48,6 @@ struct MemSystemParams
      *  NVM with asymmetric read/write timing and energy. Designs build
      *  their FM device via dram::DramParams::farMemory(fmTech, ...). */
     dram::FarMemTech fmTech = dram::FarMemTech::Dram;
-    Tick corePeriodPs = 313;       ///< 3.2 GHz core clock (rounded to ps)
     /** Fixed controller/on-chip interconnect traversal per request. */
     Tick controllerLatencyPs = 3130; ///< ~10 core cycles
 };

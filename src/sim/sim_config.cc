@@ -14,9 +14,9 @@ table1Config(u64 nmBytes, u64 fmBytes)
     SystemConfig cfg;
     cfg.numCores = 8;
     cfg.hier.numCores = 8;
-    cfg.hier.l1 = {"L1", 64 * KiB, 4, 64, cache::ReplPolicy::Lru};
-    cfg.hier.l2 = {"L2", 256 * KiB, 8, 64, cache::ReplPolicy::Lru};
-    cfg.hier.llc = {"LLC", 8 * MiB, 16, 64, cache::ReplPolicy::Lru};
+    cfg.hier.l1 = {"L1", 64 * KiB, 4, 64};
+    cfg.hier.l2 = {"L2", 256 * KiB, 8, 64};
+    cfg.hier.llc = {"LLC", 8 * MiB, 16, 64};
     cfg.hier.l1LatencyCycles = 1;
     cfg.hier.l2LatencyCycles = 9;
     cfg.hier.llcLatencyCycles = 14;

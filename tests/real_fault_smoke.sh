@@ -6,7 +6,7 @@
 # --run-timeout watchdog cancels: exit 3 with "run timeout" in both
 # the report and the journal.
 #
-# Usage: inject_smoke.sh <h2sim-binary> <workdir>
+# Usage: real_fault_smoke.sh <h2sim-binary> <workdir>
 set -u
 
 H2SIM=$1

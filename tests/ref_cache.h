@@ -1,6 +1,6 @@
 /**
  * @file
- * Reference models for the tag-store tests: the victim rule and the
+ * Reference models for the tag-store tests: the LRU victim rule and the
  * set-associative tag store as first written, with separate tag, stamp
  * and dirty lanes and a probe + setDirty / insert fill. SetAssocCache
  * and CacheHierarchy are pinned to them op by op.
@@ -11,31 +11,25 @@
 #include <optional>
 #include <vector>
 
-#include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
 #include "common/log.h"
-#include "common/rng.h"
 #include "common/types.h"
 
 namespace h2::cache::ref {
 
 /**
- * Reference victim rule among @p ways entries: an invalid way wins
- * immediately, Random hashes @p tiebreak, and LRU and FIFO evict the
- * lowest-index smallest stamp (they differ only in when the caller
- * refreshes stamps). SetAssocCache applies this rule inside its one
- * scan of the set; SetAssocCache.MatchesReferenceModel pins it here.
+ * Reference LRU victim rule among @p ways entries: an invalid way wins
+ * immediately, else the lowest-index smallest stamp. SetAssocCache
+ * applies this rule inside its one scan of the set;
+ * SetAssocCache.MatchesReferenceModel pins it here.
  */
 inline u32
-selectVictim(ReplPolicy policy, const u64 *stamps, const bool *valids,
-             u32 ways, u64 tiebreak)
+selectVictim(const u64 *stamps, const bool *valids, u32 ways)
 {
     h2_assert(ways > 0, "victim selection over zero ways");
     for (u32 w = 0; w < ways; ++w)
         if (!valids[w])
             return w;
-    if (policy == ReplPolicy::Random)
-        return static_cast<u32>(splitmix64(tiebreak) % ways);
     u32 victim = 0;
     for (u32 w = 1; w < ways; ++w)
         if (stamps[w] < stamps[victim])
@@ -66,8 +60,7 @@ class RefCache
             return false;
         }
         ++hits;
-        if (cfg.repl == ReplPolicy::Lru)
-            stampLane[slot] = ++clock;
+        stampLane[slot] = ++clock;
         if (type == AccessType::Write)
             dirtyLane[slot] = 1;
         return true;
@@ -91,8 +84,7 @@ class RefCache
         bool valids[64];
         for (u32 w = 0; w < cfg.ways; ++w)
             valids[w] = tagLane[base + w] != kInvalid;
-        u32 victim = selectVictim(cfg.repl, &stampLane[base], valids,
-                                  cfg.ways, ++clock);
+        u32 victim = selectVictim(&stampLane[base], valids, cfg.ways);
         std::optional<Eviction> evicted;
         u64 slot = base + victim;
         if (tagLane[slot] != kInvalid) {

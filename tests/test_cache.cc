@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for replacement policies and the generic set-associative cache,
+ * Tests for the LRU victim rule and the generic set-associative cache,
  * including op-by-op equality with a reference tag store.
  */
 
@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 
-#include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -22,15 +21,13 @@ using ref::RefCache;
 using ref::selectVictim;
 
 CacheParams
-smallCache(u32 ways = 4, u32 lineBytes = 64,
-           ReplPolicy repl = ReplPolicy::Lru)
+smallCache(u32 ways = 4, u32 lineBytes = 64)
 {
     CacheParams p;
     p.name = "test";
     p.sizeBytes = u64(ways) * lineBytes * 8; // 8 sets
     p.ways = ways;
     p.lineBytes = lineBytes;
-    p.repl = repl;
     return p;
 }
 
@@ -38,30 +35,14 @@ TEST(Replacement, InvalidWayWinsFirst)
 {
     u64 stamps[4] = {5, 6, 7, 8};
     bool valids[4] = {true, true, false, true};
-    EXPECT_EQ(selectVictim(ReplPolicy::Lru, stamps, valids, 4, 0), 2u);
+    EXPECT_EQ(selectVictim(stamps, valids, 4), 2u);
 }
 
 TEST(Replacement, LruPicksSmallestStamp)
 {
     u64 stamps[4] = {5, 2, 7, 8};
     bool valids[4] = {true, true, true, true};
-    EXPECT_EQ(selectVictim(ReplPolicy::Lru, stamps, valids, 4, 0), 1u);
-}
-
-TEST(Replacement, RandomStaysInRange)
-{
-    u64 stamps[4] = {1, 2, 3, 4};
-    bool valids[4] = {true, true, true, true};
-    for (u64 t = 0; t < 100; ++t)
-        EXPECT_LT(selectVictim(ReplPolicy::Random, stamps, valids, 4, t),
-                  4u);
-}
-
-TEST(Replacement, ToString)
-{
-    EXPECT_EQ(to_string(ReplPolicy::Lru), "LRU");
-    EXPECT_EQ(to_string(ReplPolicy::Fifo), "FIFO");
-    EXPECT_EQ(to_string(ReplPolicy::Random), "Random");
+    EXPECT_EQ(selectVictim(stamps, valids, 4), 1u);
 }
 
 TEST(SetAssocCache, MissThenHit)
@@ -95,18 +76,6 @@ TEST(SetAssocCache, LruEvictionOrder)
     auto victim = c.insert(4 * setStride, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, setStride);
-}
-
-TEST(SetAssocCache, FifoIgnoresAccessRecency)
-{
-    SetAssocCache c(smallCache(4, 64, ReplPolicy::Fifo));
-    u64 setStride = 8 * 64;
-    for (u64 i = 0; i < 4; ++i)
-        c.insert(i * setStride, false);
-    EXPECT_TRUE(c.access(0, AccessType::Read)); // should NOT refresh
-    auto victim = c.insert(4 * setStride, false);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->addr, 0u); // oldest insertion evicted
 }
 
 TEST(SetAssocCache, DirtyTracking)
@@ -209,21 +178,17 @@ TEST(SetAssocCache, NumValidLines)
 TEST(SetAssocCache, FreshCacheFillsWayZeroFirst)
 {
     // A fresh tag lane is all invalid, so fills take ways 0..3 in
-    // order. Random replacement then names the victim by way index;
-    // the fifth fill's tiebreak is clock tick 9 (two ticks per fill).
-    CacheParams p = smallCache(4, 64, ReplPolicy::Random);
+    // order, and the fifth fill evicts the oldest of them: way 0.
+    CacheParams p = smallCache(4, 64);
     p.sizeBytes = 4 * 64; // one set
     SetAssocCache c(p);
     EXPECT_EQ(c.numValidLines(), 0u);
     for (Addr a = 0; a < 4 * 64; a += 64)
         EXPECT_FALSE(c.insert(a, false).has_value());
     EXPECT_EQ(c.numValidLines(), 4u);
-    u64 stamps[4] = {};
-    bool valids[4] = {true, true, true, true};
-    u32 way = selectVictim(ReplPolicy::Random, stamps, valids, 4, 9);
     auto evicted = c.insert(4 * 64, false);
     ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->addr, Addr(way) * 64);
+    EXPECT_EQ(evicted->addr, 0u);
 }
 
 TEST(SetAssocCacheDeath, DoubleInsert)
@@ -305,23 +270,18 @@ runAgainstReference(const CacheParams &p, u64 seed)
 TEST(SetAssocCache, MatchesReferenceModel)
 {
     u64 seed = 0;
-    for (ReplPolicy repl :
-         {ReplPolicy::Lru, ReplPolicy::Fifo, ReplPolicy::Random}) {
-        for (u32 ways : {1u, 3u, 8u, 16u}) {
-            for (u32 sets : {16u, 12u, 1u}) { // pow2, not pow2, single
-                CacheParams p;
-                p.name = "ref";
-                p.ways = ways;
-                p.sizeBytes = u64(sets) * ways * p.lineBytes;
-                p.repl = repl;
-                SCOPED_TRACE(to_string(repl) + " ways=" +
-                             std::to_string(ways) +
-                             " sets=" + std::to_string(sets));
-                ASSERT_EQ(SetAssocCache(p).numSets(), sets);
-                runAgainstReference(p, ++seed);
-                if (HasFatalFailure())
-                    return;
-            }
+    for (u32 ways : {1u, 3u, 8u, 16u}) {
+        for (u32 sets : {16u, 12u, 1u}) { // pow2, not pow2, single
+            CacheParams p;
+            p.name = "ref";
+            p.ways = ways;
+            p.sizeBytes = u64(sets) * ways * p.lineBytes;
+            SCOPED_TRACE("ways=" + std::to_string(ways) +
+                         " sets=" + std::to_string(sets));
+            ASSERT_EQ(SetAssocCache(p).numSets(), sets);
+            runAgainstReference(p, ++seed);
+            if (HasFatalFailure())
+                return;
         }
     }
 }

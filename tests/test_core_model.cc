@@ -114,9 +114,9 @@ class CoreModelTest : public ::testing::Test
     {
         cache::HierarchyParams p;
         p.numCores = 1;
-        p.l1 = {"L1", 1 * KiB, 2, 64, cache::ReplPolicy::Lru};
-        p.l2 = {"L2", 4 * KiB, 4, 64, cache::ReplPolicy::Lru};
-        p.llc = {"LLC", 16 * KiB, 4, 64, cache::ReplPolicy::Lru};
+        p.l1 = {"L1", 1 * KiB, 2, 64};
+        p.l2 = {"L2", 4 * KiB, 4, 64};
+        p.llc = {"LLC", 16 * KiB, 4, 64};
         return p;
     }
 

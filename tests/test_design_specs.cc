@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
+#include <vector>
 
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "sim/design_registry.h"
 #include "sim/runner.h"
 
 namespace h2::sim {
@@ -92,6 +96,57 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/** The smallest and largest values @p p accepts. */
+std::vector<u64>
+acceptedEnds(const ParamDef &p)
+{
+    u64 lo = p.minU64;
+    u64 hi = p.maxU64;
+    if (p.powerOfTwo) {
+        if (!isPowerOf2(lo))
+            lo = u64(1) << (floorLog2(lo) + 1);
+        hi = u64(1) << floorLog2(hi);
+    }
+    return {lo, hi};
+}
+
+TEST(DesignSpecBounds, EveryU64ParamEndConstructsOrFailsCleanly)
+{
+    std::vector<std::string> specs;
+    for (const DesignInfo *d : DesignRegistry::instance().all())
+        for (const ParamDef &p : d->params)
+            if (p.type == ParamDef::Type::U64)
+                for (u64 v : acceptedEnds(p))
+                    specs.push_back(d->name + ":" + p.name + "=" +
+                                    std::to_string(v));
+    ASSERT_GE(specs.size(), 10u); // dfc, hybrid2 x3, ideal, lgm
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE(spec);
+        // Each spec runs in a child, so an abort fails it by name and
+        // the other specs still run. A captured h2_fatal (a precise
+        // error the CLI reports with exit 2) is an accepted outcome.
+        EXPECT_EXIT(
+            {
+                ScopedFatalCapture capture;
+                try {
+                    mem::EmptyLlcView llc;
+                    auto design = makeDesign(spec, smallMem(), llc);
+                    Rng rng(3);
+                    Tick now = 0;
+                    for (int i = 0; i < 64; ++i) {
+                        Addr a = rng.below(design->flatCapacity()) & ~Addr(63);
+                        now = design->access(a, AccessType::Write, now)
+                                  .completeAt();
+                    }
+                    design->checkInvariants();
+                } catch (const FatalError &) {
+                }
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(0), "");
+    }
+}
 
 using DesignSpecDeath = ::testing::Test;
 

@@ -181,6 +181,23 @@ TEST(DramDeviceDeath, ZeroBytes)
     EXPECT_DEATH(dev.access(0, 0, AccessType::Read, 0), "zero-byte");
 }
 
+TEST(DramDeviceDeath, NonPowerOfTwoGeometry)
+{
+    // decode() and the burst sizing are shifts and masks only.
+    auto threeChannels = DramParams::ddr4_3200(96 * MiB);
+    threeChannels.channels = 3;
+    EXPECT_DEATH(DramDevice{threeChannels}, "powers of two");
+    auto sixBanks = DramParams::ddr4_3200(96 * MiB);
+    sixBanks.banksPerChannel = 6;
+    EXPECT_DEATH(DramDevice{sixBanks}, "powers of two");
+    auto oddRow = DramParams::hbm2(96 * MiB);
+    oddRow.rowBytes = 3072;
+    EXPECT_DEATH(DramDevice{oddRow}, "powers of two");
+    auto oddBus = DramParams::hbm2(96 * MiB);
+    oddBus.busBytes = 12;
+    EXPECT_DEATH(DramDevice{oddBus}, "powers of two");
+}
+
 TEST(DramDevice, WriteTimingComparableToRead)
 {
     DramDevice dev(DramParams::ddr4_3200(256 * MiB));

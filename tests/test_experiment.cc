@@ -405,6 +405,30 @@ TEST(H2simCli, OutOfRangeCoresExitsTwoNamingIt)
         << r.output;
 }
 
+/** Design parameters past what the model supports are spec errors:
+ *  exit 2 naming the parameter, never an abort. */
+TEST(H2simCli, UnsupportedLineGeometryExitsTwoNamingIt)
+{
+    const std::string run = " --workload xalanc --cores 1 --instr 2000";
+    CliRun ideal = runH2sim("--design ideal:8192" + run);
+    EXPECT_EQ(ideal.exitCode, 2) << ideal.output;
+    EXPECT_NE(ideal.output.find("bad value for ideal line: '8192'"),
+              std::string::npos)
+        << ideal.output;
+
+    CliRun dfc = runH2sim("--design dfc:8192" + run);
+    EXPECT_EQ(dfc.exitCode, 2) << dfc.output;
+    EXPECT_NE(dfc.output.find("bad value for dfc line: '8192'"),
+              std::string::npos)
+        << dfc.output;
+
+    CliRun h2 = runH2sim("--design hybrid2:sector=65536" + run);
+    EXPECT_EQ(h2.exitCode, 2) << h2.output;
+    EXPECT_NE(h2.output.find("sector (65536) holds 256 lines of line (256)"),
+              std::string::npos)
+        << h2.output;
+}
+
 /** The queue on/off setting is gone: its flag and directive fail like
  *  any unknown input, reports carry no queue key, and a RunConfig that
  *  still asks for the removed mode is rejected by name. */

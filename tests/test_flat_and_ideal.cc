@@ -53,14 +53,6 @@ TEST(FlatBaselineDeath, BeyondCapacity)
     EXPECT_DEATH(b.access(64 * MiB, AccessType::Read, 0), "capacity");
 }
 
-DramCacheParams
-lineParams(u32 lineBytes)
-{
-    DramCacheParams p;
-    p.lineBytes = lineBytes;
-    return p;
-}
-
 /** Read the 16 lines that share line 0's set in the 16-way tag store
  *  (they lie NM / 16 bytes apart), starting at @p t; LRU then evicts
  *  line 0. */
@@ -74,7 +66,7 @@ evictLineZero(IdealCache &c, const mem::MemSystemParams &sys, Tick t)
 
 TEST(IdealCache, MissThenHit)
 {
-    IdealCache c(smallSys(), lineParams(256));
+    IdealCache c(smallSys(), 256);
     auto miss = c.access(0, AccessType::Read, 0);
     EXPECT_FALSE(miss.fromNm);
     auto hit = c.access(0, AccessType::Read, miss.completeAt());
@@ -85,7 +77,7 @@ TEST(IdealCache, MissThenHit)
 
 TEST(IdealCache, LinePrefetchServesNeighbours)
 {
-    IdealCache c(smallSys(), lineParams(1024));
+    IdealCache c(smallSys(), 1024);
     c.access(0, AccessType::Read, 0);
     // The whole 1 KB line was fetched: neighbouring 64 B blocks hit.
     auto r = c.access(512, AccessType::Read, 1000000);
@@ -94,7 +86,7 @@ TEST(IdealCache, LinePrefetchServesNeighbours)
 
 TEST(IdealCache, FillFetchesWholeLineFromFm)
 {
-    IdealCache c(smallSys(), lineParams(1024));
+    IdealCache c(smallSys(), 1024);
     c.access(0, AccessType::Read, 0);
     c.drainQueues(0);
     EXPECT_EQ(c.fmDevice().stats().bytesRead, 1024u);
@@ -104,7 +96,7 @@ TEST(IdealCache, FillFetchesWholeLineFromFm)
 TEST(IdealCache, DirtyVictimWritesBackWholeLine)
 {
     auto sys = smallSys();
-    IdealCache c(sys, lineParams(256));
+    IdealCache c(sys, 256);
     c.access(0, AccessType::Write, 0);
     c.drainQueues(0);
     u64 fmWritesBefore = c.fmDevice().stats().bytesWritten;
@@ -117,7 +109,7 @@ TEST(IdealCache, DirtyVictimWritesBackWholeLine)
 TEST(IdealCache, WastedFetchTracking)
 {
     auto sys = smallSys();
-    IdealCache c(sys, lineParams(4096));
+    IdealCache c(sys, 4096);
     // Touch one 64 B block of a 4 KB line, then evict it with other
     // singly-touched lines: every line wasted 63 of 64 fetched blocks.
     c.access(0, AccessType::Read, 0);
@@ -128,7 +120,7 @@ TEST(IdealCache, WastedFetchTracking)
 TEST(IdealCache, FullyUsedLinesWasteNothing)
 {
     auto sys = smallSys();
-    IdealCache c(sys, lineParams(256));
+    IdealCache c(sys, 256);
     // Use every 64 B block of 17 lines sharing a set: nothing fetched
     // is unused, whether the line is later evicted or still resident.
     for (u64 k = 0; k <= 16; ++k)
@@ -141,7 +133,7 @@ TEST(IdealCache, FullyUsedLinesWasteNothing)
 TEST(IdealCache, ResidentUnusedBlocksCountAsWaste)
 {
     auto sys = smallSys();
-    IdealCache c(sys, lineParams(256));
+    IdealCache c(sys, 256);
     // One resident line with 1 of 4 blocks used: 3/4 wasted.
     c.access(0, AccessType::Read, 0);
     EXPECT_DOUBLE_EQ(c.wastedFetchFraction(), 0.75);
@@ -156,7 +148,7 @@ TEST_P(WasteByLineSize, SparseAccessWastesMoreWithBiggerLines)
     // Random 64 B touches over a space much larger than the cache:
     // bigger lines must waste a larger fraction (the Figure 1 trend).
     auto sys = smallSys();
-    IdealCache c(sys, lineParams(GetParam()));
+    IdealCache c(sys, GetParam());
     Rng rng(7);
     Tick t = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -175,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(Lines, WasteByLineSize,
 
 TEST(IdealCache, ServedFromNmFractionGrowsWithReuse)
 {
-    IdealCache c(smallSys(), lineParams(256));
+    IdealCache c(smallSys(), 256);
     Tick t = 0;
     for (int round = 0; round < 10; ++round)
         for (Addr a = 0; a < 64 * 1024; a += 64)
@@ -186,13 +178,13 @@ TEST(IdealCache, ServedFromNmFractionGrowsWithReuse)
 
 TEST(IdealCache, NameIncludesLineSize)
 {
-    IdealCache c(smallSys(), lineParams(512), "IDEAL-512");
+    IdealCache c(smallSys(), 512, "IDEAL-512");
     EXPECT_EQ(c.name(), "IDEAL-512");
 }
 
 TEST(IdealCache, CollectStats)
 {
-    IdealCache c(smallSys(), lineParams(256));
+    IdealCache c(smallSys(), 256);
     c.access(0, AccessType::Read, 0);
     StatSet out;
     c.collectStats(out);
@@ -202,11 +194,10 @@ TEST(IdealCache, CollectStats)
 
 TEST(IdealCacheDeath, BadLineSize)
 {
-    DramCacheParams p;
-    p.lineBytes = 96; // not a multiple of 64
-    // Either the tag store's geometry check or the cache's own 64 B
-    // multiple check fires first; both are fatal.
-    EXPECT_DEATH(IdealCache(smallSys(), p),
+    // 96 is not a multiple of 64. Either the tag store's geometry
+    // check or the cache's own 64 B multiple check fires first; both
+    // are fatal.
+    EXPECT_DEATH(IdealCache(smallSys(), 96),
                  "multiple of 64|not divisible");
 }
 

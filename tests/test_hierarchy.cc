@@ -23,9 +23,9 @@ tinyHierarchy(u32 cores = 2)
 {
     HierarchyParams p;
     p.numCores = cores;
-    p.l1 = {"L1", 1 * KiB, 2, 64, ReplPolicy::Lru};
-    p.l2 = {"L2", 4 * KiB, 4, 64, ReplPolicy::Lru};
-    p.llc = {"LLC", 16 * KiB, 4, 64, ReplPolicy::Lru};
+    p.l1 = {"L1", 1 * KiB, 2, 64};
+    p.l2 = {"L2", 4 * KiB, 4, 64};
+    p.llc = {"LLC", 16 * KiB, 4, 64};
     return p;
 }
 
@@ -312,13 +312,12 @@ runHierarchyAgainstReference(const HierarchyParams &p, u64 seed)
 
 TEST(Hierarchy, MatchesReferenceModel)
 {
-    HierarchyParams lru = tinyHierarchy(4);
-    HierarchyParams mixed = tinyHierarchy(3);
-    mixed.l1.repl = ReplPolicy::Fifo;
-    mixed.l2 = {"L2", 3 * KiB, 4, 64, ReplPolicy::Random}; // 12 sets
-    mixed.llc = {"LLC", 24 * KiB, 8, 64, ReplPolicy::Fifo};
+    HierarchyParams pow2 = tinyHierarchy(4);
+    HierarchyParams odd = tinyHierarchy(3);
+    odd.l2 = {"L2", 3 * KiB, 4, 64}; // 12 sets
+    odd.llc = {"LLC", 24 * KiB, 8, 64};
     u64 seed = 0;
-    for (const HierarchyParams &p : {lru, mixed}) {
+    for (const HierarchyParams &p : {pow2, odd}) {
         SCOPED_TRACE("params " + std::to_string(seed));
         runHierarchyAgainstReference(p, ++seed);
         if (HasFatalFailure())

@@ -228,9 +228,7 @@ TEST_F(DcmcLatency, MissLatencyCoversSerializedSegments)
 
 TEST(IdealCacheLatency, DirtyEvictionExtendsMiss)
 {
-    baselines::DramCacheParams cp;
-    cp.lineBytes = 1024;
-    baselines::IdealCache c(smallSys(), cp);
+    baselines::IdealCache c(smallSys(), 1024);
     Tick t = 0;
 
     Tick cleanMiss = quiescedLatency(c, 0, AccessType::Write, t);
@@ -240,12 +238,12 @@ TEST(IdealCacheLatency, DirtyEvictionExtendsMiss)
     // Fill every NM line frame with dirty lines; the next distinct line
     // evicts a dirty victim, whose NM source read serializes ahead of
     // the demand fetch.
-    u64 lines = smallSys().nmBytes / cp.lineBytes;
+    u64 lines = smallSys().nmBytes / c.lineBytes();
     for (u64 i = 1; i < lines; ++i)
-        c.access(i * cp.lineBytes, AccessType::Write, t += 20000);
+        c.access(i * c.lineBytes(), AccessType::Write, t += 20000);
     u64 evicted = c.fills();
     t += kGap;
-    Tick evictMiss = quiescedLatency(c, lines * cp.lineBytes,
+    Tick evictMiss = quiescedLatency(c, lines * c.lineBytes(),
                                      AccessType::Write, t);
     ASSERT_EQ(c.fills(), evicted + 1);
     EXPECT_LT(cleanMiss, evictMiss);

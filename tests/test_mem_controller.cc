@@ -554,12 +554,12 @@ shallowQueue()
 }
 
 dram::DramParams
-threeChannels()
+fourChannels()
 {
-    // Non-power-of-two channel and bank counts: the decode fallback.
+    // Twice the DDR4 preset's channels.
     dram::DramParams p = dram::DramParams::ddr4_3200(96 * MiB);
-    p.channels = 3;
-    p.banksPerChannel = 6;
+    p.channels = 4;
+    p.banksPerChannel = 8;
     return p;
 }
 
@@ -571,7 +571,7 @@ TEST(MemController, MatchesReferenceScan)
         {"ddr4_shallow", dram::DramParams::ddr4_3200(256 * MiB),
          shallowQueue(), 3},
         {"pcm", dram::DramParams::pcm(256 * MiB), shallowQueue(), 4},
-        {"ddr4_3ch", threeChannels(), shallowQueue(), 5},
+        {"ddr4_4ch", fourChannels(), shallowQueue(), 5},
     };
     for (const RefCase &c : cases) {
         SCOPED_TRACE(c.name);

@@ -78,9 +78,7 @@ TEST(WasteMonotonicity, BiggerLinesWasteMore)
     std::vector<u32> lines = {64, 256, 1024, 4096};
     std::vector<double> waste;
     for (u32 line : lines) {
-        baselines::DramCacheParams p;
-        p.lineBytes = line;
-        baselines::IdealCache c(sys, p);
+        baselines::IdealCache c(sys, line);
         Rng rng(5);
         Tick t = 0;
         for (int i = 0; i < 30000; ++i) {

@@ -82,7 +82,7 @@ TEST(MakeDesign, IdealDefaultLine)
     auto d = makeDesign("ideal", smallMem(), llc);
     auto *c = dynamic_cast<baselines::IdealCache *>(d.get());
     ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->cacheParams().lineBytes, 256u);
+    EXPECT_EQ(c->lineBytes(), 256u);
 }
 
 TEST(MakeDesignDeath, UnknownSpec)

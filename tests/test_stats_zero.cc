@@ -29,14 +29,6 @@ sys()
     return p;
 }
 
-baselines::DramCacheParams
-cacheParams()
-{
-    baselines::DramCacheParams p;
-    p.lineBytes = 64;
-    return p;
-}
-
 void
 expectZeroAndFinite(const StatSet &s, const char *key)
 {
@@ -89,7 +81,7 @@ TEST(ZeroCountStats, AvgWritebackLatencyZeroWithoutWritebacks)
 // hit-side stats are live.
 TEST(ZeroCountStats, AvgMissLatencyZeroWhenEveryReadHitsNm)
 {
-    baselines::IdealCache c(sys(), cacheParams());
+    baselines::IdealCache c(sys(), 64);
     c.access(0, AccessType::Read, 0); // fill
     c.resetStats();
     auto r = c.access(0, AccessType::Read, 10000000);

@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for the Tagless DRAM cache and the Decoupled Fused Cache.
+ * Tests for the Tagless DRAM cache (the registered "tagless" design)
+ * and the Decoupled Fused Cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baselines/dfc_cache.h"
 #include "common/rng.h"
-#include "baselines/tagless_cache.h"
 #include "common/units.h"
+#include "sim/runner.h"
 
 namespace h2::baselines {
 namespace {
@@ -22,16 +25,27 @@ smallSys()
     return p;
 }
 
+/** The design that `--design tagless` builds. */
+std::unique_ptr<mem::HybridMemory>
+makeTagless()
+{
+    mem::EmptyLlcView llc;
+    return sim::makeDesign("tagless", smallSys(), llc);
+}
+
 TEST(Tagless, PageGranularity)
 {
-    TaglessCache c(smallSys());
-    EXPECT_EQ(c.cacheParams().lineBytes, 4096u);
-    EXPECT_EQ(c.name(), "TAGLESS");
+    auto d = makeTagless();
+    auto *c = dynamic_cast<IdealCache *>(d.get());
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->lineBytes(), 4096u);
+    EXPECT_EQ(c->name(), "TAGLESS");
 }
 
 TEST(Tagless, PageFillOverFetches)
 {
-    TaglessCache c(smallSys());
+    auto d = makeTagless();
+    mem::HybridMemory &c = *d;
     c.access(0, AccessType::Read, 0);
     c.drainQueues(0);
     // One 64 B request pulled a whole 4 KB page from FM.
@@ -40,7 +54,8 @@ TEST(Tagless, PageFillOverFetches)
 
 TEST(Tagless, WholePageHitsAfterFill)
 {
-    TaglessCache c(smallSys());
+    auto d = makeTagless();
+    mem::HybridMemory &c = *d;
     c.access(0, AccessType::Read, 0);
     for (Addr a = 64; a < 4096; a += 64) {
         auto r = c.access(a, AccessType::Read, 1000000 + a);
@@ -52,7 +67,8 @@ TEST(Tagless, NoTagLookupCost)
 {
     // Per the paper, Tagless is modeled without any tag overheads: the
     // only NM traffic is data.
-    TaglessCache c(smallSys());
+    auto d = makeTagless();
+    mem::HybridMemory &c = *d;
     c.access(0, AccessType::Read, 0);
     c.drainQueues(0);
     EXPECT_EQ(c.nmDevice().stats().bytesWritten, 4096u);
@@ -62,7 +78,7 @@ TEST(Tagless, NoTagLookupCost)
 TEST(Dfc, DefaultLineIs1K)
 {
     DfcCache c(smallSys());
-    EXPECT_EQ(c.cacheParams().lineBytes, 1024u);
+    EXPECT_EQ(c.lineBytes(), 1024u);
     EXPECT_EQ(c.name(), "DFC-1024");
 }
 
@@ -98,9 +114,7 @@ TEST(Dfc, TagCacheMissCostsLatency)
     // must be slower than the overhead-free IDEAL at equal line size.
     auto sys = smallSys();
     DfcCache dfc(sys);
-    DramCacheParams ip;
-    ip.lineBytes = 1024;
-    IdealCache ideal(sys, ip);
+    IdealCache ideal(sys, 1024);
     Tick tDfc = dfc.access(0, AccessType::Read, 0).completeAt();
     Tick tIdeal = ideal.access(0, AccessType::Read, 0).completeAt();
     EXPECT_GT(tDfc, tIdeal);
@@ -109,7 +123,7 @@ TEST(Dfc, TagCacheMissCostsLatency)
 TEST(Dfc, CustomLineSize)
 {
     DfcCache c(smallSys(), 128);
-    EXPECT_EQ(c.cacheParams().lineBytes, 128u);
+    EXPECT_EQ(c.lineBytes(), 128u);
     EXPECT_EQ(c.name(), "DFC-128");
     c.access(0, AccessType::Read, 0);
     c.drainQueues(0);
