@@ -109,16 +109,16 @@ Chameleon::promote(u64 group, u64 seg, mem::Timeline &tl)
         Tick rdFm = fmc().access(fmHomeOf(old) * segB, segB,
                                AccessType::Read, base);
         tl.serialize(std::max(rdNm, rdFm));
-        postWrite(*nm, nmSlot, segB, tl.now());
-        postWrite(*fm, fmHomeOf(old) * segB, segB, tl.now());
+        postWrite(nmc(), nmSlot, segB, tl.now());
+        postWrite(fmc(), fmHomeOf(old) * segB, segB, tl.now());
     } else if (old == nativeOf(group)) {
         // Plain pairwise swap: native <-> seg.
         Tick rdNm = nmc().access(nmSlot, segB, AccessType::Read, base);
         Tick rdFm = fmc().access(fmHomeOf(seg) * segB, segB,
                                AccessType::Read, base);
         tl.serialize(std::max(rdNm, rdFm));
-        postWrite(*nm, nmSlot, segB, tl.now());
-        postWrite(*fm, fmHomeOf(seg) * segB, segB, tl.now());
+        postWrite(nmc(), nmSlot, segB, tl.now());
+        postWrite(fmc(), fmHomeOf(seg) * segB, segB, tl.now());
     } else {
         // Three-way exchange: old returns home, native moves to seg's
         // home, seg enters the NM slot.
@@ -128,9 +128,9 @@ Chameleon::promote(u64 group, u64 seg, mem::Timeline &tl)
         Tick rdSeg = fmc().access(fmHomeOf(seg) * segB, segB,
                                 AccessType::Read, base);
         tl.serialize(std::max({rdNm, rdOld, rdSeg}));
-        postWrite(*nm, nmSlot, segB, tl.now());
-        postWrite(*fm, fmHomeOf(old) * segB, segB, tl.now());
-        postWrite(*fm, fmHomeOf(seg) * segB, segB, tl.now());
+        postWrite(nmc(), nmSlot, segB, tl.now());
+        postWrite(fmc(), fmHomeOf(old) * segB, segB, tl.now());
+        postWrite(fmc(), fmHomeOf(seg) * segB, segB, tl.now());
     }
     st.nmMember = seg;
     st.challenger = ~u64(0);
@@ -203,11 +203,11 @@ Chameleon::access(Addr addr, AccessType type, Tick now)
                     Tick vRd = nmc().access(
                         nmBase + victim->addr % cfg.cacheSliceBytes,
                         segB, AccessType::Read, tl.now());
-                    postWrite(*fm, vLoc * segB, segB, vRd);
+                    postWrite(fmc(), vLoc * segB, segB, vRd);
                 }
                 Tick fillRd = fmc().access(fmLoc * segB, segB,
                                          AccessType::Read, tl.now());
-                postWrite(*nm, nmBase + cacheKey % cfg.cacheSliceBytes,
+                postWrite(nmc(), nmBase + cacheKey % cfg.cacheSliceBytes,
                           segB, fillRd);
             }
 
@@ -227,7 +227,7 @@ Chameleon::access(Addr addr, AccessType type, Tick now)
                 promote(group, seg, tl);
         }
     }
-    flushPostedWrites(tl);
+    flushPostedWrites();
     recordService(type, fromNm, tl);
     return {tl, fromNm};
 }

@@ -48,7 +48,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
         Addr nmAddr = lineAddr % sys.nmBytes + (addr - lineAddr);
         tl.serialize(nmc().access(nmAddr, mem::llcLineBytes, type,
                                 tl.now()));
-        flushPostedWrites(tl);
+        flushPostedWrites();
         recordService(type, true, tl);
         return {tl, true};
     }
@@ -71,7 +71,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
             tl.serialize(nmc().access(victim->addr % sys.nmBytes,
                                     lineB, AccessType::Read,
                                     tl.now()));
-            postWrite(*fm, victim->addr, lineB, tl.now());
+            postWrite(fmc(), victim->addr, lineB, tl.now());
         }
     }
     ++nFills;
@@ -90,7 +90,6 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
             Tick rd = fmc().access(lineAddr,
                                  static_cast<u32>(addr - lineAddr),
                                  AccessType::Read, critical);
-            tl.overlap(rd);
             lineReady = std::max(lineReady, rd);
         }
         Addr after = addr + mem::llcLineBytes;
@@ -98,13 +97,12 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
             Tick rd = fmc().access(
                 after, static_cast<u32>(lineAddr + lineB - after),
                 AccessType::Read, critical);
-            tl.overlap(rd);
             lineReady = std::max(lineReady, rd);
         }
     }
-    postWrite(*nm, lineAddr % sys.nmBytes, lineB, lineReady);
+    postWrite(nmc(), lineAddr % sys.nmBytes, lineB, lineReady);
     onFill(lineAddr, tl);
-    flushPostedWrites(tl);
+    flushPostedWrites();
     recordService(type, false, tl);
     return {tl, false};
 }

@@ -57,9 +57,9 @@ IntervalMigration::swap(u64 hotSeg, u64 nmLoc, u32 victimBytes,
                                                base));
     tl.serialize(copied);
     if (hotBytes > 0)
-        postWrite(*nm, nmLoc * segB, hotBytes, tl.now());
+        postWrite(nmc(), nmLoc * segB, hotBytes, tl.now());
     if (victimBytes > 0)
-        postWrite(*fm, hotHome.idx * segB, victimBytes, tl.now());
+        postWrite(fmc(), hotHome.idx * segB, victimBytes, tl.now());
 
     remap.update(hotSeg, core::Loc{true, nmLoc});
     remap.update(victim, core::Loc{false, hotHome.idx});
@@ -105,7 +105,7 @@ IntervalMigration::access(Addr addr, AccessType type, Tick now)
                                   tl.now()));
         onFmAccess(seg);
     }
-    flushPostedWrites(tl);
+    flushPostedWrites();
     recordService(type, loc.inNm, tl);
     return {tl, loc.inNm};
 }

@@ -101,15 +101,4 @@ parseU64OrFatal(std::string_view what, std::string_view value)
     return v;
 }
 
-/** Parse @p value as a non-negative decimal number; h2_fatal on garbage. */
-inline double
-parseFloatOrFatal(std::string_view what, std::string_view value)
-{
-    double v = 0.0;
-    if (!tryParseF64(value, v))
-        h2_fatal("bad value for ", what, ": '", value,
-                 "' (expected a decimal number)");
-    return v;
-}
-
 } // namespace h2

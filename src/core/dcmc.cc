@@ -154,7 +154,7 @@ Dcmc::allocateNmLoc(mem::Timeline &tl)
         // posted once the data is buffered.
         tl.serialize(nmc().access(nmByteAddr(victimLoc, 0), cfg.sectorBytes,
                                 AccessType::Read, tl.now()));
-        postWrite(*fm, fmByteAddr(fmLoc, 0), cfg.sectorBytes, tl.now());
+        postWrite(fmc(), fmByteAddr(fmLoc, 0), cfg.sectorBytes, tl.now());
         bytes.nmSwap += cfg.sectorBytes;
         bytes.fmSwap += cfg.sectorBytes;
     }
@@ -186,7 +186,7 @@ Dcmc::migrateSector(u64 victimFlat, XtaEntry &victim, mem::Timeline &tl)
         u64 off = u64(i) * cfg.lineBytes;
         Tick rd = fmc().access(fmByteAddr(victim.fmLoc, off), cfg.lineBytes,
                              AccessType::Read, base);
-        postWrite(*nm, nmByteAddr(victim.nmLoc, off), cfg.lineBytes, rd);
+        postWrite(nmc(), nmByteAddr(victim.nmLoc, off), cfg.lineBytes, rd);
         fetched = std::max(fetched, rd);
         bytes.fmMigration += cfg.lineBytes;
         bytes.nmMigration += cfg.lineBytes;
@@ -220,7 +220,7 @@ Dcmc::evictSectorToFm(u64 victimFlat, XtaEntry &victim, mem::Timeline &tl)
         u64 off = u64(i) * cfg.lineBytes;
         Tick rd = nmc().access(nmByteAddr(victim.nmLoc, off), cfg.lineBytes,
                              AccessType::Read, base);
-        postWrite(*fm, fmByteAddr(victim.fmLoc, off), cfg.lineBytes, rd);
+        postWrite(fmc(), fmByteAddr(victim.fmLoc, off), cfg.lineBytes, rd);
         drained = std::max(drained, rd);
         bytes.nmWriteback += cfg.lineBytes;
         bytes.fmWriteback += cfg.lineBytes;
@@ -317,7 +317,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
             tl.serialize(fmc().access(fmByteAddr(entry->fmLoc, lineOff),
                                     cfg.lineBytes, AccessType::Read,
                                     tl.now()));
-            postWrite(*nm, nmByteAddr(entry->nmLoc, lineOff),
+            postWrite(nmc(), nmByteAddr(entry->nmLoc, lineOff),
                       cfg.lineBytes, tl.now());
             bytes.fmDemand += cfg.lineBytes;
             bytes.nmDemand += cfg.lineBytes;
@@ -326,7 +326,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
                 entry->dirtyMask |= lineBit;
             fromNm = false;
         }
-        flushPostedWrites(tl);
+        flushPostedWrites();
         recordService(type, fromNm, tl);
         return {tl, fromNm};
     }
@@ -369,7 +369,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
                                 tl.now()));
         // Critical word returned; the NM fill and the inverted-remap
         // write trail off the critical path.
-        postWrite(*nm, nmByteAddr(nmLoc, lineOff), cfg.lineBytes,
+        postWrite(nmc(), nmByteAddr(nmLoc, lineOff), cfg.lineBytes,
                   tl.now());
         bytes.fmDemand += cfg.lineBytes;
         bytes.nmDemand += cfg.lineBytes;
@@ -380,7 +380,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
         metaAccess(AccessType::Write, tl);
         fromNm = false;
     }
-    flushPostedWrites(tl);
+    flushPostedWrites();
     recordService(type, fromNm, tl);
     return {tl, fromNm};
 }

@@ -59,7 +59,6 @@ class MigrationPolicy
                             const XtaEntry &victim);
 
     u64 budget() const { return fmAccessCounter; }
-    u32 counterSaturation() const { return counterMax; }
 
   private:
     u32 counterMax;

@@ -58,7 +58,6 @@ class NmAllocator
 
     u64 numLocs() const { return total; }
     u64 flatCount() const;
-    u64 fifoPointer() const { return nmCounter; }
     u64 probes() const { return nProbes; }
     u64 skips() const { return nSkips; }
 

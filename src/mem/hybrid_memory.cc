@@ -8,34 +8,15 @@ namespace h2::mem {
 HybridMemory::HybridMemory(const MemSystemParams &params,
                            const dram::DramParams &nmParams,
                            const dram::DramParams &fmParams)
-    : sys(params),
-      nm(std::make_unique<dram::DramDevice>(nmParams)),
-      fm(std::make_unique<dram::DramDevice>(fmParams)),
-      nmCtrl(std::make_unique<MemController>(*nm, QueueParams{})),
-      fmCtrl(std::make_unique<MemController>(*fm, QueueParams{}))
+    : sys(params), nmCtrl(std::make_unique<MemController>(nmParams)),
+      fmCtrl(std::make_unique<MemController>(fmParams))
 {
 }
 
 HybridMemory::HybridMemory(const MemSystemParams &params,
                            const dram::DramParams &fmParams)
-    : sys(params), nm(nullptr),
-      fm(std::make_unique<dram::DramDevice>(fmParams)),
-      fmCtrl(std::make_unique<MemController>(*fm, QueueParams{}))
+    : sys(params), fmCtrl(std::make_unique<MemController>(fmParams))
 {
-}
-
-dram::DramDevice &
-HybridMemory::nmDevice()
-{
-    h2_assert(nm, name(), " has no near memory");
-    return *nm;
-}
-
-const dram::DramDevice &
-HybridMemory::nmDevice() const
-{
-    h2_assert(nm, name(), " has no near memory");
-    return *nm;
 }
 
 MemController &
@@ -65,9 +46,9 @@ HybridMemory::drainQueues(Tick now)
 double
 HybridMemory::dynamicEnergyPj() const
 {
-    double e = fm->dynamicEnergyPj();
-    if (nm)
-        e += nm->dynamicEnergyPj();
+    double e = fmDevice().dynamicEnergyPj();
+    if (nmCtrl)
+        e += nmDevice().dynamicEnergyPj();
     return e;
 }
 
@@ -82,7 +63,7 @@ HybridMemory::nmMetaRegionAccess(AccessType type, u64 regionBytes,
         tl.serialize(nmc().access(addr, 64, type, tl.now()));
     } else {
         ++nMetaWrites;
-        postWrite(*nm, addr, 64, tl.now());
+        postWrite(nmc(), addr, 64, tl.now());
     }
 }
 
@@ -128,9 +109,6 @@ HybridMemory::resetStats()
     nmLatencyPsTotal = 0;
     missLatencyPsTotal = 0;
     writebackLatencyPsTotal = 0;
-    fm->resetStats();
-    if (nm)
-        nm->resetStats();
     fmCtrl->resetStats();
     if (nmCtrl)
         nmCtrl->resetStats();
@@ -156,9 +134,9 @@ HybridMemory::collectStats(StatSet &out) const
         + (nmCtrl ? nmCtrl->readQueueDelayPsTotal() : 0);
     out.add("mem.avgQueueDelayPs",
             demand ? double(delayTotal) / double(demand) : 0.0);
-    fm->collectStats(out, "fm");
-    if (nm)
-        nm->collectStats(out, "nm");
+    fmDevice().collectStats(out, "fm");
+    if (nmCtrl)
+        nmDevice().collectStats(out, "nm");
     fmCtrl->collectStats(out, "fmq");
     if (nmCtrl)
         nmCtrl->collectStats(out, "nmq");

@@ -4,8 +4,8 @@
  *
  * The system under test (Hybrid2, the migration baselines, the DRAM-cache
  * baselines, and the FM-only baseline) all sit behind this interface:
- * they receive 64 B demand fills and writebacks from the LLC and own the
- * NM/FM DRAM devices.
+ * they receive 64 B demand fills and writebacks from the LLC and reach
+ * the NM/FM DRAM devices only through one queued controller per side.
  */
 
 #pragma once
@@ -55,8 +55,8 @@ struct MemSystemParams
 /** Outcome of one 64 B request into the memory organization. */
 struct MemResult
 {
-    /** The request's critical path: issue tick, serialized structural
-     *  segments, and the trailing (overlapped) frontier. */
+    /** The request's critical path: issue tick and serialized
+     *  structural segments. */
     Timeline timeline;
     bool fromNm = false;  ///< served by near memory
 
@@ -65,7 +65,8 @@ struct MemResult
 };
 
 /**
- * Base class: owns the DRAM devices and the served-from-NM accounting.
+ * Base class: owns the memory controllers (each owning its device) and
+ * the served-from-NM accounting.
  *
  * Concrete designs implement access() and may add design-specific
  * counters through collectStats().
@@ -106,13 +107,15 @@ class HybridMemory
      *  state (caches, remap tables) is kept. */
     virtual void resetStats();
 
-    bool hasNm() const { return nm != nullptr; }
-    dram::DramDevice &nmDevice();
-    const dram::DramDevice &nmDevice() const;
-    dram::DramDevice &fmDevice() { return *fm; }
-    const dram::DramDevice &fmDevice() const { return *fm; }
+    bool hasNm() const { return nmCtrl != nullptr; }
+    /** Read-only views of the devices behind the controllers. */
+    const dram::DramDevice &nmDevice() const
+    {
+        return nmController().device();
+    }
+    const dram::DramDevice &fmDevice() const { return fmCtrl->device(); }
 
-    /** Queued controllers in front of the devices. */
+    /** Queued controllers, each owning its side's device. */
     MemController &nmController();
     const MemController &nmController() const;
     MemController &fmController() { return *fmCtrl; }
@@ -149,36 +152,32 @@ class HybridMemory
 
   protected:
     /**
-     * Queue a posted write in the controller's write buffer. Buffered
-     * writes are issued by flushPostedWrites() after the request's
-     * serialized reads, so demand traffic keeps bank/channel priority
-     * over structural writes whose data is already latched. @p readyAt
-     * is when the data became available (e.g. its source read's
-     * completion); the device clamps to bank availability.
+     * Buffer a posted write bound for @p ctrl (nmc() or fmc()).
+     * Buffered writes are issued by flushPostedWrites() after the
+     * request's serialized reads, so demand traffic keeps bank/channel
+     * priority over structural writes whose data is already latched.
+     * @p readyAt is when the data became available (e.g. its source
+     * read's completion); the device clamps to bank availability.
      */
     void
-    postWrite(dram::DramDevice &dev, Addr addr, u32 bytes, Tick readyAt)
+    postWrite(MemController &ctrl, Addr addr, u32 bytes, Tick readyAt)
     {
-        postedWrites.push_back({&dev, addr, bytes, readyAt});
+        postedWrites.push_back({&ctrl, addr, bytes, readyAt});
     }
 
     /**
      * Drain the write buffer (in post order) into the controller
-     * write queues; completions extend only @p tl's trailing edge,
-     * never the critical path. Every access() implementation calls
-     * this once before returning, after its serialized reads — so
-     * posted writes enter the queues (and can trigger a forced drain)
-     * only once the demand path has claimed its banks. A queued
-     * write's completion is unknown until a drain dispatches it, so
-     * @p tl's trailing edge extends only to its ready tick.
+     * write queues; none of it lands on the request's critical path.
+     * Every access() implementation calls this once before returning,
+     * after its serialized reads — so posted writes enter the queues
+     * (and can trigger a forced drain) only once the demand path has
+     * claimed its banks.
      */
     void
-    flushPostedWrites(Timeline &tl)
+    flushPostedWrites()
     {
-        for (const PostedWrite &w : postedWrites) {
-            ctrlFor(*w.dev).post(w.addr, w.bytes, w.readyAt);
-            tl.overlap(w.readyAt);
-        }
+        for (const PostedWrite &w : postedWrites)
+            w.ctrl->post(w.addr, w.bytes, w.readyAt);
         postedWrites.clear();
     }
 
@@ -230,34 +229,22 @@ class HybridMemory
         }
     }
 
-    /** Controller shorthand for design access() code: all device
-     *  traffic goes through these so queued scheduling applies
-     *  uniformly. */
+    /** Controller shorthand for design access() code: the only
+     *  handles to the devices that can issue traffic, so queued
+     *  scheduling applies uniformly. */
     MemController &nmc() { return nmController(); }
     MemController &fmc() { return *fmCtrl; }
 
     MemSystemParams sys;
-    std::unique_ptr<dram::DramDevice> nm; ///< null for the FM-only design
-    std::unique_ptr<dram::DramDevice> fm;
 
   private:
     struct PostedWrite
     {
-        dram::DramDevice *dev;
+        MemController *ctrl;
         Addr addr;
         u32 bytes;
         Tick readyAt;
     };
-
-    /** The controller owning @p dev (posted writes carry a device
-     *  pointer; route them into the matching queue). */
-    MemController &
-    ctrlFor(dram::DramDevice &dev)
-    {
-        if (nmCtrl && &dev == nm.get())
-            return *nmCtrl;
-        return *fmCtrl;
-    }
 
     std::unique_ptr<MemController> nmCtrl; ///< null for FM-only
     std::unique_ptr<MemController> fmCtrl;

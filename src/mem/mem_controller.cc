@@ -6,10 +6,10 @@
 
 namespace h2::mem {
 
-MemController::MemController(dram::DramDevice &device,
+MemController::MemController(const dram::DramParams &deviceParams,
                              const QueueParams &params)
-    : dev(device), cfg(params),
-      ilvMask(u64(device.params().interleaveBytes) - 1)
+    : dev(deviceParams), cfg(params),
+      ilvMask(u64(deviceParams.interleaveBytes) - 1)
 {
     h2_assert(cfg.writeLowWatermark < cfg.writeHighWatermark,
               "write-drain watermarks must satisfy low < high (got low=",
@@ -206,6 +206,7 @@ MemController::queuedWrites() const
 void
 MemController::resetStats()
 {
+    dev.resetStats();
     nReads = 0;
     nDrainEpisodes = 0;
     nRowHitBypasses = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Queued memory controller in front of one DramDevice.
+ * Queued memory controller owning one DramDevice.
  *
  * The analytic DramDevice already models bank occupancy and bus
  * contention (later work waits behind `busUntil`/`readyAt`), but until
@@ -68,7 +68,11 @@ struct QueueParams
 class MemController
 {
   public:
-    MemController(dram::DramDevice &device, const QueueParams &params);
+    /** Build the controller and the device it owns. Designs reach
+     *  the device only through this controller: device() is const, so
+     *  no caller can issue DramDevice::access() behind the queues. */
+    explicit MemController(const dram::DramParams &deviceParams,
+                           const QueueParams &params = {});
 
     MemController(const MemController &) = delete;
     MemController &operator=(const MemController &) = delete;
@@ -101,7 +105,6 @@ class MemController
     /** Writes currently sitting in queues (all channels). */
     u64 queuedWrites() const;
 
-    dram::DramDevice &device() { return dev; }
     const dram::DramDevice &device() const { return dev; }
 
     u64 demandAccesses() const { return nReads; }
@@ -117,6 +120,8 @@ class MemController
      *  forced drains issue at the drain decision tick. */
     double avgWriteQueueDelayPs() const { return writeDelay.mean(); }
 
+    /** Zero the queue and device counters; queued writes and device
+     *  state (open rows, bank timing) are kept. */
     void resetStats();
 
     /** Counters under @p prefix (e.g. "nmq"): avgReadQueueDelayPs,
@@ -183,7 +188,7 @@ class MemController
     /** Track a dispatched chunk completing at @p doneAt on @p ch. */
     void trackInflight(u32 ch, Tick doneAt);
 
-    dram::DramDevice &dev;
+    dram::DramDevice dev;
     QueueParams cfg;
     u64 ilvMask; ///< interleaveBytes - 1 (device asserts pow2)
     std::vector<std::vector<QueuedWrite>> writeQ; ///< per channel

@@ -11,8 +11,8 @@
  *    step issues at now(), which chains completions), or
  *  - @b overlaps: the step's data is already latched in controller
  *    buffers (posted writes, trailing fills after the critical word),
- *    so it does not delay the requester; its completion is tracked
- *    only for trailingAt().
+ *    so it does not delay the requester and never touches the
+ *    Timeline.
  *
  * The repo-wide convention (documented per design in README.md,
  * "Latency semantics") is: reads that source data or metadata the
@@ -34,10 +34,7 @@ class Timeline
 {
   public:
     Timeline() = default;
-    explicit Timeline(Tick issueTick)
-        : issue(issueTick), head(issueTick), trailing(issueTick)
-    {
-    }
+    explicit Timeline(Tick issueTick) : issue(issueTick), head(issueTick) {}
 
     /** When the request entered the memory organization. */
     Tick issuedAt() const { return issue; }
@@ -48,52 +45,33 @@ class Timeline
     /** When the critical 64 B block is available to the requester. */
     Tick completeAt() const { return head; }
 
-    /** When every segment, overlapped ones included, has drained. */
-    Tick trailingAt() const { return trailing > head ? trailing : head; }
-
     /** Total serialized latency accumulated so far. */
     Tick criticalPathPs() const { return head - issue; }
-
-    /** Number of serialized segments (advance + serialize calls). */
-    u32 segments() const { return nSegments; }
 
     /** Append a fixed on-chip latency segment (controller, XTA). */
     Tick
     advance(Tick ps)
     {
         head += ps;
-        ++nSegments;
         return head;
     }
 
     /**
      * Serialize a completed step onto the critical path: the request
      * cannot proceed before @p doneAt. Pass the completion tick of a
-     * DramDevice::access issued at now().
+     * MemController::access issued at now().
      */
     Tick
     serialize(Tick doneAt)
     {
         if (doneAt > head)
             head = doneAt;
-        ++nSegments;
         return head;
-    }
-
-    /** Record off-critical-path (posted/trailing) work completing at
-     *  @p doneAt; visible through trailingAt() only. */
-    void
-    overlap(Tick doneAt)
-    {
-        if (doneAt > trailing)
-            trailing = doneAt;
     }
 
   private:
     Tick issue = 0;
-    Tick head = 0;     ///< critical-path frontier
-    Tick trailing = 0; ///< completion of overlapped segments
-    u32 nSegments = 0;
+    Tick head = 0; ///< critical-path frontier
 };
 
 } // namespace h2::mem

@@ -72,8 +72,9 @@ CoreModel::step()
         auto mr = memory.access(lineAddr, AccessType::Read, clock);
         if (rec.type == AccessType::Read)
             // The pending miss retires when the critical word returns;
-            // the timeline's trailing (overlapped) traffic drains in
-            // the background and is only felt through DRAM contention.
+            // off-path traffic (trailing fills, posted writes) drains
+            // in the background and is only felt through DRAM
+            // contention.
             pending.push_back({mr.timeline.completeAt(), instrs});
     }
     if (res.writeback)

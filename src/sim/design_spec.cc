@@ -161,12 +161,6 @@ DesignSpec::parseOrFatal(std::string_view text)
     return *std::move(result.spec);
 }
 
-const std::string &
-DesignSpec::kindName() const
-{
-    return def->name;
-}
-
 std::string
 DesignSpec::toString() const
 {

@@ -77,8 +77,6 @@ class DesignSpec
     /** Parse @p text; h2_fatal (exit, not crash) on any error. */
     static DesignSpec parseOrFatal(std::string_view text);
 
-    /** Grammar head, e.g. "dfc". */
-    const std::string &kindName() const;
     /** Registry entry this spec was validated against. */
     const DesignInfo &info() const { return *def; }
 

@@ -53,6 +53,17 @@ TEST(FlatBaselineDeath, BeyondCapacity)
     EXPECT_DEATH(b.access(64 * MiB, AccessType::Read, 0), "capacity");
 }
 
+TEST(FlatBaselineDeath, HasNoNearMemory)
+{
+    // FM-only: there is no NM controller, so neither it nor the device
+    // it would own can be handed out.
+    FlatBaseline b(smallSys());
+    const FlatBaseline &cb = b;
+    EXPECT_DEATH((void)b.nmController(), "BASELINE has no near memory");
+    EXPECT_DEATH((void)cb.nmController(), "BASELINE has no near memory");
+    EXPECT_DEATH((void)b.nmDevice(), "BASELINE has no near memory");
+}
+
 /** Read the 16 lines that share line 0's set in the 16-way tag store
  *  (they lie NM / 16 bytes apart), starting at @p t; LRU then evicts
  *  line 0. */

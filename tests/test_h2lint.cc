@@ -98,46 +98,15 @@ TEST(LintScrub, RawStringsAreStripped)
 
 TEST(LintScrub, SuppressionsParse)
 {
-    auto sf = detail::scrub("int a; // h2lint: allow(R1, R2)\n"
+    auto sf = detail::scrub("int a; // h2lint: allow(R3, R2)\n"
                             "int b;\n"
                             "int c;\n"
                             "// h2lint: allow-file(R5)\n");
-    EXPECT_TRUE(sf.suppressed("R1", 1));
+    EXPECT_TRUE(sf.suppressed("R3", 1));
     EXPECT_TRUE(sf.suppressed("R2", 2)); // next line is covered
-    EXPECT_FALSE(sf.suppressed("R1", 3));
+    EXPECT_FALSE(sf.suppressed("R3", 3));
     EXPECT_TRUE(sf.suppressed("R5", 999)); // file-wide
     EXPECT_FALSE(sf.suppressed("R4", 1));
-}
-
-// --------------------------------------------------------------- R1
-
-TEST(LintR1, FlagsDirectDeviceCalls)
-{
-    auto fs = lintFixture("r1_bad.cc", "src/baselines/fake.cc");
-    EXPECT_EQ(linesOf(fs, "R1"), (std::vector<int>{14, 15, 16, 17}));
-}
-
-TEST(LintR1, PassesControllerSeamCode)
-{
-    auto fs = lintFixture("r1_good.cc", "src/baselines/good.cc");
-    EXPECT_TRUE(fs.empty()) << formatFinding(fs.front());
-}
-
-TEST(LintR1, SuppressionSilences)
-{
-    auto fs = lintFixture("r1_suppressed.cc", "src/baselines/sup.cc");
-    EXPECT_TRUE(fs.empty()) << formatFinding(fs.front());
-}
-
-TEST(LintR1, DoesNotApplyUnderMemOrDram)
-{
-    std::string text = readFixture("r1_bad.cc");
-    EXPECT_TRUE(
-        lintFileContents("src/mem/impl.cc", text, Options{}).empty());
-    EXPECT_TRUE(
-        lintFileContents("src/dram/impl.cc", text, Options{}).empty());
-    EXPECT_TRUE(
-        lintFileContents("tests/test_dram.cc", text, Options{}).empty());
 }
 
 // --------------------------------------------------------------- R2
@@ -310,7 +279,7 @@ TEST(LintExitCodes, UsageErrorsExitTwo)
 TEST(LintExitCodes, ListRulesExitsZeroAndCoversEveryRule)
 {
     EXPECT_EQ(runLint("--list-rules"), 0);
-    EXPECT_EQ(ruleTable().size(), 5u);
+    EXPECT_EQ(ruleTable().size(), 4u);
 }
 
 } // namespace

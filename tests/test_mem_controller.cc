@@ -47,8 +47,8 @@ opensRow(const dram::DramDevice &dev, Addr addr)
 
 TEST(MemController, PostedWritesDeferUntilDrain)
 {
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
+    const dram::DramDevice &dev = ctrl.device();
 
     ctrl.post(0, 64, 1000);
     ctrl.post(512, 64, 2000);
@@ -66,8 +66,8 @@ TEST(MemController, PostedWritesDeferUntilDrain)
 
 TEST(MemController, FrFcfsDispatchesRowHitBeforeOlderRowMiss)
 {
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
+    const dram::DramDevice &dev = ctrl.device();
 
     // Open row 1 of channel 0 / bank 0.
     ctrl.access(32768, 64, AccessType::Read, 0);
@@ -89,11 +89,11 @@ TEST(MemController, FrFcfsDispatchesRowHitBeforeOlderRowMiss)
 
 TEST(MemController, WriteDrainHysteresis)
 {
-    dram::DramDevice dev(ddr());
     QueueParams q;
     q.writeHighWatermark = 4;
     q.writeLowWatermark = 1;
-    MemController ctrl(dev, q);
+    MemController ctrl(ddr(), q);
+    const dram::DramDevice &dev = ctrl.device();
 
     // Distinct chunks on channel 0, all below the high watermark.
     ctrl.post(0, 64, 1000);
@@ -125,9 +125,9 @@ TEST(MemController, IdleDrainIssuesIntoGapWithoutDelayingTheRead)
     // is issued retroactively at its ready tick it reproduces the
     // timing of a bare device written at that tick — including the
     // read behind it.
-    dram::DramDevice devA(ddr());
+    MemController ctrl(ddr());
+    const dram::DramDevice &devA = ctrl.device();
     dram::DramDevice devB(ddr());
-    MemController ctrl(devA, QueueParams{});
 
     ctrl.post(0, 64, 1000);
     Tick readDoneA = ctrl.access(32768, 64, AccessType::Read, 10000000);
@@ -147,9 +147,9 @@ TEST(MemController, IdleDrainSkipsWritesThatWouldDelayTheRead)
     // A write whose service cannot complete by the read's arrival tick
     // stays queued (read priority): the read must observe the same
     // timing as if the write did not exist.
-    dram::DramDevice devA(ddr());
+    MemController ctrl(ddr());
+    const dram::DramDevice &devA = ctrl.device();
     dram::DramDevice devB(ddr());
-    MemController ctrl(devA, QueueParams{});
 
     // Ready "just before" the read: no idle gap to hide in.
     ctrl.post(0, 64, 9999999);
@@ -164,8 +164,7 @@ TEST(MemController, IdleDrainSkipsWritesThatWouldDelayTheRead)
 
 TEST(MemController, ReadQueueDelayReflectsContention)
 {
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
 
     // Widely spaced reads: no serialized wait, delay stays zero.
     ctrl.access(0, 64, AccessType::Read, 0);
@@ -182,26 +181,34 @@ TEST(MemController, ReadQueueDelayReflectsContention)
 
 TEST(MemController, ResetStatsPreservesQueueContents)
 {
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
+    const dram::DramDevice &dev = ctrl.device();
 
+    ctrl.access(32768, 64, AccessType::Read, 0);
     ctrl.post(0, 64, 1000);
     ctrl.post(512, 64, 2000);
+    ASSERT_EQ(dev.stats().reads, 1u);
     ctrl.resetStats();
 
-    // Stats are cleared, state is not: the queued writes still exist
-    // and still drain.
+    // Stats are cleared, the owned device's included; state is not:
+    // the queued writes still exist and still drain.
+    EXPECT_EQ(dev.stats().reads, 0u);
+    EXPECT_EQ(dev.stats().totalBytes(), 0u);
+    EXPECT_EQ(dev.stats().activations, 0u);
+    EXPECT_DOUBLE_EQ(dev.dynamicEnergyPj(), 0.0);
+    EXPECT_EQ(ctrl.demandAccesses(), 0u);
     EXPECT_EQ(ctrl.queuedWrites(), 2u);
     EXPECT_EQ(ctrl.drainEpisodes(), 0u);
     EXPECT_DOUBLE_EQ(ctrl.avgWriteQueueDelayPs(), 0.0);
     ctrl.drainAll(100000);
     EXPECT_EQ(dev.stats().writes, 2u);
+    EXPECT_EQ(dev.stats().reads, 0u);
 }
 
 TEST(MemController, MultiChunkPostSplitsAcrossChannels)
 {
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
+    const dram::DramDevice &dev = ctrl.device();
 
     // 512 B from 0 covers chunks on channel 0 and channel 1.
     ctrl.post(0, 512, 1000);
@@ -218,8 +225,7 @@ TEST(MemController, ZeroTrafficStatsAreZeroAndFinite)
 {
     // Satellite audit: every queue stat must render as exactly 0 (not
     // NaN, not garbage) before any traffic exists.
-    dram::DramDevice dev(ddr());
-    MemController ctrl(dev, QueueParams{});
+    MemController ctrl(ddr());
 
     StatSet s;
     ctrl.collectStats(s, "q");
@@ -481,9 +487,9 @@ struct RefCase
 void
 runAgainstReference(const RefCase &c)
 {
-    dram::DramDevice dev(c.params);
+    MemController ctrl(c.params, c.queue);
+    const dram::DramDevice &dev = ctrl.device();
     dram::DramDevice refDev(c.params);
-    MemController ctrl(dev, c.queue);
     RefController ref(refDev, c.queue);
 
     // A few hot rows so row hits, FR-FCFS bypasses and idle gaps all
@@ -524,9 +530,8 @@ runAgainstReference(const RefCase &c)
         } else {
             bypasses += ctrl.rowHitBypasses();
             episodes += ctrl.drainEpisodes();
-            ctrl.resetStats();
+            ctrl.resetStats(); // resets its device too
             ref.resetStats();
-            dev.resetStats();
             refDev.resetStats();
         }
 
@@ -583,11 +588,10 @@ TEST(MemController, MatchesReferenceScan)
 
 TEST(MemControllerDeath, WatermarksMustBeOrdered)
 {
-    dram::DramDevice dev(ddr());
     QueueParams q;
     q.writeHighWatermark = 4;
     q.writeLowWatermark = 4;
-    EXPECT_DEATH(MemController(dev, q), "low < high");
+    EXPECT_DEATH(MemController(ddr(), q), "low < high");
 }
 
 } // namespace

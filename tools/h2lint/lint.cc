@@ -17,9 +17,6 @@ namespace h2::lint {
 namespace {
 
 const std::vector<RuleInfo> kRules = {
-    {"R1", "device-seam",
-     "no direct DramDevice access()/post() outside src/mem/ + "
-     "src/dram/ — route traffic through nmc()/fmc()/ctrlFor()"},
     {"R2", "banned-call",
      "no std::sto*/rand/time/strtok in checked code, no printf outside "
      "src/main.cc and bench/ — each diagnostic names the sanctioned "
@@ -291,68 +288,6 @@ emit(std::vector<Finding> &out, const ScrubbedFile &sf,
 {
     if (!sf.suppressed(rule, line))
         out.push_back({rule, file, line, message});
-}
-
-// ---------------------------------------------------------------- R1
-
-/** Identifiers declared (or returned by an accessor declared) as
- *  DramDevice in this file, plus the HybridMemory-inherited device
- *  members every design sees. */
-std::set<std::string>
-dramDeviceIdents(const std::string &code)
-{
-    std::set<std::string> ids = {"nm", "fm"};
-    static const std::regex kDecl(
-        R"(\bDramDevice\s*>?\s*[*&]?\s*(\w+))");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), kDecl);
-         it != std::sregex_iterator(); ++it)
-        ids.insert((*it)[1].str());
-    return ids;
-}
-
-void
-checkDeviceSeam(const std::string &relPath, const ScrubbedFile &sf,
-                std::vector<Finding> &out)
-{
-    if (!startsWith(relPath, "src/") || startsWith(relPath, "src/mem/") ||
-        startsWith(relPath, "src/dram/"))
-        return;
-    const std::string &code = sf.code;
-    std::set<std::string> devs = dramDeviceIdents(code);
-
-    auto flag = [&](size_t pos, const std::string &callee) {
-        emit(out, sf, "R1", relPath, detail::lineOf(code, pos),
-             "direct DramDevice " + callee +
-                 "() call outside src/mem/ bypasses FR-FCFS queueing — "
-                 "route it through nmc()/fmc() (mem::MemController; see "
-                 "src/mem/hybrid_memory.h)");
-    };
-
-    // recv->access( / recv.post( where recv is a known device.
-    static const std::regex kMember(
-        R"((\w+)\s*(?:->|\.)\s*(access|post)\s*\()");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                        kMember);
-         it != std::sregex_iterator(); ++it)
-        if (devs.count((*it)[1].str()))
-            flag(size_t(it->position(0)), (*it)[2].str());
-
-    // recv().access( where recv() is a DramDevice accessor
-    // (nmDevice()/fmDevice() picked up by the declaration scan).
-    static const std::regex kViaCall(
-        R"((\w+)\s*\(\s*\)\s*(?:->|\.)\s*(access|post)\s*\()");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                        kViaCall);
-         it != std::sregex_iterator(); ++it)
-        if (devs.count((*it)[1].str()))
-            flag(size_t(it->position(0)), (*it)[2].str());
-
-    // Explicitly qualified calls.
-    static const std::regex kQualified(R"(DramDevice::(access|post)\b)");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                        kQualified);
-         it != std::sregex_iterator(); ++it)
-        flag(size_t(it->position(0)), (*it)[1].str());
 }
 
 // ---------------------------------------------------------------- R2
@@ -708,8 +643,6 @@ lintFileContents(const std::string &relPath, const std::string &text,
     if (!isSourcePath(relPath))
         return out;
     ScrubbedFile sf = detail::scrub(text);
-    if (ruleEnabled(opt, "R1"))
-        checkDeviceSeam(relPath, sf, out);
     if (ruleEnabled(opt, "R2"))
         checkBannedCalls(relPath, sf, out);
     if (ruleEnabled(opt, "R5"))
@@ -742,8 +675,6 @@ lintTree(const Options &opt, std::string *error)
         if (!text)
             continue;
         ScrubbedFile sf = detail::scrub(*text);
-        if (ruleEnabled(opt, "R1"))
-            checkDeviceSeam(rel, sf, out);
         if (ruleEnabled(opt, "R2"))
             checkBannedCalls(rel, sf, out);
         if (ruleEnabled(opt, "R5"))

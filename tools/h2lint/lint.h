@@ -2,13 +2,9 @@
  * @file
  * h2lint: project-specific static analysis for the Hybrid2 simulator.
  *
- * Token/regex-level checks (no libclang) that lock in the structural
- * invariants PRs 5-7 established by convention:
+ * Token/regex-level checks (no libclang) that lock in structural
+ * invariants the type system cannot express:
  *
- *   R1 device-seam      no direct DramDevice access()/post() outside
- *                       src/mem/ + src/dram/ — designs must route
- *                       traffic through nmc()/fmc()/ctrlFor() so
- *                       FR-FCFS queueing applies.
  *   R2 banned-call      crash- or determinism-hostile stdlib calls
  *                       (std::sto*, rand, time, strtok, printf outside
  *                       src/main.cc and bench/) with the sanctioned
@@ -78,7 +74,7 @@ struct Options
 bool ruleEnabled(const Options &opt, const std::string &id);
 
 /**
- * Per-file rules (R1, R2, R5) over one file's contents. @p relPath is
+ * Per-file rules (R2, R5) over one file's contents. @p relPath is
  * the repo-relative path — rule applicability (src/ vs bench/ vs
  * header) is derived from it, so fixture tests can lint an on-disk
  * file under any logical path.

@@ -9,7 +9,7 @@
  *
  * Tree mode (default) walks src/, bench/, tests/, tools/ under --root
  * and runs every rule, including the cross-file R3/R4. With explicit
- * file operands only the per-file rules (R1, R2, R5) run — that is the
+ * file operands only the per-file rules (R2, R5) run — that is the
  * mode CI's seeded-violation check uses.
  */
 
@@ -28,13 +28,13 @@ namespace {
 int
 usage(std::ostream &os, int rc)
 {
-    os << "usage: h2lint [--root DIR] [--rules R1,R2,...] "
+    os << "usage: h2lint [--root DIR] [--rules R2,R3,...] "
           "[--list-rules] [file...]\n"
           "\n"
           "Project-specific static analysis for the Hybrid2 simulator.\n"
           "Without file operands, walks src/, bench/, tests/, tools/\n"
           "under --root (default: .) and runs all rules; with files,\n"
-          "runs the per-file rules (R1, R2, R5) on just those files.\n"
+          "runs the per-file rules (R2, R5) on just those files.\n"
           "\n"
           "  --root DIR     repo root for the tree walk and the R3/R4\n"
           "                 cross-file targets\n"
