@@ -33,10 +33,7 @@ cacheModeParams(const ChameleonParams &cfg)
 
 Chameleon::Chameleon(const mem::MemSystemParams &sysParams,
                      const ChameleonParams &params)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
+    : mem::HybridMemory(sysParams),
       cfg(resolveParams(sysParams, params)),
       nmGroupSegs((sysParams.nmBytes - cfg.cacheSliceBytes)
                   / cfg.segmentBytes),
@@ -142,18 +139,14 @@ Chameleon::promote(u64 group, u64 seg, mem::Timeline &tl)
     ++nSwaps;
 }
 
-mem::MemResult
-Chameleon::access(Addr addr, AccessType type, Tick now)
+bool
+Chameleon::serve(Addr addr, AccessType type, mem::Timeline &tl)
 {
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond flat capacity");
     u64 seg = addr / cfg.segmentBytes;
     u64 offset = addr % cfg.segmentBytes;
     u64 group = groupOf(seg);
     u64 segB = cfg.segmentBytes;
 
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
     // Remap-table reads gate the data access; updates are posted.
     if (!remapCache.lookup(group))
         nmMetaRegionAccess(AccessType::Read, baselineMetaRegionBytes(), tl);
@@ -227,9 +220,7 @@ Chameleon::access(Addr addr, AccessType type, Tick now)
                 promote(group, seg, tl);
         }
     }
-    flushPostedWrites();
-    recordService(type, fromNm, tl);
-    return {tl, fromNm};
+    return fromNm;
 }
 
 void

@@ -51,7 +51,6 @@ class Chameleon : public mem::HybridMemory
     Chameleon(const mem::MemSystemParams &sysParams,
               const ChameleonParams &params = {});
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return "CHA"; }
     u64 flatCapacity() const override;
     void collectStats(StatSet &out) const override;
@@ -63,6 +62,8 @@ class Chameleon : public mem::HybridMemory
     bool inNmSlot(u64 seg) const;
 
   private:
+    bool serve(Addr addr, AccessType type, mem::Timeline &tl) override;
+
     struct GroupState
     {
         u64 nmMember;   ///< flat segment occupying the NM slot

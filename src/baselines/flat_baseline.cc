@@ -1,27 +1,19 @@
 #include "baselines/flat_baseline.h"
 
-#include "common/log.h"
 #include "sim/design_registry.h"
 
 namespace h2::baselines {
 
 FlatBaseline::FlatBaseline(const mem::MemSystemParams &sysParams)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes))
+    : mem::HybridMemory(sysParams, false)
 {
 }
 
-mem::MemResult
-FlatBaseline::access(Addr addr, AccessType type, Tick now)
+bool
+FlatBaseline::serve(Addr addr, AccessType type, mem::Timeline &tl)
 {
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond FM capacity");
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
     tl.serialize(fmc().access(addr, mem::llcLineBytes, type, tl.now()));
-    recordService(type, false, tl);
-    return {tl, false};
+    return false;
 }
 
 H2_REGISTER_DESIGN(baseline, [] {

@@ -15,9 +15,11 @@ class FlatBaseline : public mem::HybridMemory
   public:
     explicit FlatBaseline(const mem::MemSystemParams &sysParams);
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return "BASELINE"; }
     u64 flatCapacity() const override { return sys.fmBytes; }
+
+  private:
+    bool serve(Addr addr, AccessType type, mem::Timeline &tl) override;
 };
 
 } // namespace h2::baselines

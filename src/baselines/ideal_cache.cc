@@ -9,10 +9,7 @@ namespace h2::baselines {
 
 IdealCache::IdealCache(const mem::MemSystemParams &sysParams,
                        u32 lineBytes, const std::string &displayName)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
+    : mem::HybridMemory(sysParams),
       lineB(lineBytes), label(displayName),
       tags({"dramCacheTags", sysParams.nmBytes, 16, lineBytes})
 {
@@ -29,15 +26,11 @@ IdealCache::onFill(Addr, mem::Timeline &)
     // No metadata traffic in the ideal design.
 }
 
-mem::MemResult
-IdealCache::access(Addr addr, AccessType type, Tick now)
+bool
+IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
 {
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond FM capacity");
     Addr lineAddr = addr & ~Addr(lineB - 1);
     u32 blockIdx = static_cast<u32>((addr - lineAddr) / mem::llcLineBytes);
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
     tagLookup(addr, tl);
 
     if (tags.access(lineAddr, type)) {
@@ -48,9 +41,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
         Addr nmAddr = lineAddr % sys.nmBytes + (addr - lineAddr);
         tl.serialize(nmc().access(nmAddr, mem::llcLineBytes, type,
                                 tl.now()));
-        flushPostedWrites();
-        recordService(type, true, tl);
-        return {tl, true};
+        return true;
     }
 
     // Miss: fetch the full line from FM (critical 64 B first), fill NM.
@@ -102,9 +93,7 @@ IdealCache::access(Addr addr, AccessType type, Tick now)
     }
     postWrite(nmc(), lineAddr % sys.nmBytes, lineB, lineReady);
     onFill(lineAddr, tl);
-    flushPostedWrites();
-    recordService(type, false, tl);
-    return {tl, false};
+    return false;
 }
 
 double

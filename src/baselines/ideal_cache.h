@@ -28,7 +28,6 @@ class IdealCache : public mem::HybridMemory
     IdealCache(const mem::MemSystemParams &sysParams, u32 lineBytes,
                const std::string &displayName = "IDEAL");
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return label; }
     u64 flatCapacity() const override { return sys.fmBytes; }
     void collectStats(StatSet &out) const override;
@@ -55,6 +54,8 @@ class IdealCache : public mem::HybridMemory
     /** Hook: metadata update on a fill (e.g. tag store write); posted
      *  off the critical path. */
     virtual void onFill(Addr lineAddr, mem::Timeline &tl);
+
+    bool serve(Addr addr, AccessType type, mem::Timeline &tl) override;
 
     u32 lineB;
     std::string label;

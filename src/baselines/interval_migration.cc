@@ -10,10 +10,7 @@ namespace h2::baselines {
 IntervalMigration::IntervalMigration(const mem::MemSystemParams &sysParams,
                                      u32 segBytes, Tick interval,
                                      std::string prefix)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
+    : mem::HybridMemory(sysParams),
       segmentBytes(segBytes),
       nmSegs(sysParams.nmBytes / segBytes),
       fmSegs(sysParams.fmBytes / segBytes),
@@ -73,17 +70,13 @@ IntervalMigration::swap(u64 hotSeg, u64 nmLoc, u32 victimBytes,
     nUncopiedLines += (2 * segB - victimBytes - hotBytes) / mem::llcLineBytes;
 }
 
-mem::MemResult
-IntervalMigration::access(Addr addr, AccessType type, Tick now)
+bool
+IntervalMigration::serve(Addr addr, AccessType type, mem::Timeline &tl)
 {
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond flat capacity");
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs);
     // Interval-end migrations run in the controller when the first
     // request past the boundary arrives; that request (and everything
     // behind it) waits for the swaps' serialized reads.
-    while (now >= nextInterval) {
+    while (tl.issuedAt() >= nextInterval) {
         endInterval(tl);
         ++nIntervals;
         nextInterval += intervalPs;
@@ -105,9 +98,7 @@ IntervalMigration::access(Addr addr, AccessType type, Tick now)
                                   tl.now()));
         onFmAccess(seg);
     }
-    flushPostedWrites();
-    recordService(type, loc.inNm, tl);
-    return {tl, loc.inNm};
+    return loc.inNm;
 }
 
 void

@@ -30,7 +30,6 @@ namespace h2::baselines {
 class IntervalMigration : public mem::HybridMemory
 {
   public:
-    mem::MemResult access(Addr addr, AccessType type, Tick now) final;
     u64 flatCapacity() const final { return sys.nmBytes + sys.fmBytes; }
     void collectStats(StatSet &out) const override;
     void resetStats() final;
@@ -82,6 +81,8 @@ class IntervalMigration : public mem::HybridMemory
     const u64 fmSegs;
 
   private:
+    bool serve(Addr addr, AccessType type, mem::Timeline &tl) final;
+
     core::RemapTable remap; ///< reused with a zero cache region
     RemapCache remapCache;
     const Tick intervalPs;

@@ -52,10 +52,7 @@ Dcmc::Dcmc(const mem::MemSystemParams &sysParams, const Hybrid2Params &params)
 
 Dcmc::Dcmc(const mem::MemSystemParams &sysParams, const Hybrid2Params &params,
            const Layout &l)
-    : mem::HybridMemory(sysParams,
-                        dram::DramParams::hbm2(sysParams.nmBytes),
-                        dram::DramParams::farMemory(sysParams.fmTech,
-                                                    sysParams.fmBytes)),
+    : mem::HybridMemory(sysParams),
       cfg(params),
       metaSectors(l.metaSectors),
       nmLocs(l.nmLocs),
@@ -275,12 +272,10 @@ Dcmc::prepareWay(u64 flatSector, mem::Timeline &tl)
     return way;
 }
 
-mem::MemResult
-Dcmc::access(Addr addr, AccessType type, Tick now)
+bool
+Dcmc::serve(Addr addr, AccessType type, mem::Timeline &tl)
 {
-    h2_assert(addr + mem::llcLineBytes <= flatCapacity(),
-              "access beyond flat capacity: ", addr);
-    migrPolicy.advanceTo(now);
+    migrPolicy.advanceTo(tl.issuedAt());
 
     u64 flatSector = addr / cfg.sectorBytes;
     u64 offsetInSector = addr % cfg.sectorBytes;
@@ -288,8 +283,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
     u64 lineBit = u64(1) << lineIdx;
     u64 lineOff = u64(lineIdx) * cfg.lineBytes;
 
-    mem::Timeline tl(now);
-    tl.advance(sys.controllerLatencyPs + cfg.xtaLatencyPs);
+    tl.advance(cfg.xtaLatencyPs);
     bool fromNm;
 
     XtaEntry *entry = tags.find(flatSector);
@@ -326,9 +320,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
                 entry->dirtyMask |= lineBit;
             fromNm = false;
         }
-        flushPostedWrites();
-        recordService(type, fromNm, tl);
-        return {tl, fromNm};
+        return fromNm;
     }
 
     // 2: XTA miss - the remap-table read, the way eviction (writeback
@@ -380,9 +372,7 @@ Dcmc::access(Addr addr, AccessType type, Tick now)
         metaAccess(AccessType::Write, tl);
         fromNm = false;
     }
-    flushPostedWrites();
-    recordService(type, fromNm, tl);
-    return {tl, fromNm};
+    return fromNm;
 }
 
 bool

@@ -63,8 +63,6 @@ class Dcmc : public mem::HybridMemory
     Dcmc(const mem::MemSystemParams &sysParams,
          const Hybrid2Params &params);
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
-
     std::string name() const override { return "HYBRID2"; }
     u64 flatCapacity() const override;
     void checkInvariants() const override;
@@ -93,6 +91,8 @@ class Dcmc : public mem::HybridMemory
     u32 sectorBytes() const { return cfg.sectorBytes; }
 
   private:
+    bool serve(Addr addr, AccessType type, mem::Timeline &tl) override;
+
     /** NM carve-up and flat-space sizing computed once per Dcmc. */
     struct Layout
     {

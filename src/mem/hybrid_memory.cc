@@ -5,18 +5,56 @@
 
 namespace h2::mem {
 
-HybridMemory::HybridMemory(const MemSystemParams &params,
-                           const dram::DramParams &nmParams,
-                           const dram::DramParams &fmParams)
-    : sys(params), nmCtrl(std::make_unique<MemController>(nmParams)),
-      fmCtrl(std::make_unique<MemController>(fmParams))
+HybridMemory::HybridMemory(const MemSystemParams &params, bool withNm)
+    : sys(params),
+      nmCtrl(withNm ? std::make_unique<MemController>(
+                          params.nmDeviceParams())
+                    : nullptr),
+      fmCtrl(std::make_unique<MemController>(params.fmDeviceParams()))
 {
 }
 
-HybridMemory::HybridMemory(const MemSystemParams &params,
-                           const dram::DramParams &fmParams)
-    : sys(params), fmCtrl(std::make_unique<MemController>(fmParams))
+MemResult
+HybridMemory::access(Addr addr, AccessType type, Tick now)
 {
+    h2_assert(addr + llcLineBytes <= flatCapacity(), name(),
+              ": access beyond flat capacity: ", addr);
+    Timeline tl(now);
+    tl.advance(sys.controllerLatencyPs);
+    bool fromNm = serve(addr, type, tl);
+    flushPostedWrites();
+    recordService(type, fromNm, tl);
+    return {tl, fromNm};
+}
+
+void
+HybridMemory::flushPostedWrites()
+{
+    for (const PostedWrite &w : postedWrites)
+        w.ctrl->post(w.addr, w.bytes, w.readyAt);
+    postedWrites.clear();
+}
+
+void
+HybridMemory::recordService(AccessType type, bool fromNm,
+                            const Timeline &tl)
+{
+    ++nRequests;
+    if (fromNm)
+        ++nFromNm;
+    if (type == AccessType::Read) {
+        ++nDemandReads;
+        demandLatencyPsTotal += tl.criticalPathPs();
+        if (fromNm) {
+            ++nDemandReadsFromNm;
+            nmLatencyPsTotal += tl.criticalPathPs();
+        } else {
+            missLatencyPsTotal += tl.criticalPathPs();
+        }
+    } else {
+        ++nWritebacks;
+        writebackLatencyPsTotal += tl.criticalPathPs();
+    }
 }
 
 MemController &

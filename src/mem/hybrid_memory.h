@@ -45,11 +45,23 @@ struct MemSystemParams
     u64 nmBytes = 1ull << 30;      ///< near-memory capacity
     u64 fmBytes = 16ull << 30;     ///< far-memory capacity
     /** Far-memory device technology: DDR4 DRAM (default) or a PCM-like
-     *  NVM with asymmetric read/write timing and energy. Designs build
-     *  their FM device via dram::DramParams::farMemory(fmTech, ...). */
+     *  NVM with asymmetric read/write timing and energy. */
     dram::FarMemTech fmTech = dram::FarMemTech::Dram;
     /** Fixed controller/on-chip interconnect traversal per request. */
     Tick controllerLatencyPs = 3130; ///< ~10 core cycles
+
+    /** The Table 1 devices every design uses: HBM2 near memory and
+     *  DDR4 (or PCM) far memory at the configured capacities. */
+    dram::DramParams
+    nmDeviceParams() const
+    {
+        return dram::DramParams::hbm2(nmBytes);
+    }
+    dram::DramParams
+    fmDeviceParams() const
+    {
+        return dram::DramParams::farMemory(fmTech, fmBytes);
+    }
 };
 
 /** Outcome of one 64 B request into the memory organization. */
@@ -65,21 +77,20 @@ struct MemResult
 };
 
 /**
- * Base class: owns the memory controllers (each owning its device) and
- * the served-from-NM accounting.
+ * Base class: owns the memory controllers (each owning its device),
+ * the request frame every design shares, and the served-from-NM
+ * accounting.
  *
- * Concrete designs implement access() and may add design-specific
+ * Concrete designs implement serve() and may add design-specific
  * counters through collectStats().
  */
 class HybridMemory
 {
   public:
-    HybridMemory(const MemSystemParams &params,
-                 const dram::DramParams &nmParams,
-                 const dram::DramParams &fmParams);
-    /** FM-only construction (no near memory device). */
-    HybridMemory(const MemSystemParams &params,
-                 const dram::DramParams &fmParams);
+    /** Builds the NM and FM controllers from @p params' Table 1
+     *  devices; @p withNm = false builds an FM-only system. */
+    explicit HybridMemory(const MemSystemParams &params,
+                          bool withNm = true);
     virtual ~HybridMemory() = default;
 
     HybridMemory(const HybridMemory &) = delete;
@@ -88,9 +99,11 @@ class HybridMemory
     /**
      * Serve a 64 B line request (demand fill or LLC writeback) issued at
      * @p now (picoseconds). @p addr is a flat processor physical address
-     * in [0, flatCapacity()).
+     * in [0, flatCapacity()). The frame is the same for every design:
+     * the controller traversal, the design's serve(), then the posted
+     * writes and the service accounting.
      */
-    virtual MemResult access(Addr addr, AccessType type, Tick now) = 0;
+    MemResult access(Addr addr, AccessType type, Tick now);
 
     virtual std::string name() const = 0;
 
@@ -153,8 +166,8 @@ class HybridMemory
   protected:
     /**
      * Buffer a posted write bound for @p ctrl (nmc() or fmc()).
-     * Buffered writes are issued by flushPostedWrites() after the
-     * request's serialized reads, so demand traffic keeps bank/channel
+     * Buffered writes are issued by access() after serve()'s
+     * serialized reads, so demand traffic keeps bank/channel
      * priority over structural writes whose data is already latched.
      * @p readyAt is when the data became available (e.g. its source
      * read's completion); the device clamps to bank availability.
@@ -163,22 +176,6 @@ class HybridMemory
     postWrite(MemController &ctrl, Addr addr, u32 bytes, Tick readyAt)
     {
         postedWrites.push_back({&ctrl, addr, bytes, readyAt});
-    }
-
-    /**
-     * Drain the write buffer (in post order) into the controller
-     * write queues; none of it lands on the request's critical path.
-     * Every access() implementation calls this once before returning,
-     * after its serialized reads — so posted writes enter the queues
-     * (and can trigger a forced drain) only once the demand path has
-     * claimed its banks.
-     */
-    void
-    flushPostedWrites()
-    {
-        for (const PostedWrite &w : postedWrites)
-            w.ctrl->post(w.addr, w.bytes, w.readyAt);
-        postedWrites.clear();
     }
 
     /**
@@ -204,32 +201,7 @@ class HybridMemory
         return cap < (16ull << 20) ? cap : (16ull << 20);
     }
 
-    /** Record one served request: NM-served accounting plus the
-     *  request's serialized critical-path latency. Reads (demand
-     *  fills) and writes (LLC writebacks) land in separate latency
-     *  buckets. */
-    void
-    recordService(AccessType type, bool fromNm, const Timeline &tl)
-    {
-        ++nRequests;
-        if (fromNm)
-            ++nFromNm;
-        if (type == AccessType::Read) {
-            ++nDemandReads;
-            demandLatencyPsTotal += tl.criticalPathPs();
-            if (fromNm) {
-                ++nDemandReadsFromNm;
-                nmLatencyPsTotal += tl.criticalPathPs();
-            } else {
-                missLatencyPsTotal += tl.criticalPathPs();
-            }
-        } else {
-            ++nWritebacks;
-            writebackLatencyPsTotal += tl.criticalPathPs();
-        }
-    }
-
-    /** Controller shorthand for design access() code: the only
+    /** Controller shorthand for design serve() code: the only
      *  handles to the devices that can issue traffic, so queued
      *  scheduling applies uniformly. */
     MemController &nmc() { return nmController(); }
@@ -238,6 +210,30 @@ class HybridMemory
     MemSystemParams sys;
 
   private:
+    /**
+     * The design's part of access(): route the request at @p addr,
+     * serializing its reads onto @p tl (already past the controller
+     * traversal; tl.issuedAt() is the request's issue tick) and
+     * buffering its writes through postWrite(). Returns whether near
+     * memory served the request.
+     */
+    virtual bool serve(Addr addr, AccessType type, Timeline &tl) = 0;
+
+    /**
+     * Drain the write buffer (in post order) into the controller
+     * write queues; none of it lands on the request's critical path.
+     * access() calls this once after serve()'s serialized reads — so
+     * posted writes enter the queues (and can trigger a forced drain)
+     * only once the demand path has claimed its banks.
+     */
+    void flushPostedWrites();
+
+    /** Record one served request: NM-served accounting plus the
+     *  request's serialized critical-path latency. Reads (demand
+     *  fills) and writes (LLC writebacks) land in separate latency
+     *  buckets. */
+    void recordService(AccessType type, bool fromNm, const Timeline &tl);
+
     struct PostedWrite
     {
         MemController *ctrl;

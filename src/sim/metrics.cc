@@ -110,9 +110,6 @@ Metrics::fromJson(const JsonValue &v, std::string *error)
                     typeError = "detail." + name + " is not a number";
                     break;
                 }
-                // Deserialization round-trip, not a new emission: the
-                // key came out of a metrics record some collectStats()
-                // already produced. h2lint: allow(R4)
                 m.detail.add(name, stat.asDouble());
             }
     }

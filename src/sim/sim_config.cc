@@ -45,8 +45,8 @@ validateSystemConfig(const SystemConfig &cfg)
 std::string
 describeConfig(const SystemConfig &cfg)
 {
-    auto nm = dram::DramParams::hbm2(cfg.mem.nmBytes);
-    auto fm = dram::DramParams::farMemory(cfg.mem.fmTech, cfg.mem.fmBytes);
+    dram::DramParams nm = cfg.mem.nmDeviceParams();
+    dram::DramParams fm = cfg.mem.fmDeviceParams();
     std::ostringstream os;
     os << "Cores       : " << cfg.numCores << " cores, out-of-order, "
        << cfg.core.issueWidth << "-way issue/commit, 3.2 GHz\n"

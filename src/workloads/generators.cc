@@ -100,10 +100,8 @@ RandomGen::nextAddr()
 ZipfGen::ZipfGen(const GenParams &params)
     : GeneratorBase(params)
 {
-    hotBytes = p.hotBytes
-        ? p.hotBytes
-        : static_cast<u64>(p.footprintBytes * p.hotFraction);
-    hotBytes = std::min(std::max<u64>(4096, hotBytes),
+    h2_assert(p.hotBytes > 0, "ZipfGen needs hotBytes");
+    hotBytes = std::min(std::max<u64>(4096, p.hotBytes),
                         p.footprintBytes / 2);
 }
 
@@ -153,9 +151,8 @@ PointerChaseGen::nextAddr()
 GatherGen::GatherGen(const GenParams &params)
     : GeneratorBase(params)
 {
-    regionBytes = std::min<u64>(
-        p.hotBytes ? p.hotBytes : u64(p.footprintBytes * p.hotFraction),
-        p.footprintBytes / 2);
+    h2_assert(p.hotBytes > 0, "GatherGen needs hotBytes");
+    regionBytes = std::min<u64>(p.hotBytes, p.footprintBytes / 2);
     h2_assert(regionBytes >= 4096, "gather region too small");
     streamSpan = p.footprintBytes - regionBytes;
     u32 n = std::max<u32>(1, p.streams);
@@ -180,24 +177,6 @@ GatherGen::nextAddr()
                                              : c % partitionBytes;
     cursors[s] = c;
     return addr;
-}
-
-PhasedGen::PhasedGen(const GenParams &params, u64 windowBytes)
-    : GeneratorBase(params), window(windowBytes)
-{
-    h2_assert(window >= 4096 && window <= p.footprintBytes,
-              "bad phase window");
-    h2_assert(p.phaseLength > 0, "PhasedGen needs a phase length");
-}
-
-Addr
-PhasedGen::nextAddr()
-{
-    if (++accessesInPhase >= p.phaseLength) {
-        accessesInPhase = 0;
-        windowBase = rng.below(p.footprintBytes - window) & ~Addr(4095);
-    }
-    return windowBase + (rng.below(window) & ~Addr(7));
 }
 
 MixSource::MixSource(std::vector<std::unique_ptr<TraceSource>> mixParts,

@@ -32,14 +32,11 @@ struct GenParams
     u32 accessStride = 8;
     /** Concurrent streams for streaming patterns. */
     u32 streams = 4;
-    /** Fraction of the footprint that is hot (Zipf-like patterns). */
-    double hotFraction = 0.1;
-    /** Absolute hot-region size; overrides hotFraction when non-zero. */
+    /** Hot-region size of the Zipf and Gather patterns; they require
+     *  it non-zero. */
     u64 hotBytes = 0;
     /** Probability an access goes to the hot region. */
     double hotProbability = 0.9;
-    /** Accesses between working-set moves (phased patterns); 0 = off. */
-    u64 phaseLength = 0;
     /**
      * Spatial burst length (in 64 B lines) of random/cold accesses:
      * after jumping to a random spot, the generator walks this many
@@ -173,21 +170,6 @@ class GatherGen : public GeneratorBase
     std::vector<u64> cursors;
     u64 partitionBytes;
     u32 turn = 0;
-};
-
-/** Random touches within a window that relocates periodically. */
-class PhasedGen : public GeneratorBase
-{
-  public:
-    PhasedGen(const GenParams &params, u64 windowBytes);
-
-  protected:
-    Addr nextAddr() override;
-
-  private:
-    u64 window;
-    u64 windowBase = 0;
-    u64 accessesInPhase = 0;
 };
 
 /**

@@ -89,10 +89,8 @@ Workload::makeSource(u32 core, u32 numCores, u64 seed) const
                         ^ std::hash<std::string>{}(name));
     p.accessStride = accessStride;
     p.streams = streams;
-    p.hotFraction = hotFraction;
     p.hotBytes = hotBytes;
     p.hotProbability = hotProbability;
-    p.phaseLength = phaseLength;
     p.burstLines = burstLines;
 
     switch (pattern) {
@@ -108,8 +106,6 @@ Workload::makeSource(u32 core, u32 numCores, u64 seed) const
         return std::make_unique<ZipfGen>(p);
       case Pattern::PointerChase:
         return std::make_unique<PointerChaseGen>(p);
-      case Pattern::Phased:
-        return std::make_unique<PhasedGen>(p, patternParam);
     }
     h2_panic("unknown pattern");
 }

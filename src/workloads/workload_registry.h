@@ -34,7 +34,6 @@ enum class Pattern : u8 {
     Gather,       ///< streams + random gathers into a shared region
     Zipf,         ///< hot/cold reuse (integer codes)
     PointerChase, ///< dependent chains (graph/tree codes)
-    Phased,       ///< moving working-set windows
 };
 
 struct Workload
@@ -46,11 +45,9 @@ struct Workload
     double memRatio = 0.1;
     double writeFrac = 0.3;
     Pattern pattern = Pattern::Random;
-    u64 patternParam = 0;       ///< stride bytes / phase window bytes
-    double hotFraction = 0.1;
-    u64 hotBytes = 0; ///< absolute hot-region size (overrides fraction)
+    u64 patternParam = 0;       ///< stride bytes (Stride pattern)
+    u64 hotBytes = 0; ///< hot-region size (Zipf and Gather patterns)
     double hotProbability = 0.9;
-    u64 phaseLength = 0;
     u32 streams = 4;
     u32 accessStride = 8;
     u32 burstLines = 1; ///< spatial burst length of random/cold touches

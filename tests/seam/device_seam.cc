@@ -23,10 +23,13 @@ class SeamProbe : public mem::HybridMemory
   public:
     using HybridMemory::HybridMemory;
 
-    mem::MemResult
-    access(Addr addr, AccessType type, Tick now) override
+    std::string name() const override { return "seam-probe"; }
+    u64 flatCapacity() const override { return sys.fmBytes; }
+
+  private:
+    bool
+    serve(Addr addr, AccessType type, mem::Timeline &tl) override
     {
-        mem::Timeline tl(now);
 #if defined(SEAM_CONTROL)
         tl.serialize(fmc().access(addr, 64, type, tl.now()));
 #elif defined(SEAM_FM_DEVICE)
@@ -40,11 +43,8 @@ class SeamProbe : public mem::HybridMemory
 #else
 #error "define one SEAM_* case"
 #endif
-        return {tl, false};
+        return false;
     }
-
-    std::string name() const override { return "seam-probe"; }
-    u64 flatCapacity() const override { return sys.fmBytes; }
 };
 
 } // namespace h2

@@ -17,17 +17,24 @@
  * relative error so the snapshots survive compilers that contract
  * a*b+c into fma (the checked-in values come from one build type, CI
  * runs several).
+ *
+ * Every registered design gets a GoldenMetrics.<Design>Lbm case,
+ * instantiated from the design registry in main(): a design added
+ * without a snapshot fails here by name.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "sim/design_registry.h"
 #include "sim/runner.h"
 #include "workloads/workload_spec.h"
 
@@ -203,13 +210,10 @@ checkGolden(const std::string &design, const std::string &workloadSpec,
 // streaming high-MPKI, a pointer-heavy high-MPKI, and a low-MPKI
 // workload, plus one mix to pin the interleave behaviour.
 
-TEST(GoldenMetrics, BaselineLbm) { checkGolden("baseline", "lbm"); }
 TEST(GoldenMetrics, BaselineMcf) { checkGolden("baseline", "mcf"); }
 TEST(GoldenMetrics, BaselineXalanc) { checkGolden("baseline", "xalanc"); }
-TEST(GoldenMetrics, DfcLbm) { checkGolden("dfc", "lbm"); }
 TEST(GoldenMetrics, DfcMcf) { checkGolden("dfc", "mcf"); }
 TEST(GoldenMetrics, DfcXalanc) { checkGolden("dfc", "xalanc"); }
-TEST(GoldenMetrics, Hybrid2Lbm) { checkGolden("hybrid2", "lbm"); }
 TEST(GoldenMetrics, Hybrid2Mcf) { checkGolden("hybrid2", "mcf"); }
 TEST(GoldenMetrics, Hybrid2Xalanc) { checkGolden("hybrid2", "xalanc"); }
 TEST(GoldenMetrics, Hybrid2Mix)
@@ -217,18 +221,9 @@ TEST(GoldenMetrics, Hybrid2Mix)
     checkGolden("hybrid2", "mix:mcf+xalanc:2");
 }
 
-// One leg per remaining registered design: h2lint's R3 requires every
-// H2_REGISTER_DESIGN to carry at least one snapshot, so a design whose
-// behaviour silently drifts — or whose registration is added without
-// regression coverage — fails the tree lint, not just code review.
+// One lbm leg per registered design (registerDesignGoldens below):
 // lbm (streaming, high MPKI) exercises eviction/migration machinery in
 // all of them within the small golden budget.
-
-TEST(GoldenMetrics, ChameleonLbm) { checkGolden("chameleon", "lbm"); }
-TEST(GoldenMetrics, IdealLbm) { checkGolden("ideal", "lbm"); }
-TEST(GoldenMetrics, TaglessLbm) { checkGolden("tagless", "lbm"); }
-TEST(GoldenMetrics, LgmLbm) { checkGolden("lgm", "lbm"); }
-TEST(GoldenMetrics, MempodLbm) { checkGolden("mempod", "lbm"); }
 
 // fm=pcm legs: pin the PCM far-memory backend — asymmetric read/write
 // timing (tRCD/tWR), the asymmetric per-operation energy split, and
@@ -269,5 +264,46 @@ TEST(GoldenMetricsMigration, LgmLbm)
     checkGolden("lgm", "lbm", "migration", migrationConfig());
 }
 
+/** The registry-instantiated leg: @p design on lbm. */
+class DesignGolden : public ::testing::Test
+{
+  public:
+    explicit DesignGolden(std::string name) : design(std::move(name)) {}
+    void TestBody() override { checkGolden(design, "lbm"); }
+
+  private:
+    std::string design;
+};
+
+/** Register GoldenMetrics.<Design>Lbm for every registered design
+ *  (the registry is complete only after static initialization, so
+ *  main() calls this, not a static initializer). */
+void
+registerDesignGoldens()
+{
+    for (const sim::DesignInfo *info :
+         sim::DesignRegistry::instance().all()) {
+        std::string name = info->name;
+        std::string testName = name + "Lbm";
+        testName[0] = char(
+            std::toupper(static_cast<unsigned char>(testName[0])));
+        // The factory returns the base Test type so these cases share
+        // the suite's fixture with the TEST() legs above.
+        ::testing::RegisterTest(
+            "GoldenMetrics", testName.c_str(), nullptr, nullptr, __FILE__,
+            __LINE__, [name]() -> ::testing::Test * {
+                return new DesignGolden(name);
+            });
+    }
+}
+
 } // namespace
 } // namespace h2
+
+int
+main(int argc, char **argv)
+{
+    ::testing::InitGoogleTest(&argc, argv);
+    h2::registerDesignGoldens();
+    return RUN_ALL_TESTS();
+}

@@ -6,7 +6,9 @@
  * faster than the sum of its serialized DRAM components.
  *
  * All scenario accesses are spaced far apart (quiesced devices), so the
- * measured latencies decompose into the serialized segments only.
+ * measured latencies decompose into the serialized segments only. The
+ * last case checks the same cost end to end: a whole hybrid2 run's
+ * average miss latency must exceed its noremap ablation's.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include "core/dcmc.h"
 #include "dram/dram_device.h"
 #include "mem/timeline.h"
+#include "sim/runner.h"
+#include "workloads/workload_spec.h"
 
 namespace h2 {
 namespace {
@@ -319,6 +323,26 @@ TEST(LgmLatency, IntervalMigrationDelaysNextRequest)
     EXPECT_FALSE(hotStillFm);
     EXPECT_TRUE(hotNowNm) << "scenario bug: the hot segment never moved";
     EXPECT_GT(delayed, quiet);
+}
+
+// The remap/metadata structures the paper charges Hybrid2 for must be
+// visible in a whole run: the noremap ablation makes remap-structure
+// accesses free, and a single core keeps the two access streams
+// identical, so the only difference is the serialized metadata traffic
+// on the miss path.
+TEST(Hybrid2Latency, RemappingRaisesAverageMissLatency)
+{
+    sim::RunConfig cfg;
+    cfg.numCores = 1;
+    cfg.instrPerCore = 60'000;
+    cfg.warmupInstrPerCore = 20'000;
+    cfg.seed = 42;
+    workloads::Workload wl = workloads::resolveWorkloadOrFatal("mcf");
+    sim::Metrics full = sim::simulateOne(cfg, wl, "hybrid2");
+    sim::Metrics ablated = sim::simulateOne(cfg, wl, "hybrid2:noremap");
+    EXPECT_GT(full.detail.get("mem.avgMissLatencyPs"),
+              ablated.detail.get("mem.avgMissLatencyPs"))
+        << "remap metadata cost is invisible in the miss latency";
 }
 
 } // namespace

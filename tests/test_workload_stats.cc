@@ -30,19 +30,10 @@ patternWorkload(Pattern pattern)
     w.memRatio = 0.23;
     w.writeFrac = 0.31;
     w.pattern = pattern;
-    w.hotFraction = 0.1;
+    w.hotBytes = w.footprintBytes / 10;
     w.hotProbability = 0.85;
-    switch (pattern) {
-      case Pattern::Stride:
+    if (pattern == Pattern::Stride)
         w.patternParam = 256; // stride bytes
-        break;
-      case Pattern::Phased:
-        w.patternParam = 1ull << 20; // window bytes
-        w.phaseLength = 10'000;
-        break;
-      default:
-        break;
-    }
     return w;
 }
 
@@ -71,7 +62,6 @@ collect(TraceSource &src, u64 n, u64 hotBoundary)
 const Pattern kAllPatterns[] = {
     Pattern::Stream, Pattern::Stride,       Pattern::Random,
     Pattern::Gather, Pattern::Zipf,         Pattern::PointerChase,
-    Pattern::Phased,
 };
 
 TEST(WorkloadStats, EveryPatternHitsMemRatioExactly)
@@ -114,10 +104,9 @@ TEST(WorkloadStats, EveryPatternStaysInsideFootprint)
 TEST(WorkloadStats, ZipfHotRegionProbability)
 {
     Workload w = patternWorkload(Pattern::Zipf);
-    // ZipfGen's hot region: hotFraction of the footprint at its base.
-    u64 hotBytes = u64(double(w.footprintBytes) * w.hotFraction);
+    // ZipfGen's hot region: hotBytes at the footprint base.
     auto src = w.makeSource(0, 1, 1);
-    StreamStats s = collect(*src, kRecords, hotBytes);
+    StreamStats s = collect(*src, kRecords, w.hotBytes);
     double hot = double(s.hotHits) / double(kRecords);
     EXPECT_NEAR(hot, w.hotProbability, 0.0025);
 }
@@ -125,11 +114,9 @@ TEST(WorkloadStats, ZipfHotRegionProbability)
 TEST(WorkloadStats, GatherRegionProbability)
 {
     Workload w = patternWorkload(Pattern::Gather);
-    // GatherGen's gather region sits at the footprint base, sized like
-    // Zipf's hot region.
-    u64 regionBytes = u64(double(w.footprintBytes) * w.hotFraction);
+    // GatherGen's gather region: hotBytes at the footprint base.
     auto src = w.makeSource(0, 1, 1);
-    StreamStats s = collect(*src, kRecords, regionBytes);
+    StreamStats s = collect(*src, kRecords, w.hotBytes);
     double hot = double(s.hotHits) / double(kRecords);
     EXPECT_NEAR(hot, w.hotProbability, 0.0025);
 }

@@ -187,28 +187,14 @@ TEST(Patterns, ZipfConcentratesOnHotRegion)
 {
     GenParams p;
     p.footprintBytes = 16 * MiB;
-    p.hotFraction = 0.1;
+    p.hotBytes = p.footprintBytes / 10;
     p.hotProbability = 0.9;
     p.memRatio = 0.5;
     ZipfGen g(p);
-    u64 hotBytes = static_cast<u64>(p.footprintBytes * p.hotFraction);
     int hot = 0;
     for (int i = 0; i < 10000; ++i)
-        hot += g.next().vaddr < hotBytes;
+        hot += g.next().vaddr < p.hotBytes;
     EXPECT_NEAR(hot / 10000.0, 0.9, 0.02);
-}
-
-TEST(Patterns, PhasedWindowRelocates)
-{
-    GenParams p;
-    p.footprintBytes = 64 * MiB;
-    p.phaseLength = 100;
-    p.memRatio = 0.5;
-    PhasedGen g(p, 1 * MiB);
-    std::set<u64> windows;
-    for (int i = 0; i < 1000; ++i)
-        windows.insert(g.next().vaddr / (1 * MiB));
-    EXPECT_GT(windows.size(), 3u);
 }
 
 TEST(Patterns, RandomBurstsAreSequential)

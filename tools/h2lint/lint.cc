@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <regex>
 #include <sstream>
@@ -21,12 +20,6 @@ const std::vector<RuleInfo> kRules = {
      "no std::sto*/rand/time/strtok in checked code, no printf outside "
      "src/main.cc and bench/ — each diagnostic names the sanctioned "
      "replacement"},
-    {"R3", "design-coverage",
-     "every H2_REGISTER_DESIGN has tests/golden/<name>_*.json snapshots "
-     "and a row in the README design table"},
-    {"R4", "metrics-manifest",
-     "every Metrics.detail stats key emitted in src/ is documented in "
-     "docs/metrics.md, and every manifest row is emitted by src/"},
     {"R5", "header-hygiene",
      "headers carry #pragma once, no `using namespace`, no <iostream>"},
 };
@@ -154,7 +147,6 @@ scrub(const std::string &text)
 {
     ScrubbedFile out;
     out.code = text;
-    out.codeKeepStrings = text;
 
     enum class St { Code, LineComment, BlockComment, Str, Chr, RawStr };
     St st = St::Code;
@@ -163,13 +155,7 @@ scrub(const std::string &text)
     int line = 1;
     std::string rawDelim;     // raw-string closing delimiter ")xyz""
 
-    auto blankBoth = [&](size_t i) {
-        if (text[i] != '\n') {
-            out.code[i] = ' ';
-            out.codeKeepStrings[i] = ' ';
-        }
-    };
-    auto blankCodeOnly = [&](size_t i) {
+    auto blank = [&](size_t i) {
         if (text[i] != '\n')
             out.code[i] = ' ';
     };
@@ -183,17 +169,17 @@ scrub(const std::string &text)
                 st = St::LineComment;
                 comment.clear();
                 commentStart = line;
-                blankBoth(i);
+                blank(i);
             } else if (c == '/' && next == '*') {
                 st = St::BlockComment;
                 comment.clear();
                 commentStart = line;
-                blankBoth(i);
+                blank(i);
             } else if (c == '"' &&
                        (i == 0 || text[i - 1] != 'R' ||
                         (i > 1 && isWordChar(text[i - 2])))) {
                 st = St::Str;
-                blankCodeOnly(i);
+                blank(i);
             } else if (c == '"') {
                 // R"delim( ... )delim"
                 st = St::RawStr;
@@ -202,12 +188,12 @@ scrub(const std::string &text)
                      ++j)
                     rawDelim += text[j];
                 rawDelim += '"';
-                blankCodeOnly(i);
+                blank(i);
             } else if (c == '\'' && (i == 0 || !isWordChar(text[i - 1]))) {
                 // The word-char guard keeps digit separators (30'000)
                 // out of the char-literal state.
                 st = St::Chr;
-                blankCodeOnly(i);
+                blank(i);
             }
             break;
         case St::LineComment:
@@ -216,54 +202,54 @@ scrub(const std::string &text)
                 st = St::Code;
             } else {
                 comment += c;
-                blankBoth(i);
+                blank(i);
             }
             break;
         case St::BlockComment:
             if (c == '*' && next == '/') {
                 parseSuppressions(comment, commentStart, line, out);
-                blankBoth(i);
-                blankBoth(i + 1);
+                blank(i);
+                blank(i + 1);
                 ++i;
                 st = St::Code;
             } else {
                 comment += c;
-                blankBoth(i);
+                blank(i);
             }
             break;
         case St::Str:
             if (c == '\\' && next != '\0') {
-                blankCodeOnly(i);
-                blankCodeOnly(i + 1);
+                blank(i);
+                blank(i + 1);
                 ++i;
             } else if (c == '"') {
-                blankCodeOnly(i);
+                blank(i);
                 st = St::Code;
             } else {
-                blankCodeOnly(i);
+                blank(i);
             }
             break;
         case St::Chr:
             if (c == '\\' && next != '\0') {
-                blankCodeOnly(i);
-                blankCodeOnly(i + 1);
+                blank(i);
+                blank(i + 1);
                 ++i;
             } else if (c == '\'') {
-                blankCodeOnly(i);
+                blank(i);
                 st = St::Code;
             } else {
-                blankCodeOnly(i);
+                blank(i);
             }
             break;
         case St::RawStr:
             if (c == ')' &&
                 text.compare(i, rawDelim.size(), rawDelim) == 0) {
                 for (size_t j = 0; j < rawDelim.size(); ++j)
-                    blankCodeOnly(i + j);
+                    blank(i + j);
                 i += rawDelim.size() - 1;
                 st = St::Code;
             } else {
-                blankCodeOnly(i);
+                blank(i);
             }
             break;
         }
@@ -432,207 +418,6 @@ collectFiles(const fs::path &root, std::string *error)
     return files;
 }
 
-// ---------------------------------------------------------------- R3
-
-void
-checkDesignCoverage(const fs::path &root, const std::string &relPath,
-                    const ScrubbedFile &sf, std::vector<Finding> &out)
-{
-    if (!startsWith(relPath, "src/"))
-        return;
-    static const std::regex kRegister(
-        R"(H2_REGISTER_DESIGN\s*\(\s*(\w+))");
-    const std::string &code = sf.code;
-    for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                        kRegister);
-         it != std::sregex_iterator(); ++it) {
-        size_t pos = size_t(it->position(0));
-        // Skip the macro's own definition.
-        size_t bol = code.rfind('\n', pos);
-        bol = bol == std::string::npos ? 0 : bol + 1;
-        size_t firstNonWs = code.find_first_not_of(" \t", bol);
-        if (firstNonWs != std::string::npos && code[firstNonWs] == '#')
-            continue;
-
-        std::string name = (*it)[1].str();
-        int line = detail::lineOf(code, pos);
-
-        bool hasGolden = false;
-        fs::path goldenDir = root / "tests" / "golden";
-        if (fs::exists(goldenDir))
-            for (auto &e : fs::recursive_directory_iterator(goldenDir)) {
-                std::string fn = e.path().filename().string();
-                if (e.is_regular_file() &&
-                    startsWith(fn, name + "_") && endsWith(fn, ".json")) {
-                    hasGolden = true;
-                    break;
-                }
-            }
-        if (!hasGolden)
-            emit(out, sf, "R3", relPath, line,
-                 "design '" + name +
-                     "' is registered but has no golden snapshot "
-                     "tests/golden/" +
-                     name +
-                     "_*.json — add a GoldenMetrics test and generate "
-                     "one with H2_UPDATE_GOLDEN=1 ctest -R "
-                     "GoldenMetrics");
-
-        bool inReadme = false;
-        if (auto readme = readFile(root / "README.md")) {
-            std::istringstream lines(*readme);
-            std::string l;
-            while (std::getline(lines, l))
-                if (l.find('|') != std::string::npos &&
-                    l.find("`" + name + "`") != std::string::npos) {
-                    inReadme = true;
-                    break;
-                }
-        }
-        if (!inReadme)
-            emit(out, sf, "R3", relPath, line,
-                 "design '" + name +
-                     "' is registered but missing from the README "
-                     "design table — add a `" +
-                     name + "` row");
-    }
-}
-
-// ---------------------------------------------------------------- R4
-
-struct EmittedKey
-{
-    std::string key; ///< literal key, or suffix when viaPrefix
-    bool viaPrefix = false;
-    std::string file;
-    int line = 0;
-    /** `h2lint: allow(R4)` at the emission site: the key is exempt
-     *  from the must-be-documented direction but still counts as
-     *  emitted for the dead-docs direction. */
-    bool suppressed = false;
-};
-
-/** Parse `out.add("k", ...)` / `out.add(prefix + ".k", ...)` emission
- *  sites (receiver names out/detail/stats by project convention). */
-void
-scanEmittedKeys(const std::string &relPath, const ScrubbedFile &sf,
-                std::vector<EmittedKey> &keys,
-                std::vector<Finding> &out)
-{
-    const std::string &code = sf.codeKeepStrings;
-    static const std::regex kCall(
-        R"(\b(?:out|detail|stats)\s*\.\s*(?:add|increment)\s*\()");
-    static const std::regex kLiteral(R"(^\s*"([^"]+)\")");
-    static const std::regex kPrefixed(R"(^\s*\w+\s*\+\s*"\.([^"]+)\")");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), kCall);
-         it != std::sregex_iterator(); ++it) {
-        size_t argPos = size_t(it->position(0)) + it->length(0);
-        std::string rest = code.substr(argPos, 200);
-        int line = detail::lineOf(code, size_t(it->position(0)));
-        std::smatch m;
-        bool quiet = sf.suppressed("R4", line);
-        if (std::regex_search(rest, m, kLiteral)) {
-            keys.push_back({m[1].str(), false, relPath, line, quiet});
-        } else if (std::regex_search(rest, m, kPrefixed)) {
-            keys.push_back({m[1].str(), true, relPath, line, quiet});
-        } else {
-            emit(out, sf, "R4", relPath, line,
-                 "stats key is neither a string literal nor the "
-                 "`prefix + \".suffix\"` form — h2lint cannot check it "
-                 "against docs/metrics.md; use one of the two checkable "
-                 "shapes");
-        }
-    }
-}
-
-void
-checkMetricsManifest(const fs::path &root,
-                     const std::vector<EmittedKey> &keys,
-                     std::vector<Finding> &out)
-{
-    auto manifestText = readFile(root / "docs" / "metrics.md");
-    if (!manifestText) {
-        out.push_back({"R4", "docs/metrics.md", 1,
-                       "missing docs/metrics.md — the checked-in "
-                       "manifest of every Metrics.detail stats key"});
-        return;
-    }
-
-    // Every backticked token in the first cell of a table row is a
-    // documented key — rows may group sibling instances, e.g.
-    // `fm.reads`, `nm.reads`.
-    std::map<std::string, int> documented; // key -> manifest line
-    {
-        static const std::regex kRow(R"(^\s*\|([^|]*)\|)");
-        static const std::regex kTick("`([^`]+)`");
-        std::istringstream lines(*manifestText);
-        std::string l;
-        int n = 0;
-        while (std::getline(lines, l)) {
-            ++n;
-            std::smatch m;
-            if (!std::regex_search(l, m, kRow))
-                continue;
-            std::string cell = m[1].str();
-            for (auto it = std::sregex_iterator(cell.begin(), cell.end(),
-                                                kTick);
-                 it != std::sregex_iterator(); ++it)
-                documented.emplace((*it)[1].str(), n);
-        }
-    }
-
-    std::set<std::string> literals, suffixes;
-    for (const EmittedKey &k : keys)
-        (k.viaPrefix ? suffixes : literals).insert(k.key);
-
-    // Every emitted key must be documented.
-    for (const EmittedKey &k : keys) {
-        if (k.suppressed)
-            continue;
-        if (!k.viaPrefix) {
-            if (!documented.count(k.key))
-                out.push_back(
-                    {"R4", k.file, k.line,
-                     "stats key '" + k.key +
-                         "' is not documented in docs/metrics.md — add "
-                         "a manifest row (every Metrics.detail key is "
-                         "documented)"});
-        } else {
-            bool found = false;
-            for (const auto &[doc, _] : documented)
-                if (endsWith(doc, "." + k.key)) {
-                    found = true;
-                    break;
-                }
-            if (!found)
-                out.push_back(
-                    {"R4", k.file, k.line,
-                     "prefixed stats key '<prefix>." + k.key +
-                         "' has no docs/metrics.md row ending in '." +
-                         k.key + "' — document each emitted prefix "
-                         "instance"});
-        }
-    }
-
-    // Every documented key must be emitted (no dead docs).
-    for (const auto &[doc, line] : documented) {
-        if (literals.count(doc))
-            continue;
-        bool found = false;
-        for (const std::string &s : suffixes)
-            if (endsWith(doc, "." + s)) {
-                found = true;
-                break;
-            }
-        if (!found)
-            out.push_back(
-                {"R4", "docs/metrics.md", line,
-                 "documents '" + doc +
-                     "' but no src/ code emits it — delete the row or "
-                     "restore the stat"});
-    }
-}
-
 } // namespace
 
 std::vector<Finding>
@@ -669,23 +454,13 @@ lintTree(const Options &opt, std::string *error)
         return out;
     }
 
-    std::vector<EmittedKey> keys;
     for (const std::string &rel : files) {
         auto text = readFile(root / rel);
         if (!text)
             continue;
-        ScrubbedFile sf = detail::scrub(*text);
-        if (ruleEnabled(opt, "R2"))
-            checkBannedCalls(rel, sf, out);
-        if (ruleEnabled(opt, "R5"))
-            checkHeaderHygiene(rel, sf, out);
-        if (ruleEnabled(opt, "R3"))
-            checkDesignCoverage(root, rel, sf, out);
-        if (ruleEnabled(opt, "R4") && startsWith(rel, "src/"))
-            scanEmittedKeys(rel, sf, keys, out);
+        std::vector<Finding> found = lintFileContents(rel, *text, opt);
+        out.insert(out.end(), found.begin(), found.end());
     }
-    if (ruleEnabled(opt, "R4"))
-        checkMetricsManifest(root, keys, out);
 
     std::sort(out.begin(), out.end(),
               [](const Finding &a, const Finding &b) {

@@ -9,12 +9,6 @@
  *                       (std::sto*, rand, time, strtok, printf outside
  *                       src/main.cc and bench/) with the sanctioned
  *                       replacement named in the diagnostic.
- *   R3 design-coverage  every H2_REGISTER_DESIGN has golden snapshots
- *                       under tests/golden/ and a row in the README
- *                       design table.
- *   R4 metrics-manifest every Metrics.detail stats key emitted in src/
- *                       appears in docs/metrics.md, and every manifest
- *                       row corresponds to an emitted key.
  *   R5 header-hygiene   headers carry #pragma once, no `using
  *                       namespace` at namespace scope, no <iostream>.
  *
@@ -22,9 +16,13 @@
  * findings on the comment's line and the next line; `// h2lint:
  * allow-file(R5)` silences a rule for the whole file.
  *
- * The analysis runs on comment- and string-stripped text (R4 keeps
- * string literals — the stats keys live in them), so banned tokens in
- * comments or log messages never trip a rule.
+ * The analysis runs on comment- and string-stripped text, so banned
+ * tokens in comments or log messages never trip a rule.
+ *
+ * What a registered design must ship (golden snapshots, a README
+ * design-table row, docs/metrics.md rows for its Metrics.detail keys)
+ * is checked at run time instead, against the design registry, by the
+ * GoldenMetrics and DesignContract tests.
  */
 
 #pragma once
@@ -63,8 +61,7 @@ bool isKnownRule(const std::string &id);
 struct Options
 {
     /** Repo root; tree mode scans src/, bench/, tests/, tools/ under
-     *  it and resolves the R3/R4 cross-file targets (tests/golden/,
-     *  README.md, docs/metrics.md) against it. */
+     *  it. */
     std::string root = ".";
     /** Rules to run; empty = all. */
     std::set<std::string> rules;
@@ -84,11 +81,10 @@ std::vector<Finding> lintFileContents(const std::string &relPath,
                                       const Options &opt);
 
 /**
- * Whole-tree mode: per-file rules over every .h/.cc/.cpp under
+ * Whole-tree mode: the per-file rules over every .h/.cc/.cpp under
  * src/, bench/, tests/, and tools/ (tests/lint_fixtures/ excluded —
- * its files are deliberate violations), plus the cross-file rules R3
- * and R4. On an unusable root (no src/ beneath it), returns empty and
- * sets @p error.
+ * its files are deliberate violations). On an unusable root (no
+ * sources beneath it), returns empty and sets @p error.
  */
 std::vector<Finding> lintTree(const Options &opt, std::string *error);
 
@@ -101,14 +97,12 @@ namespace detail {
  * Lexing support, exposed for the unit tests.
  *
  * `code` is @p text with comments and string/char literals replaced by
- * spaces (newlines kept, so offsets map to the same line numbers);
- * `codeKeepStrings` strips only comments. Suppression comments are
- * parsed into the two sets.
+ * spaces (newlines kept, so offsets map to the same line numbers).
+ * Suppression comments are parsed into the two sets.
  */
 struct ScrubbedFile
 {
     std::string code;
-    std::string codeKeepStrings;
     /** (rule, line) pairs silenced by `h2lint: allow(...)`; the line
      *  recorded is every line the comment spans plus the next one. */
     std::set<std::pair<std::string, int>> allowLines;

@@ -8,9 +8,9 @@
  *   2  usage error (unknown flag/rule, unusable --root, unreadable file)
  *
  * Tree mode (default) walks src/, bench/, tests/, tools/ under --root
- * and runs every rule, including the cross-file R3/R4. With explicit
- * file operands only the per-file rules (R2, R5) run — that is the
- * mode CI's seeded-violation check uses.
+ * and runs every rule (R2, R5) on each file. With explicit file
+ * operands it runs them on just those files — that is the mode CI's
+ * seeded-violation check uses.
  */
 
 #include <filesystem>
@@ -28,16 +28,15 @@ namespace {
 int
 usage(std::ostream &os, int rc)
 {
-    os << "usage: h2lint [--root DIR] [--rules R2,R3,...] "
+    os << "usage: h2lint [--root DIR] [--rules R2,R5] "
           "[--list-rules] [file...]\n"
           "\n"
           "Project-specific static analysis for the Hybrid2 simulator.\n"
           "Without file operands, walks src/, bench/, tests/, tools/\n"
           "under --root (default: .) and runs all rules; with files,\n"
-          "runs the per-file rules (R2, R5) on just those files.\n"
+          "runs them on just those files.\n"
           "\n"
-          "  --root DIR     repo root for the tree walk and the R3/R4\n"
-          "                 cross-file targets\n"
+          "  --root DIR     repo root for the tree walk\n"
           "  --rules LIST   comma-separated rule IDs to enable\n"
           "  --list-rules   print the rule table and exit\n"
           "\n"
