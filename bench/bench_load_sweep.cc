@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/units.h"
@@ -147,11 +148,8 @@ main(int argc, char **argv)
 
     const std::string outPath =
         opts.jsonOut.empty() ? "BENCH_load_sweep.json" : opts.jsonOut;
-    std::FILE *out = std::fopen(outPath.c_str(), "w");
-    if (!out)
-        h2_fatal("cannot write ", outPath);
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
+    if (std::string err = writeFileAtomic(outPath, json); !err.empty())
+        h2_fatal(err);
 
     if (opts.csv) {
         std::fputs(json.c_str(), stdout);

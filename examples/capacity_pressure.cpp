@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
@@ -21,7 +22,10 @@ main(int argc, char **argv)
 {
     using namespace h2;
 
-    double footprintGib = argc > 1 ? std::stod(argv[1]) : 16.5;
+    double footprintGib = 16.5;
+    if (argc > 1 && !tryParseF64(argv[1], footprintGib))
+        h2_fatal("bad value for footprint_gib: '", argv[1],
+                 "' (expected a non-negative decimal)");
 
     workloads::Workload wl = workloads::findWorkload("cg.D");
     wl.name = "capacity-probe";

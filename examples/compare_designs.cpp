@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/parse.h"
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
@@ -19,7 +20,7 @@ main(int argc, char **argv)
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "omnetpp";
-    u64 nmGib = argc > 2 ? std::stoull(argv[2]) : 1;
+    u64 nmGib = argc > 2 ? parseU64OrFatal("nm_gib", argv[2]) : 1;
 
     const workloads::Workload &wl = workloads::findWorkload(workloadName);
     sim::RunConfig cfg;

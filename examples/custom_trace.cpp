@@ -1,15 +1,16 @@
 /**
  * @file
  * Driving Hybrid2 with a user-supplied trace: implements a small CSV
- * TraceSource ("instGap,vaddr,R|W" per line) and replays it through
- * the DCMC's public access API - the template for replaying real
- * application traces instead of the synthetic suite.
+ * TraceSource ("instGap,vaddr,R|W" per line, decimal numbers) and
+ * replays it through the DCMC's public access API - the template for
+ * replaying real application traces instead of the synthetic suite.
  *
  * Usage: custom_trace [trace.csv]
  * Without an argument a demo trace is generated in /tmp.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/units.h"
 #include "core/dcmc.h"
 #include "workloads/trace.h"
@@ -36,16 +38,24 @@ class CsvTrace : public workloads::TraceSource
         if (!in)
             h2_fatal("cannot open trace file: ", path);
         std::string line;
-        while (std::getline(in, line)) {
+        for (u64 lineNo = 1; std::getline(in, line); ++lineNo) {
             if (line.empty() || line[0] == '#')
                 continue;
+            const std::string row = path + " line " + std::to_string(lineNo);
             std::istringstream ss(line);
             std::string gap, addr, type;
             std::getline(ss, gap, ',');
             std::getline(ss, addr, ',');
             std::getline(ss, type, ',');
-            records.push_back({static_cast<u32>(std::stoul(gap)),
-                               std::stoull(addr, nullptr, 0),
+            if (type != "R" && type != "W")
+                h2_fatal("bad value for ", row, " type: '", type,
+                         "' (expected R or W)");
+            u64 instGap = parseU64OrFatal(row + " instGap", gap);
+            if (instGap > UINT32_MAX)
+                h2_fatal("bad value for ", row, " instGap: '", gap,
+                         "' (out of range)");
+            records.push_back({static_cast<u32>(instGap),
+                               parseU64OrFatal(row + " vaddr", addr),
                                type == "W" ? AccessType::Write
                                            : AccessType::Read});
         }

@@ -66,7 +66,6 @@ IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
         }
     }
     ++nFills;
-    fetchedBlocks += lineB / mem::llcLineBytes;
     usedBlocks[lineAddr] = u64(1) << blockIdx;
 
     // Critical word first; the rest of the line and the NM fill stream
@@ -121,7 +120,6 @@ IdealCache::resetStats()
     mem::HybridMemory::resetStats();
     nHits = 0;
     nFills = 0;
-    fetchedBlocks = 0;
     wastedBlocks = 0;
     evictedLines = 0;
     tags.resetStats();

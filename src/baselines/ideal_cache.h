@@ -66,7 +66,6 @@ class IdealCache : public mem::HybridMemory
 
     u64 nHits = 0;
     u64 nFills = 0;
-    u64 fetchedBlocks = 0; ///< 64 B blocks brought in by fills
     u64 wastedBlocks = 0;  ///< fetched blocks never used, over evictions
     u64 evictedLines = 0;
 };

@@ -11,15 +11,9 @@ namespace h2::sim {
 SystemConfig
 table1Config(u64 nmBytes, u64 fmBytes)
 {
+    // Cores, caches and latencies are the defaults of SystemConfig and
+    // HierarchyParams; only the memory capacities vary.
     SystemConfig cfg;
-    cfg.numCores = 8;
-    cfg.hier.numCores = 8;
-    cfg.hier.l1 = {"L1", 64 * KiB, 4, 64};
-    cfg.hier.l2 = {"L2", 256 * KiB, 8, 64};
-    cfg.hier.llc = {"LLC", 8 * MiB, 16, 64};
-    cfg.hier.l1LatencyCycles = 1;
-    cfg.hier.l2LatencyCycles = 9;
-    cfg.hier.llcLatencyCycles = 14;
     cfg.mem.nmBytes = nmBytes;
     cfg.mem.fmBytes = fmBytes;
     return cfg;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 
 #include "common/json.h"
 #include "sim/metrics.h"
@@ -76,9 +77,9 @@ TEST(JsonWriter, DoubleRoundTrip)
 {
     // Shortest-representation formatting survives a parse round trip.
     double v = 1.9841301329101368;
-    // stod is the independent reference parser here — using our own
-    // h2::parseFloat would make the round trip self-certifying.
-    EXPECT_EQ(std::stod(JsonWriter::formatDouble(v)), v); // h2lint: allow(R2)
+    // strtod is the independent reference parser here — using our own
+    // h2::tryParseF64 would make the round trip self-certifying.
+    EXPECT_EQ(std::strtod(JsonWriter::formatDouble(v).c_str(), nullptr), v);
     EXPECT_EQ(JsonWriter::formatDouble(0.0), "0");
 }
 
