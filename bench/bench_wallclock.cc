@@ -5,7 +5,8 @@
  * Runs a fixed (workload x design) sweep twice - serial (--jobs=1) and
  * parallel (the --jobs option, default 8) - verifies the two passes
  * produced bit-identical per-simulation Metrics, and emits a JSON
- * record (sims/sec, accesses/sec, parallel speedup) that seeds the
+ * record (sims/sec, accesses/sec, parallel speedup, the process's peak
+ * resident memory) that seeds the
  * repo's performance trajectory: each perf PR re-runs this and appends
  * a point, so regressions show up as numbers, not vibes.
  *
@@ -14,6 +15,8 @@
  * stdout instead of the human-readable summary). Exits non-zero if the
  * parallel pass is not bit-identical.
  */
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -67,6 +70,16 @@ runPass(const bench::BenchOptions &opts, u32 jobs)
     return pass;
 }
 
+/** Peak resident set of this process so far, in MB (ru_maxrss is KiB
+ *  on Linux). */
+double
+peakRssMb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return double(ru.ru_maxrss) / 1024.0;
+}
+
 } // namespace
 
 int
@@ -117,7 +130,8 @@ main(int argc, char **argv)
     passJson(w, serial);
     w.key("parallel");
     passJson(w, parallel);
-    w.kv("parallel_speedup", speedup)
+    w.kv("peak_rss_mb", peakRssMb())
+        .kv("parallel_speedup", speedup)
         .kv("parallel_valid", parallelValid)
         .kv("bit_identical", identical)
         .endObject();
@@ -149,6 +163,7 @@ main(int argc, char **argv)
                     speedup, ThreadPool::defaultConcurrency(),
                     parallelValid ? ""
                                   : "; NOT VALID - more jobs than threads");
+        std::printf("peak resident memory: %.1f MB\n", peakRssMb());
         std::printf("bit-identical results: %s\n",
                     identical ? "yes" : "NO - DETERMINISM BUG");
         std::printf("wrote %s\n", outPath.c_str());

@@ -17,8 +17,10 @@
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace h2;
 
@@ -26,6 +28,13 @@ main(int argc, char **argv)
     if (argc > 1 && !tryParseF64(argv[1], footprintGib))
         h2_fatal("bad value for footprint_gib: '", argv[1],
                  "' (expected a non-negative decimal)");
+    // A workload spans at least one 4 KiB page, and its byte count
+    // must fit in 64 bits (2^34 GiB).
+    if (footprintGib * double(GiB) < 4096.0 ||
+        footprintGib >= double(u64(1) << 34))
+        h2_fatal("bad value for footprint_gib: '", argv[1],
+                 "' (expected at least 0.000004, one 4 KiB page, and less "
+                 "than 17179869184)");
 
     workloads::Workload wl = workloads::findWorkload("cg.D");
     wl.name = "capacity-probe";
@@ -72,4 +81,19 @@ main(int argc, char **argv)
                 "NM in the flat\naddress space (paper: 5.9%%/12.1%%/24.6%% "
                 "more memory than caches at 1/2/4GiB).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // SweepRunner::run rethrows a failed point's error; report it like
+    // any other fatal error instead of letting it terminate the process.
+    try {
+        return run(argc, argv);
+    } catch (const h2::FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

@@ -14,18 +14,26 @@
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "omnetpp";
     u64 nmGib = argc > 2 ? parseU64OrFatal("nm_gib", argv[2]) : 1;
+    if (nmGib > ~u64(0) / GiB)
+        h2_fatal("bad value for nm_gib: '", nmGib, "' (out of range)");
 
     const workloads::Workload &wl = workloads::findWorkload(workloadName);
     sim::RunConfig cfg;
     cfg.nmBytes = nmGib * GiB;
     cfg.instrPerCore = 500'000;
+    // Check the configuration here, so a bad nm_gib is reported as
+    // this argument rather than as a failed simulation point.
+    if (std::string err = sim::validateRunConfig(cfg); !err.empty())
+        h2_fatal("bad value for nm_gib: '", nmGib, "' (", err, ")");
     sim::SweepRunner runner(cfg);
 
     std::printf("workload: %s (%s MPKI class), NM %lluGiB / FM 16GiB\n\n",
@@ -50,4 +58,19 @@ main(int argc, char **argv)
                 "NM capacity\nwhile the migration designs and Hybrid2 "
                 "keep (most of) it.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // SweepRunner::run rethrows a failed point's error; report it like
+    // any other fatal error instead of letting it terminate the process.
+    try {
+        return run(argc, argv);
+    } catch (const h2::FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

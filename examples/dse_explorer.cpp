@@ -15,8 +15,10 @@
 #include "core/xta.h"
 #include "sim/sweep_runner.h"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace h2;
 
@@ -59,4 +61,19 @@ main(int argc, char **argv)
     std::printf("paper's suite-wide best: 64MiB cache, 2KiB sectors, "
                 "256B lines\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // SweepRunner::run rethrows a failed point's error; report it like
+    // any other fatal error instead of letting it terminate the process.
+    try {
+        return run(argc, argv);
+    } catch (const h2::FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

@@ -14,13 +14,17 @@
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "lbm";
     u64 nmGib = argc > 2 ? parseU64OrFatal("nm_gib", argv[2]) : 1;
+    if (nmGib > ~u64(0) / GiB)
+        h2_fatal("bad value for nm_gib: '", nmGib, "' (out of range)");
 
     // 1. Pick a workload from the Table 2 suite.
     const workloads::Workload &wl = workloads::findWorkload(workloadName);
@@ -33,6 +37,10 @@ main(int argc, char **argv)
     sim::RunConfig cfg;
     cfg.nmBytes = nmGib * GiB;
     cfg.instrPerCore = 500'000;
+    // Check the configuration here, so a bad nm_gib is reported as
+    // this argument rather than as a failed simulation point.
+    if (std::string err = sim::validateRunConfig(cfg); !err.empty())
+        h2_fatal("bad value for nm_gib: '", nmGib, "' (", err, ")");
     sim::SweepRunner runner(cfg);
 
     // 3. Run Hybrid2 and the FM-only baseline; print the comparison.
@@ -49,4 +57,19 @@ main(int argc, char **argv)
         if (key.rfind("dcmc.", 0) == 0)
             std::printf("  %-28s %.0f\n", key.c_str(), value);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // SweepRunner::run rethrows a failed point's error; report it like
+    // any other fatal error instead of letting it terminate the process.
+    try {
+        return run(argc, argv);
+    } catch (const h2::FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

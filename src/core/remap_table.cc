@@ -20,15 +20,15 @@ RemapTable::RemapTable(u64 flatSectors, u64 nmFlatSectors, u64 cacheSectors,
                  " flat sectors, ", nCache + nNmFlat,
                  " NM locations (limit 2^31 each); lower fm-mib or "
                  "nm-mib, or use larger sectors");
-    forward = ZeroLane<u32>(nFlat);
-    inverse = ZeroLane<u32>(nCache + nNmFlat);
+    forward = SparseLane<u32>(nFlat);
+    inverse = SparseLane<u32>(nCache + nNmFlat);
 }
 
 Loc
 RemapTable::lookup(u64 flatSector) const
 {
     h2_assert(flatSector < nFlat, "remap lookup out of range: ", flatSector);
-    u32 e = forward[flatSector] ^ identityFwd(flatSector);
+    u32 e = forward.get(flatSector) ^ identityFwd(flatSector);
     return Loc{(e & kInNm) != 0, e & kIdxMask};
 }
 
@@ -41,8 +41,8 @@ RemapTable::update(u64 flatSector, Loc loc)
                   "remap to bad NM location ", loc.idx);
     else
         h2_assert(loc.idx < nFm, "remap to bad FM location ", loc.idx);
-    forward[flatSector] = ((loc.inNm ? kInNm : 0) |
-                           static_cast<u32>(loc.idx)) ^
+    forward.ref(flatSector) =
+        ((loc.inNm ? kInNm : 0) | static_cast<u32>(loc.idx)) ^
         identityFwd(flatSector);
 }
 
@@ -50,7 +50,7 @@ std::optional<u64>
 RemapTable::invLookup(u64 nmLoc) const
 {
     h2_assert(nmLoc < nCache + nNmFlat, "invLookup out of range: ", nmLoc);
-    u32 e = inverse[nmLoc] ^ identityInv(nmLoc);
+    u32 e = inverse.get(nmLoc) ^ identityInv(nmLoc);
     if (e == kNoOccupant)
         return std::nullopt;
     return e;
@@ -62,7 +62,7 @@ RemapTable::invUpdate(u64 nmLoc, std::optional<u64> flatSector)
     h2_assert(nmLoc < nCache + nNmFlat, "invUpdate out of range");
     if (flatSector)
         h2_assert(*flatSector < nFlat, "invUpdate to bad flat sector");
-    inverse[nmLoc] =
+    inverse.ref(nmLoc) =
         (flatSector ? static_cast<u32>(*flatSector) : kNoOccupant) ^
         identityInv(nmLoc);
 }

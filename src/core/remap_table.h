@@ -22,8 +22,10 @@
  * with a fatal naming fm-mib, so a sweep fails only that point.
  *
  * Each stored word is the entry XOR its identity value, so the tables
- * start as demand-zero memory (common/zero_lane.h) and only the
- * entries a run changes ever occupy a page.
+ * start as all-zero sparse lanes (common/zero_lane.h): a lookup of an
+ * entry whose leaf was never written allocates nothing, and resident
+ * memory follows the leaves a run writes, however widely the random
+ * page placement scatters them across the flat space.
  */
 
 #pragma once
@@ -47,8 +49,8 @@ struct Loc
     }
 };
 
-/** Combined remap + inverted remap tables, dense and stored as XOR
- *  deltas from the identity layout. */
+/** Combined remap + inverted remap tables, sector-indexed and stored as
+ *  XOR deltas from the identity layout. */
 class RemapTable
 {
   public:
@@ -79,8 +81,8 @@ class RemapTable
     u64 cacheSectors() const { return nCache; }
 
     /** Stored forward / inverse words (0 = the identity entry). */
-    u32 rawForward(u64 flatSector) const { return forward[flatSector]; }
-    u32 rawInverse(u64 nmLoc) const { return inverse[nmLoc]; }
+    u32 rawForward(u64 flatSector) const { return forward.get(flatSector); }
+    u32 rawInverse(u64 nmLoc) const { return inverse.get(nmLoc); }
 
   private:
     static constexpr u32 kInNm = u32(1) << 31;
@@ -109,10 +111,10 @@ class RemapTable
     u64 nFm;
     /** Per flat sector: (kInNm | NM location, or the FM sector index)
      *  ^ identityFwd. */
-    ZeroLane<u32> forward;
+    SparseLane<u32> forward;
     /** Per NM location: (resident flat sector, or kNoOccupant)
      *  ^ identityInv. */
-    ZeroLane<u32> inverse;
+    SparseLane<u32> inverse;
 };
 
 } // namespace h2::core

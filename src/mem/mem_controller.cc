@@ -86,16 +86,20 @@ MemController::forcedDrain(u32 ch, Tick now)
 void
 MemController::trackInflight(u32 ch, Tick doneAt)
 {
-    inflight[ch].push(doneAt);
+    auto &q = inflight[ch];
+    h2_assert(q.empty() || q.back() <= doneAt,
+              "in-flight completions must be pushed in tick order: ",
+              doneAt, " after ", q.back());
+    q.push_back(doneAt);
 }
 
 void
 MemController::sampleReadDepth(u32 ch, Tick now)
 {
-    auto &h = inflight[ch];
-    while (!h.empty() && h.top() <= now)
-        h.pop();
-    readDepthDist.sample(double(h.size()));
+    auto &q = inflight[ch];
+    while (!q.empty() && q.front() <= now)
+        q.pop_front();
+    readDepthDist.sample(double(q.size()));
 }
 
 Tick

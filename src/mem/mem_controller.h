@@ -34,7 +34,9 @@
  * decoded once at enqueue, the idle drain returns without scanning
  * while the channel's bus is busy within one burst clock of the
  * access (no write could fit — exact), and completed in-flight chunks
- * pop off a per-channel min-heap.
+ * pop off the front of a per-channel FIFO. Every tracked completion is
+ * the channel's `busUntil` at dispatch, which only grows, so the FIFO
+ * is already in completion order (trackInflight asserts it).
  *
  * Stats (all zero-guarded for empty classes): average read queue
  * delay (the serialized wait between arrival and service start that
@@ -45,8 +47,7 @@
 
 #pragma once
 
-#include <functional>
-#include <queue>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -182,20 +183,21 @@ class MemController
     /** Record the in-flight depth channel @p ch shows at @p now (the
      *  read-side "queue depth": dispatched chunks not yet complete when
      *  a demand access arrives) and drop completed entries (popped off
-     *  the min-heap, so only the entries that completed are touched). */
+     *  the FIFO's front, so only the entries that completed are
+     *  touched). */
     void sampleReadDepth(u32 ch, Tick now);
 
-    /** Track a dispatched chunk completing at @p doneAt on @p ch. */
+    /** Track a dispatched chunk completing at @p doneAt on @p ch;
+     *  @p doneAt is the channel's busUntil, so it never decreases. */
     void trackInflight(u32 ch, Tick doneAt);
 
     dram::DramDevice dev;
     QueueParams cfg;
     u64 ilvMask; ///< interleaveBytes - 1 (device asserts pow2)
     std::vector<std::vector<QueuedWrite>> writeQ; ///< per channel
-    /** Per channel: completion ticks of dispatched chunks, earliest on
-     *  top. */
-    std::vector<std::priority_queue<Tick, std::vector<Tick>,
-                                    std::greater<Tick>>> inflight;
+    /** Per channel: completion ticks of dispatched chunks, in the
+     *  (nondecreasing) order they were dispatched. */
+    std::vector<std::deque<Tick>> inflight;
 
     u64 nReads = 0;
     u64 nDrainEpisodes = 0;

@@ -17,7 +17,7 @@ AddressMap::AddressMap(u64 flatBytes, u64 virtualBytes, u64 seed)
                  virtualBytes, " > ", flatBytes,
                  " bytes); raise fm-mib, since the paper does not model "
                  "page faults");
-    pageLane = ZeroLane<u64>(ceilDiv(virtSize, u64(pageBytes)));
+    pageLane = SparseLane<u64>(ceilDiv(virtSize, u64(pageBytes)));
 }
 
 CoreModel::CoreModel(CoreId coreId, const CoreParams &params,

@@ -43,10 +43,10 @@ class AddressMap
         // The Feistel walk behind perm.map costs ~40% of a whole
         // simulation when taken per access; the translation is a pure
         // function of the page, so each page pays it once and every
-        // later access is one contiguous-lane load.
-        u64 stored = pageLane[vpage];
+        // later access is one lane lookup (directory, then leaf).
+        u64 stored = pageLane.get(vpage);
         if (stored == kUnmapped)
-            stored = pageLane[vpage] = ~perm.map(vpage);
+            stored = pageLane.ref(vpage) = ~perm.map(vpage);
         return ~stored * u64(pageBytes) + globalVaddr % pageBytes;
     }
 
@@ -62,10 +62,11 @@ class AddressMap
     u64 virtSize;
     RandomPermutation perm;
     /** Memoized vpage -> ~ppage lane (0 = not yet translated, so a
-     *  fresh demand-zero lane is all untranslated). One u64 per
-     *  footprint page (0.2% overhead); filled lazily so the first
-     *  touch of each page keeps the exact permutation result. */
-    mutable ZeroLane<u64> pageLane;
+     *  fresh lane is all untranslated). At most one u64 per footprint
+     *  page (0.2% overhead), held only for the leaves of pages a run
+     *  touches; filled lazily so the first touch of each page keeps
+     *  the exact permutation result. */
+    mutable SparseLane<u64> pageLane;
 };
 
 /** One simulated core consuming a trace. */

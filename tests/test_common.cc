@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "common/zero_lane.h"
+#include "resident.h"
 
 namespace h2 {
 namespace {
@@ -291,6 +293,68 @@ TEST(ZeroLane, FailedMapIsFatalAndNamesTheByteCount)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(SparseLane, UnwrittenReadsAreZeroAndAllocateNothing)
+{
+    // 256 Mi entries (1 GiB of u32) reserved; reading all over it must
+    // claim no leaf and leave the resident set where it was.
+    SparseLane<u32> lane(u64(1) << 28);
+    ASSERT_EQ(lane.size(), u64(1) << 28);
+    u64 before = test::residentBytes();
+    Rng rng(5);
+    for (int i = 0; i < 100000; ++i)
+        ASSERT_EQ(lane.get(rng.below(lane.size())), 0u);
+    EXPECT_EQ(lane.get(lane.size() - 1), 0u);
+    EXPECT_EQ(lane.leaves(), 0u);
+    EXPECT_LT(test::residentGrowth(before), 1 * MiB);
+}
+
+TEST(SparseLane, RefPacksLeavesInFirstWriteOrder)
+{
+    constexpr u64 leaf = SparseLane<u64>::kLeafEntries;
+    SparseLane<u64> lane(10 * leaf + 5); // last leaf partial
+    lane.ref(7 * leaf + 3) = 11;
+    EXPECT_EQ(lane.leaves(), 1u);
+    lane.ref(2 * leaf) = 22;
+    lane.ref(10 * leaf + 4) = 33;
+    EXPECT_EQ(lane.leaves(), 3u);
+    lane.ref(7 * leaf + leaf - 1) = 44; // same leaf as the first write
+    EXPECT_EQ(lane.leaves(), 3u);
+    // The second leaf claimed sits right after the first in the arena,
+    // and the third right after it.
+    EXPECT_EQ(&lane.ref(2 * leaf) - &lane.ref(7 * leaf), std::ptrdiff_t(leaf));
+    EXPECT_EQ(&lane.ref(10 * leaf) - &lane.ref(2 * leaf), std::ptrdiff_t(leaf));
+    EXPECT_EQ(lane.get(7 * leaf + 3), 11u);
+    EXPECT_EQ(lane.get(2 * leaf), 22u);
+    EXPECT_EQ(lane.get(10 * leaf + 4), 33u);
+    EXPECT_EQ(lane.get(7 * leaf + leaf - 1), 44u);
+    // Unwritten entries of claimed leaves and of absent ones read 0.
+    EXPECT_EQ(lane.get(7 * leaf), 0u);
+    EXPECT_EQ(lane.get(2 * leaf + 1), 0u);
+    EXPECT_EQ(lane.get(0), 0u);
+    EXPECT_EQ(lane.get(9 * leaf + 9), 0u);
+    EXPECT_EQ(lane.leaves(), 3u);
+}
+
+TEST(SparseLane, MovesOwnership)
+{
+    constexpr u64 leaf = SparseLane<u32>::kLeafEntries;
+    SparseLane<u32> lane(4 * leaf);
+    lane.ref(3 * leaf + 1) = 9;
+    SparseLane<u32> moved(std::move(lane));
+    EXPECT_EQ(moved.size(), 4 * leaf);
+    EXPECT_EQ(moved.leaves(), 1u);
+    EXPECT_EQ(moved.get(3 * leaf + 1), 9u);
+    EXPECT_EQ(lane.size(), 0u);
+    EXPECT_EQ(lane.leaves(), 0u);
+    lane = std::move(moved);
+    EXPECT_EQ(lane.get(3 * leaf + 1), 9u);
+    EXPECT_EQ(lane.leaves(), 1u);
+    lane.ref(0) = 1; // the moved-back lane keeps claiming in order
+    EXPECT_EQ(lane.leaves(), 2u);
+    EXPECT_EQ(&lane.ref(0) - &lane.ref(3 * leaf), std::ptrdiff_t(leaf));
+    EXPECT_EQ(moved.size(), 0u);
 }
 
 TEST(ThreadPool, RunsAllTasksAcrossWorkers)

@@ -8,14 +8,13 @@
  */
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "resident.h"
 #include "sim/design_registry.h"
 #include "sim/sweep_runner.h"
 
@@ -60,17 +59,6 @@ TEST(DesignRegistry, EveryEvaluatedDesignResolves)
     }
 }
 
-/** Resident bytes of this process, from /proc/self/statm. */
-u64
-residentBytes()
-{
-    std::ifstream statm("/proc/self/statm");
-    u64 sizePages = 0, residentPages = 0;
-    statm >> sizePages >> residentPages;
-    EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
-    return residentPages * u64(sysconf(_SC_PAGESIZE));
-}
-
 TEST(DesignRegistry, BuildingADesignTouchesNoDenseTable)
 {
     // The dense tables (remap tables, tag stores) are sized by the
@@ -82,11 +70,11 @@ TEST(DesignRegistry, BuildingADesignTouchesNoDenseTable)
     mp.nmBytes = 1024 * MiB;
     mp.fmBytes = 16384 * MiB;
     for (const char *spec : {"hybrid2", "mempod", "lgm", "dfc"}) {
-        u64 before = residentBytes();
+        u64 before = test::residentBytes();
         auto design = makeDesign(spec, mp, llc);
-        u64 after = residentBytes();
+        u64 growth = test::residentGrowth(before);
         ASSERT_NE(design, nullptr) << spec;
-        EXPECT_LT(after > before ? after - before : 0, 4 * MiB) << spec;
+        EXPECT_LT(growth, 4 * MiB) << spec;
     }
 }
 

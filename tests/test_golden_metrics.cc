@@ -221,9 +221,13 @@ TEST(GoldenMetrics, Hybrid2Mix)
     checkGolden("hybrid2", "mix:mcf+xalanc:2");
 }
 
-// One lbm leg per registered design (registerDesignGoldens below):
-// lbm (streaming, high MPKI) exercises eviction/migration machinery in
-// all of them within the small golden budget.
+// One lbm leg per registered design (registerDesignGoldens below).
+// They pin each design's hit, fill and metadata paths on a streaming,
+// high-MPKI workload. They do not pin eviction or migration: within
+// the small golden budget neither the LLC nor any design's NM fills,
+// so 19 of the 21 snapshots read 0 for every eviction, migration and
+// swap counter. Only the GoldenMetricsMigration legs (golden/migration/,
+// a larger budget) pin a migration.
 
 // fm=pcm legs: pin the PCM far-memory backend — asymmetric read/write
 // timing (tRCD/tWR), the asymmetric per-operation energy split, and

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/units.h"
+#include "core/dcmc.h"
 #include "core/remap_table.h"
+#include "resident.h"
 
 namespace h2::core {
 namespace {
@@ -214,6 +217,35 @@ TEST(RemapTable, RandomizedAgainstReferenceModel)
     for (u64 nmLoc = 0; nmLoc < cache + nmFlat; ++nmLoc)
         ASSERT_EQ(t.invLookup(nmLoc), expectedOccupant(nmLoc))
             << "NM location " << nmLoc;
+}
+
+TEST(RemapTable, ScatteredUpdatesAtPaperScaleStayResidentSmall)
+{
+    // Hybrid2 at 1 GiB NM over 16 GiB FM has a 35 MB forward table,
+    // and random page placement scatters a run's remaps across all of
+    // it. Resident memory must follow the entries written, not their
+    // spread: a flat lane would hold one page (4 KiB, or a 2 MiB huge
+    // page) per update, 16-35 MB for these 4096.
+    mem::MemSystemParams mp;
+    mp.nmBytes = 1024 * MiB;
+    mp.fmBytes = 16384 * MiB;
+    Dcmc hybrid2(mp, Hybrid2Params{});
+    const RemapTable &geo = hybrid2.remapTable();
+    RemapTable t(geo.flatSectors(), geo.nmFlatSectors(), geo.cacheSectors(),
+                 geo.fmSectors());
+    ASSERT_GT(t.flatSectors() * sizeof(u32), 32 * MiB);
+    Rng rng(2020);
+    std::unordered_map<u64, Loc> written;
+    u64 before = test::residentBytes();
+    for (int i = 0; i < 4096; ++i) {
+        u64 fs = rng.below(t.flatSectors());
+        Loc loc{false, rng.below(t.fmSectors())};
+        t.update(fs, loc);
+        written[fs] = loc;
+    }
+    EXPECT_LT(test::residentGrowth(before), 8 * MiB);
+    for (const auto &[fs, loc] : written)
+        ASSERT_EQ(t.lookup(fs), loc) << fs;
 }
 
 TEST(RemapTable, RoundTripSwap)
