@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
- * XTA lookups, remap-table lookups, DRAM-device accesses, SRAM cache
- * and hierarchy operations, and trace generation throughput.
+ * XTA lookups, remap-table lookups, DRAM-device and memory-controller
+ * accesses, SRAM cache and hierarchy operations, and trace generation
+ * throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "core/remap_table.h"
 #include "core/xta.h"
 #include "dram/dram_device.h"
+#include "mem/mem_controller.h"
 #include "workloads/workload_registry.h"
 
 namespace {
@@ -60,6 +62,28 @@ BM_DramAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramAccess);
+
+/** A demand read of range(0) bytes through MemController::access, one
+ *  posted 64 B write per read, so the split, the idle drain, the
+ *  FR-FCFS pick and forced drains run as on a design's path: 64 B is
+ *  a demand line, 4096 tagless's page fetch (8 chunks per DDR4
+ *  channel). Reads arrive slower than the bus drains them, so the
+ *  in-flight lists stay bounded. Ungated. */
+void
+BM_ControllerAccess(benchmark::State &state)
+{
+    mem::MemController ctrl(dram::DramParams::ddr4_3200(1 * GiB));
+    const u32 bytes = static_cast<u32>(state.range(0));
+    Rng rng(10);
+    Tick now = 0;
+    for (auto _ : state) {
+        now += 20'000 + 25 * Tick(bytes);
+        ctrl.post(rng.below(GiB / 64) * 64, 64, now);
+        benchmark::DoNotOptimize(ctrl.access(
+            rng.below(GiB / bytes) * bytes, bytes, AccessType::Read, now));
+    }
+}
+BENCHMARK(BM_ControllerAccess)->Arg(64)->Arg(4096);
 
 void
 BM_SramCacheAccess(benchmark::State &state)

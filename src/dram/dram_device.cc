@@ -34,33 +34,13 @@ DramDevice::DramDevice(const DramParams &params)
 }
 
 Tick
-DramDevice::chunkDone(const BankState &bank, u64 row, Tick busUntil,
-                      u32 bytes, Tick start) const
+DramDevice::issue(const Chunk &c, AccessType type, Tick now)
 {
-    u32 latCycles;
-    if (bank.open && bank.row == row)
-        latCycles = cfg.tCas;
-    else if (!bank.open)
-        latCycles = cfg.tRcd + cfg.tCas;
-    else
-        latCycles = cfg.tRp + cfg.tRcd + cfg.tCas;
-    Tick cmdDone = start + Tick(latCycles) * cfg.clockPs;
-    Tick dataStart = std::max(cmdDone, busUntil);
-    // Double data rate: two beats of busBytes per clock.
-    return dataStart + burstClocks(bytes) * cfg.clockPs;
-}
+    ChannelState &ch = channels[c.ch];
+    BankState &bank = ch.banks[c.bank];
 
-Tick
-DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
-{
-    u32 chIdx;
-    u64 bankIdx, row;
-    decode(addr, chIdx, bankIdx, row);
-    ChannelState &ch = channels[chIdx];
-    BankState &bank = ch.banks[bankIdx];
-
-    Tick start = std::max(now, bank.readyAt);
-    if (bank.open && bank.row == row) {
+    Tick dataEnd = probe(c, now);
+    if (bank.open && bank.row == c.row) {
         ++counters.rowHits;
     } else if (!bank.open) {
         ++counters.rowEmpty;
@@ -71,29 +51,28 @@ DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
         ++counters.activations;
         counters.actEnergyPj += cfg.actPreNj * 1000.0;
     }
-    Tick dataEnd = chunkDone(bank, row, ch.busUntil, bytes, start);
     bank.open = true;
-    bank.row = row;
+    bank.row = c.row;
     ch.busUntil = dataEnd;
-    busyAccum += burstClocks(bytes) * cfg.clockPs;
+    busyAccum += burstClocks(c.bytes) * cfg.clockPs;
     bank.readyAt = dataEnd;
     if (dataEnd > lastTick)
         lastTick = dataEnd;
 
     if (type == AccessType::Read) {
         ++counters.reads;
-        counters.bytesRead += bytes;
-        counters.readEnergyPj += 8.0 * bytes * cfg.rdPjPerBit;
+        counters.bytesRead += c.bytes;
+        counters.readEnergyPj += 8.0 * c.bytes * cfg.rdPjPerBit;
     } else {
         ++counters.writes;
-        counters.bytesWritten += bytes;
-        counters.writeEnergyPj += 8.0 * bytes * cfg.wrPjPerBit;
+        counters.bytesWritten += c.bytes;
+        counters.writeEnergyPj += 8.0 * c.bytes * cfg.wrPjPerBit;
         // Cell programming (PCM): the bank stays busy past the data
         // burst, but the write itself completes with its burst — the
         // cost lands on whoever needs this bank next.
         bank.readyAt = dataEnd + Tick(cfg.tWr) * cfg.clockPs;
         if (cfg.trackWear)
-            wearBytes[u64(chIdx) * cfg.banksPerChannel + bankIdx] += bytes;
+            wearBytes[u64(c.ch) * cfg.banksPerChannel + c.bank] += c.bytes;
     }
     return dataEnd;
 }
@@ -101,30 +80,30 @@ DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
 Tick
 DramDevice::access(Addr addr, u32 bytes, AccessType type, Tick now)
 {
-    h2_assert(bytes > 0, "zero-byte DRAM access");
-    h2_assert(addr < cfg.capacityBytes && addr + bytes <= cfg.capacityBytes,
-              cfg.name, ": access beyond capacity, addr=", addr,
-              " bytes=", bytes);
     Tick done = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = cfg.interleaveBytes - (cur & geo.ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        done = std::max(done, accessChunk(cur, take, type, now));
-        cur += take;
-        remaining -= take;
-    }
+    forEachChunk(addr, bytes, [&](const Chunk &c) {
+        done = std::max(done, issue(c, type, now));
+    });
     return done;
 }
 
 Tick
-DramDevice::probeChunkDone(u32 ch, u64 bank, u64 row, u32 bytes,
-                           Tick start) const
+DramDevice::probe(const Chunk &c, Tick start) const
 {
-    const ChannelState &c = channels[ch];
-    const BankState &b = c.banks[bank];
-    return chunkDone(b, row, c.busUntil, bytes, std::max(start, b.readyAt));
+    const ChannelState &ch = channels[c.ch];
+    const BankState &bank = ch.banks[c.bank];
+    u32 latCycles;
+    if (bank.open && bank.row == c.row)
+        latCycles = cfg.tCas;
+    else if (!bank.open)
+        latCycles = cfg.tRcd + cfg.tCas;
+    else
+        latCycles = cfg.tRp + cfg.tRcd + cfg.tCas;
+    Tick cmdDone =
+        std::max(start, bank.readyAt) + Tick(latCycles) * cfg.clockPs;
+    Tick dataStart = std::max(cmdDone, ch.busUntil);
+    // Double data rate: two beats of busBytes per clock.
+    return dataStart + burstClocks(c.bytes) * cfg.clockPs;
 }
 
 double

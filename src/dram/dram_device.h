@@ -2,18 +2,25 @@
  * @file
  * Analytic DRAM timing/energy model.
  *
- * Replaces DRAMSim2 from the paper's setup. Every access resolves to
- * channel/bank/row; the model tracks open rows and per-bank/channel
+ * Replaces DRAMSim2 from the paper's setup. The unit of the model is
+ * the Chunk: forEachChunk() splits a request at the channel interleave
+ * and decodes each piece once to its (channel, bank, row). Callers hold
+ * on to the chunks and pass them back to issue() (mutating), probe()
+ * (a what-if completion), freeAt() and rowOpen(), so no address is
+ * decoded twice and nothing outside the device names a bank by raw
+ * coordinates. The model tracks open rows and per-bank/channel
  * busy-until times, which yields row-hit/row-miss latencies, bank
  * conflicts, and bandwidth contention (queueing behind earlier traffic)
- * without a cycle-stepped event loop. Energy is accounted per access
+ * without a cycle-stepped event loop. Energy is accounted per chunk
  * (pJ/bit moved) and per activation (ACT/PRE) with Table 1 constants.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
+#include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "dram/dram_params.h"
@@ -40,6 +47,18 @@ struct DramStats
     u64 totalBytes() const { return bytesRead + bytesWritten; }
 };
 
+/** One interleave chunk of a request, decoded: the unit a DramDevice
+ *  times and a mem::MemController queues. Never crosses an interleave
+ *  boundary, so it lands on exactly one (channel, bank, row). */
+struct Chunk
+{
+    Addr addr = 0;
+    u32 bytes = 0;
+    u32 ch = 0;
+    u64 bank = 0;
+    u64 row = 0;
+};
+
 /**
  * One DRAM device: a group of channels sharing geometry and timing.
  * Not thread-safe; one simulation drives it from one thread.
@@ -50,9 +69,32 @@ class DramDevice
     explicit DramDevice(const DramParams &params);
 
     /**
+     * Split [@p addr, @p addr + @p bytes) at the channel interleave and
+     * call @p fn with each decoded Chunk, in address order. This is the
+     * only place a request is split or an address decoded; callers keep
+     * the chunks they need and hand them back to issue()/probe().
+     */
+    template <typename Fn>
+    void
+    forEachChunk(Addr addr, u32 bytes, Fn &&fn) const
+    {
+        h2_assert(bytes > 0, "zero-byte DRAM access");
+        h2_assert(addr < cfg.capacityBytes &&
+                      addr + bytes <= cfg.capacityBytes,
+                  cfg.name, ": access beyond capacity, addr=", addr,
+                  " bytes=", bytes);
+        const Addr end = addr + bytes;
+        for (Addr cur = addr; cur < end;) {
+            Addr next = std::min<Addr>(end, (cur | geo.ilvMask) + 1);
+            fn(decode(cur, static_cast<u32>(next - cur)));
+            cur = next;
+        }
+    }
+
+    /**
      * Perform an access of @p bytes starting at device address @p addr
-     * at time @p now. Accesses wider than the channel interleave are
-     * split into chunks that proceed in parallel across channels.
+     * at time @p now: every chunk issues at @p now, so chunks on
+     * different channels proceed in parallel.
      *
      * @return completion time of the last byte.
      */
@@ -68,50 +110,31 @@ class DramDevice
         return channels.at(ch).busUntil;
     }
 
-    /** Earliest tick bank @p bank of channel @p ch can accept a
-     *  command. */
+    /** Issue chunk @p c at @p now (or once its bank is ready) and
+     *  account it. @return completion of its data burst. */
+    Tick issue(const Chunk &c, AccessType type, Tick now);
+
+    /** Completion tick issue(@p c, any type, @p start) returns,
+     *  computed against current device state without mutating it. The
+     *  controller uses it to decide whether a queued write fits into
+     *  an idle gap. */
+    Tick probe(const Chunk &c, Tick start) const;
+
+    /** Earliest tick both @p c's bank and its channel's data bus are
+     *  free: the wait a request serializes behind. */
     Tick
-    bankReadyAt(u32 ch, u64 bank) const
+    freeAt(const Chunk &c) const
     {
-        return channels.at(ch).banks.at(bank).readyAt;
+        const ChannelState &ch = channels[c.ch];
+        return std::max(ch.busUntil, ch.banks[c.bank].readyAt);
     }
 
-    /** Is @p row the open row of bank @p bank on channel @p ch? (FR-FCFS
-     *  scheduling hint for mem::MemController, which keeps its queued
-     *  chunks decoded.) */
+    /** Would @p c hit its bank's open row? (FR-FCFS hint.) */
     bool
-    rowOpen(u32 ch, u64 bank, u64 row) const
+    rowOpen(const Chunk &c) const
     {
-        const BankState &b = channels[ch].banks[bank];
-        return b.open && b.row == row;
-    }
-
-    /**
-     * Completion tick of a single interleave chunk of @p bytes to
-     * (@p ch, @p bank, @p row) — as decode() resolves it — started at
-     * @p start, against current device state, without mutating it.
-     * Used by the controller to decide whether a queued write fits
-     * into an idle gap.
-     */
-    Tick probeChunkDone(u32 ch, u64 bank, u64 row, u32 bytes,
-                        Tick start) const;
-
-    /**
-     * Resolve an address to channel index / bank / row.
-     *
-     * Hot path: the power-of-two geometry (asserted at construction)
-     * is folded into shifts and masks. Public so property tests can pin
-     * it to the reference div/mod arithmetic.
-     */
-    void
-    decode(Addr addr, u32 &channel, u64 &bank, u64 &row) const
-    {
-        u64 chunk = addr >> geo.ilvShift;
-        channel = static_cast<u32>(chunk & geo.chMask);
-        u64 chAddr = ((chunk >> geo.chShift) << geo.ilvShift)
-            | (addr & geo.ilvMask);
-        bank = (chAddr >> geo.rowShift) & geo.bankMask;
-        row = chAddr >> geo.rowBankShift;
+        const BankState &b = channels[c.ch].banks[c.bank];
+        return b.open && b.row == c.row;
     }
 
     const DramParams &params() const { return cfg; }
@@ -199,12 +222,20 @@ class DramDevice
         return (bytes + geo.beatMask) >> geo.beatShift;
     }
 
-    Tick accessChunk(Addr addr, u32 bytes, AccessType type, Tick now);
+    /** The chunk of @p bytes at @p addr: the power-of-two geometry
+     *  (asserted at construction) folds the div/mod address map into
+     *  shifts and masks. */
+    Chunk
+    decode(Addr addr, u32 bytes) const
+    {
+        u64 chunk = addr >> geo.ilvShift;
+        u64 chAddr = ((chunk >> geo.chShift) << geo.ilvShift)
+            | (addr & geo.ilvMask);
+        return {addr, bytes, static_cast<u32>(chunk & geo.chMask),
+                (chAddr >> geo.rowShift) & geo.bankMask,
+                chAddr >> geo.rowBankShift};
+    }
 
-    /** Chunk completion given explicit bank/bus state (shared by
-     *  accessChunk and probeChunkDone). */
-    Tick chunkDone(const BankState &bank, u64 row, Tick busUntil,
-                   u32 bytes, Tick start) const;
 
     DramParams cfg;
     Geometry geo;

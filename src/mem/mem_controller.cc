@@ -8,8 +8,7 @@ namespace h2::mem {
 
 MemController::MemController(const dram::DramParams &deviceParams,
                              const QueueParams &params)
-    : dev(deviceParams), cfg(params),
-      ilvMask(u64(deviceParams.interleaveBytes) - 1)
+    : dev(deviceParams), cfg(params)
 {
     h2_assert(cfg.writeLowWatermark < cfg.writeHighWatermark,
               "write-drain watermarks must satisfy low < high (got low=",
@@ -24,7 +23,7 @@ MemController::pickFrFcfs(u32 ch, bool &bypass) const
 {
     const auto &q = writeQ[ch];
     for (size_t i = 0; i < q.size(); ++i) {
-        if (dev.rowOpen(ch, q[i].bank, q[i].row)) {
+        if (dev.rowOpen(q[i].chunk)) {
             bypass = i != 0;
             return i;
         }
@@ -40,7 +39,7 @@ MemController::dispatchWrite(u32 ch, size_t idx, Tick issueTick)
     writeQ[ch].erase(writeQ[ch].begin() + idx);
     writeDelay.sample(
         double(issueTick > w.readyAt ? issueTick - w.readyAt : 0));
-    Tick done = dev.access(w.addr, w.bytes, AccessType::Write, issueTick);
+    Tick done = dev.issue(w.chunk, AccessType::Write, issueTick);
     trackInflight(ch, done);
     return done;
 }
@@ -61,7 +60,7 @@ MemController::idleDrain(u32 ch, Tick now)
         // Dispatch only writes that fit entirely into the idle gap
         // before `now`: the drain must never delay the demand access
         // it runs in front of (read priority).
-        if (dev.probeChunkDone(ch, w.bank, w.row, w.bytes, issueTick) > now)
+        if (dev.probe(w.chunk, issueTick) > now)
             break;
         if (bypass)
             ++nRowHitBypasses;
@@ -105,72 +104,46 @@ MemController::sampleReadDepth(u32 ch, Tick now)
 Tick
 MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
 {
-    // Walk the chunks the device will split this request into: sweep
-    // idle-gap writes on each touched channel, then measure the wait
-    // the request will serialize behind (bus + bank occupancy left by
-    // earlier traffic, including any forced write drains).
+    chunks.clear();
+    dev.forEachChunk(addr, bytes,
+                     [this](const dram::Chunk &c) { chunks.push_back(c); });
+    // Sweep idle-gap writes on each touched channel, then measure the
+    // wait the request will serialize behind (bus + bank occupancy
+    // left by earlier traffic, including any forced write drains).
     Tick queueDelay = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    const u32 ilv = dev.params().interleaveBytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
-        idleDrain(ch, now);
+    for (const dram::Chunk &c : chunks) {
+        idleDrain(c.ch, now);
         if (type == AccessType::Read)
-            sampleReadDepth(ch, now);
-        Tick waitUntil =
-            std::max(dev.channelBusUntil(ch), dev.bankReadyAt(ch, bank));
+            sampleReadDepth(c.ch, now);
+        Tick waitUntil = dev.freeAt(c);
         if (waitUntil > now)
             queueDelay = std::max(queueDelay, waitUntil - now);
-        cur += take;
-        remaining -= take;
     }
     if (type == AccessType::Read) {
         ++nReads;
         readDelay.sample(double(queueDelay));
     }
 
-    Tick done = dev.access(addr, bytes, type, now);
-
-    cur = addr;
-    remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
-        trackInflight(ch, dev.channelBusUntil(ch));
-        cur += take;
-        remaining -= take;
-    }
+    Tick done = 0;
+    for (const dram::Chunk &c : chunks)
+        done = std::max(done, dev.issue(c, type, now));
+    // Tracked only once every chunk has issued: a request that
+    // revisits a channel leaves that channel's final busUntil.
+    for (const dram::Chunk &c : chunks)
+        trackInflight(c.ch, dev.channelBusUntil(c.ch));
     return done;
 }
 
 void
 MemController::post(Addr addr, u32 bytes, Tick readyAt)
 {
-    Addr cur = addr;
-    u64 remaining = bytes;
-    const u32 ilv = dev.params().interleaveBytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
-        auto &q = writeQ[ch];
+    dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) {
+        auto &q = writeQ[c.ch];
         writeDepthDist.sample(double(q.size()));
-        q.push_back({cur, take, bank, row, readyAt});
+        q.push_back({c, readyAt});
         if (q.size() >= cfg.writeHighWatermark)
-            forcedDrain(ch, readyAt);
-        cur += take;
-        remaining -= take;
-    }
+            forcedDrain(c.ch, readyAt);
+    });
 }
 
 Tick
@@ -227,7 +200,6 @@ MemController::collectStats(StatSet &out, const std::string &prefix) const
     out.add(prefix + ".avgWriteQueueDelayPs", avgWriteQueueDelayPs());
     out.add(prefix + ".drainEpisodes", double(nDrainEpisodes));
     out.add(prefix + ".rowHitBypasses", double(nRowHitBypasses));
-    out.add(prefix + ".queuedWrites", double(queuedWrites()));
     out.add(prefix + ".readDepthMean", readDepthDist.mean());
     out.add(prefix + ".readDepthMax", readDepthDist.max());
     out.add(prefix + ".writeDepthMean", writeDepthDist.mean());

@@ -6,12 +6,16 @@
  * contention (later work waits behind `busUntil`/`readyAt`), but until
  * this layer existed every request was dispatched the moment the
  * design issued it. The controller adds the scheduling decisions a
- * real controller makes between arrival and dispatch:
+ * real controller makes between arrival and dispatch. It works in the
+ * device's decoded chunks: DramDevice::forEachChunk splits each
+ * request once, and every later step (queueing, FR-FCFS pick,
+ * idle-gap probe, issue, in-flight tracking) hands the same
+ * dram::Chunk back to the device.
  *
  *  - **Per-channel write queues.** Posted writes (structural traffic
  *    whose data is already latched: evictions, migrations, metadata
  *    updates, LLC writebacks routed through the posted-write buffer)
- *    are enqueued, split at interleave-chunk granularity, instead of
+ *    are enqueued chunk by chunk on their channels, instead of
  *    being sent to the device at their ready tick. They never block
  *    the requester; they only contend once dispatched.
  *  - **FR-FCFS dispatch.** When a queue drains, the entry whose chunk
@@ -30,13 +34,19 @@
  *    finds the channel idle, the next high-watermark drain, or
  *    drainAll() — it cannot be starved forever.
  *
- * Host cost per access is O(1) in the common case: queued chunks are
- * decoded once at enqueue, the idle drain returns without scanning
- * while the channel's bus is busy within one burst clock of the
- * access (no write could fit — exact), and completed in-flight chunks
- * pop off the front of a per-channel FIFO. Every tracked completion is
- * the channel's `busUntil` at dispatch, which only grows, so the FIFO
- * is already in completion order (trackInflight asserts it).
+ * An access runs three passes over its chunks, in this order: for
+ * each chunk, the idle drain, the read-depth sample and the wait it
+ * serializes behind; then every chunk issues; then each is tracked
+ * in flight at its channel's final `busUntil`. Merging the passes
+ * would change the queue stats of requests that revisit a channel.
+ *
+ * Host cost per access is O(1) in the common case: the split reuses
+ * one buffer, the idle drain returns without scanning while the
+ * channel's bus is busy within one burst clock of the access (no
+ * write could fit — exact), and completed in-flight chunks pop off
+ * the front of a per-channel FIFO. Every tracked completion is the
+ * channel's `busUntil` at dispatch, which only grows, so the FIFO is
+ * already in completion order (trackInflight asserts it).
  *
  * Stats (all zero-guarded for empty classes): average read queue
  * delay (the serialized wait between arrival and service start that
@@ -127,8 +137,7 @@ class MemController
 
     /** Counters under @p prefix (e.g. "nmq"): avgReadQueueDelayPs,
      *  avgWriteQueueDelayPs, drainEpisodes, rowHitBypasses,
-     *  queuedWrites (still queued at collection), readDepthMean/Max
-     *  and writeDepthMean/Max. */
+     *  readDepthMean/Max and writeDepthMean/Max. */
     void collectStats(StatSet &out, const std::string &prefix) const;
 
     /** Sum of read queue delays (ps), for cross-controller means. */
@@ -138,16 +147,12 @@ class MemController
     }
 
   private:
-    /** One queued chunk, decoded once at enqueue: the FR-FCFS pick and
-     *  the idle-gap probe read (bank, row) from here instead of
-     *  re-decoding the address for every scan. The channel is the
-     *  queue's own. */
+    /** One posted write chunk, kept as the device decoded it: the
+     *  FR-FCFS pick, the idle-gap probe and the dispatch all hand it
+     *  back to the device as is. The channel is the queue's own. */
     struct QueuedWrite
     {
-        Addr addr;     ///< chunk address (never crosses interleave)
-        u32 bytes;
-        u64 bank;
-        u64 row;
+        dram::Chunk chunk;
         Tick readyAt;  ///< when the data was latched (enqueue tick)
     };
 
@@ -193,8 +198,10 @@ class MemController
 
     dram::DramDevice dev;
     QueueParams cfg;
-    u64 ilvMask; ///< interleaveBytes - 1 (device asserts pow2)
     std::vector<std::vector<QueuedWrite>> writeQ; ///< per channel
+    /** access()'s request, split once; reused so the hot path does
+     *  not allocate. */
+    std::vector<dram::Chunk> chunks;
     /** Per channel: completion ticks of dispatched chunks, in the
      *  (nondecreasing) order they were dispatched. */
     std::vector<std::deque<Tick>> inflight;

@@ -375,9 +375,9 @@ TEST(DramDevice, WearKeysAbsentWithoutTracking)
 
 TEST(DramDevice, CollectStatsEmitsRowEmpty)
 {
-    // Satellite regression: rowEmpty was counted by accessChunk but
-    // silently dropped by collectStats, so the first-touch activation
-    // count never reached Metrics.detail.
+    // Regression: collectStats once dropped the rowEmpty count that
+    // DramDevice::issue keeps, so the first-touch activation count
+    // never reached Metrics.detail.
     DramDevice dev(DramParams::hbm2(256 * MiB));
     dev.access(0, 64, AccessType::Read, 0); // closed bank: rowEmpty
     dev.access(0, 64, AccessType::Read, 10000000); // row hit

@@ -13,10 +13,12 @@
  *
  * then review the diff like any other code change.
  *
- * Comparison is exact for integers and text; doubles tolerate 1e-9
- * relative error so the snapshots survive compilers that contract
- * a*b+c into fma (the checked-in values come from one build type, CI
- * runs several).
+ * Comparison walks the two parsed documents and reports every
+ * difference by its member path (`/detail/nm.reads: golden 12, run
+ * 13`), so a regenerated golden's delta reads per key. It is exact for
+ * integers and text; doubles tolerate 1e-9 relative error so the
+ * snapshots survive compilers that contract a*b+c into fma (the
+ * checked-in values come from one build type, CI runs several).
  *
  * Every registered design gets a GoldenMetrics.<Design>Lbm case,
  * instantiated from the design registry in main(): a design added
@@ -30,10 +32,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/json.h"
 #include "sim/design_registry.h"
 #include "sim/runner.h"
 #include "workloads/workload_spec.h"
@@ -108,60 +113,153 @@ goldenPath(const std::string &design, const std::string &workload,
 bool
 looksFloat(const std::string &tok)
 {
-    return tok.find_first_of(".eE") != std::string::npos &&
-           tok.find_first_of("0123456789") != std::string::npos;
+    return tok.find_first_of(".eE") != std::string::npos;
 }
 
+/** Number tokens @p a and @p b match: equal, or within 1e-9 relative
+ *  when either is float-spelled. */
 bool
-isNumChar(char c)
+numbersMatch(const std::string &a, const std::string &b)
 {
-    return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' ||
-           c == 'e' || c == 'E';
+    if (a == b)
+        return true;
+    if (!looksFloat(a) && !looksFloat(b))
+        return false;
+    double da = std::strtod(a.c_str(), nullptr);
+    double db = std::strtod(b.c_str(), nullptr);
+    double scale = std::max(std::abs(da), std::abs(db));
+    return std::abs(da - db) <= 1e-9 * std::max(scale, 1.0);
+}
+
+/** One-line rendering of @p v for a diff line. */
+std::string
+show(const JsonValue &v)
+{
+    switch (v.type) {
+    case JsonValue::Type::Null: return "null";
+    case JsonValue::Type::Bool: return v.boolean ? "true" : "false";
+    case JsonValue::Type::Number: return v.scalar;
+    case JsonValue::Type::String: return '"' + v.scalar + '"';
+    case JsonValue::Type::Array:
+        return "[" + std::to_string(v.items.size()) + " items]";
+    case JsonValue::Type::Object:
+        return "{" + std::to_string(v.members.size()) + " members}";
+    }
+    return "?";
 }
 
 /**
- * Compare two JSON renderings: identical except that floating-point
- * literals may differ by 1e-9 relative. Structure, keys, and integer
- * values must match exactly. Returns "" on match, else a description
- * of the first difference.
+ * Append to @p out one line per difference between @p want (golden)
+ * and @p got (run) below JSON-pointer @p path: every changed value,
+ * every member missing from or extra in the run, and every member
+ * whose position among the shared members moved.
+ */
+void
+diffJson(const JsonValue &want, const JsonValue &got,
+         const std::string &path, std::vector<std::string> &out)
+{
+    if (want.isArray() && got.isArray()) {
+        size_t n = std::max(want.items.size(), got.items.size());
+        for (size_t i = 0; i < n; ++i) {
+            std::string item = path + "/" + std::to_string(i);
+            if (i >= got.items.size())
+                out.push_back(item + ": missing from run (golden " +
+                              show(want.items[i]) + ")");
+            else if (i >= want.items.size())
+                out.push_back(item + ": extra in run (" +
+                              show(got.items[i]) + ")");
+            else
+                diffJson(want.items[i], got.items[i], item, out);
+        }
+        return;
+    }
+    if (want.isObject() && got.isObject()) {
+        std::vector<std::string> wantOrder, gotOrder;
+        for (const auto &[key, value] : want.members) {
+            const JsonValue *other = got.find(key);
+            if (!other) {
+                out.push_back(path + "/" + key + ": missing from run "
+                              "(golden " + show(value) + ")");
+                continue;
+            }
+            wantOrder.push_back(key);
+            diffJson(value, *other, path + "/" + key, out);
+        }
+        for (const auto &[key, value] : got.members) {
+            if (!want.find(key))
+                out.push_back(path + "/" + key + ": extra in run (" +
+                              show(value) + ")");
+            else
+                gotOrder.push_back(key);
+        }
+        size_t shared = std::min(wantOrder.size(), gotOrder.size());
+        for (size_t i = 0; i < shared; ++i)
+            if (wantOrder[i] != gotOrder[i])
+                out.push_back(path + "/" + wantOrder[i] +
+                              ": reordered (the run has " + gotOrder[i] +
+                              " in its place)");
+        return;
+    }
+    bool same = want.isNumber() && got.isNumber()
+        ? numbersMatch(want.scalar, got.scalar)
+        : want.type == got.type && show(want) == show(got);
+    if (!same)
+        out.push_back((path.empty() ? "/" : path) + ": golden " +
+                      show(want) + ", run " + show(got));
+}
+
+/**
+ * Compare two JSON renderings member by member: structure, keys, text
+ * and integer-spelled numbers must match exactly; a number pair with a
+ * float-spelled side may differ by 1e-9 relative. Returns "" on match,
+ * else one line per difference, each naming its member's path.
  */
 std::string
 compareJson(const std::string &want, const std::string &got)
 {
-    size_t i = 0, j = 0;
-    while (i < want.size() && j < got.size()) {
-        if (want[i] == got[j] && !isNumChar(want[i])) {
-            ++i, ++j;
-            continue;
-        }
-        if (isNumChar(want[i]) && isNumChar(got[j])) {
-            size_t i0 = i, j0 = j;
-            while (i < want.size() && isNumChar(want[i]))
-                ++i;
-            while (j < got.size() && isNumChar(got[j]))
-                ++j;
-            std::string a = want.substr(i0, i - i0);
-            std::string b = got.substr(j0, j - j0);
-            if (a == b)
-                continue;
-            if (looksFloat(a) || looksFloat(b)) {
-                double da = std::strtod(a.c_str(), nullptr);
-                double db = std::strtod(b.c_str(), nullptr);
-                double scale = std::max(std::abs(da), std::abs(db));
-                if (std::abs(da - db) <= 1e-9 * std::max(scale, 1.0))
-                    continue;
-            }
-            return "value mismatch near offset " + std::to_string(i0) +
-                   ": golden has '" + a + "', run produced '" + b + "'";
-        }
-        return std::string("text mismatch near offset ") +
-               std::to_string(i) + ": golden has '" + want[i] +
-               "', run produced '" + got[j] + "'";
-    }
-    if (i != want.size() || j != got.size())
-        return "length mismatch (golden " + std::to_string(want.size()) +
-               " bytes, run " + std::to_string(got.size()) + ")";
-    return {};
+    std::string error;
+    std::optional<JsonValue> w = parseJson(want, &error);
+    if (!w)
+        return "golden is not valid JSON: " + error;
+    std::optional<JsonValue> g = parseJson(got, &error);
+    if (!g)
+        return "run output is not valid JSON: " + error;
+    std::vector<std::string> lines;
+    diffJson(*w, *g, "", lines);
+    std::string out;
+    for (const std::string &line : lines)
+        out += line + "\n";
+    return out;
+}
+
+TEST(GoldenDiff, NamesChangedMissingExtraAndReorderedMembers)
+{
+    const std::string golden = R"({"ipc": 1.5, "cycles": 100,
+        "detail": {"nm.reads": 12, "nm.writes": 3, "x": 1, "y": 2},
+        "series": [1, 2]})";
+    // Rounding-level float drift and an integral float printed without
+    // a fraction are no difference.
+    EXPECT_EQ(compareJson(golden, R"({"ipc": 1.5000000000001,
+        "cycles": 100, "detail": {"nm.reads": 12, "nm.writes": 3,
+        "x": 1, "y": 2}, "series": [1.0, 2]})"), "");
+
+    std::string diff = compareJson(golden, R"({"ipc": 1.5, "cycles": 101,
+        "detail": {"nm.reads": 12, "y": 2, "x": 1, "fm.reads": 7},
+        "series": [1, 2, 3]})");
+    EXPECT_NE(diff.find("/cycles: golden 100, run 101\n"),
+              std::string::npos) << diff;
+    EXPECT_NE(diff.find("/detail/nm.writes: missing from run (golden 3)"),
+              std::string::npos) << diff;
+    EXPECT_NE(diff.find("/detail/fm.reads: extra in run (7)"),
+              std::string::npos) << diff;
+    EXPECT_NE(diff.find("/detail/x: reordered"), std::string::npos)
+        << diff;
+    EXPECT_NE(diff.find("/series/2: extra in run (3)"), std::string::npos)
+        << diff;
+    // Unchanged members are not listed; integer spelling is exact.
+    EXPECT_EQ(diff.find("/ipc"), std::string::npos) << diff;
+    EXPECT_EQ(diff.find("nm.reads"), std::string::npos) << diff;
+    EXPECT_NE(compareJson(R"({"n": 3})", R"({"n": 4})"), "");
 }
 
 /**

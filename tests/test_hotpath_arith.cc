@@ -1,10 +1,11 @@
 /**
  * @file
  * Property tests pinning the hot-path shift/mask arithmetic to the
- * reference div/mod formulas it replaced: DramDevice::decode across
- * randomized power-of-two geometries, the single-chunk timing probe
- * against the access it predicts, and the XTA's power-of-two set
- * mapping.
+ * reference div/mod formulas it replaced: the chunks
+ * DramDevice::forEachChunk decodes, across randomized power-of-two
+ * geometries and for unaligned requests on the presets, the chunk
+ * timing probe against the issue it predicts, and the XTA's
+ * power-of-two set mapping.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,16 @@ referenceDecode(const dram::DramParams &cfg, Addr addr, u32 &channel,
         + (addr % cfg.interleaveBytes);
     bank = (chAddr / cfg.rowBytes) % cfg.banksPerChannel;
     row = chAddr / (u64(cfg.rowBytes) * cfg.banksPerChannel);
+}
+
+/** The last chunk the device decodes for @p bytes at @p addr (the
+ *  only one when the range stays inside one interleave unit). */
+dram::Chunk
+chunkAt(const dram::DramDevice &dev, Addr addr, u32 bytes = 1)
+{
+    dram::Chunk out{};
+    dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) { out = c; });
+    return out;
 }
 
 dram::DramParams
@@ -60,17 +71,17 @@ TEST(DramDecode, MatchesReferenceAcrossRandomGeometries)
         dram::DramDevice dev(p);
         for (int i = 0; i < 500; ++i) {
             Addr addr = rng.below(p.capacityBytes);
-            u32 ch, refCh;
-            u64 bank, row, refBank, refRow;
-            dev.decode(addr, ch, bank, row);
+            u32 refCh;
+            u64 refBank, refRow;
+            dram::Chunk c = chunkAt(dev, addr);
             referenceDecode(p, addr, refCh, refBank, refRow);
-            ASSERT_EQ(ch, refCh)
+            ASSERT_EQ(c.ch, refCh)
                 << "ch=" << p.channels << " banks=" << p.banksPerChannel
                 << " row=" << p.rowBytes << " addr=" << addr;
-            ASSERT_EQ(bank, refBank)
+            ASSERT_EQ(c.bank, refBank)
                 << "ch=" << p.channels << " banks=" << p.banksPerChannel
                 << " row=" << p.rowBytes << " addr=" << addr;
-            ASSERT_EQ(row, refRow)
+            ASSERT_EQ(c.row, refRow)
                 << "ch=" << p.channels << " banks=" << p.banksPerChannel
                 << " row=" << p.rowBytes << " addr=" << addr;
         }
@@ -85,13 +96,50 @@ TEST(DramDecode, Table1PresetsMatchReference)
         dram::DramDevice dev(p);
         for (int i = 0; i < 2000; ++i) {
             Addr addr = rng.below(p.capacityBytes);
-            u32 ch, refCh;
-            u64 bank, row, refBank, refRow;
-            dev.decode(addr, ch, bank, row);
+            u32 refCh;
+            u64 refBank, refRow;
+            dram::Chunk c = chunkAt(dev, addr);
             referenceDecode(p, addr, refCh, refBank, refRow);
-            ASSERT_EQ(ch, refCh);
-            ASSERT_EQ(bank, refBank);
-            ASSERT_EQ(row, refRow);
+            ASSERT_EQ(c.ch, refCh);
+            ASSERT_EQ(c.bank, refBank);
+            ASSERT_EQ(c.row, refRow);
+        }
+    }
+}
+
+TEST(DramDecode, ChunksTileUnalignedRequestsAndMatchReference)
+{
+    // forEachChunk is the only interleave split: for any request up to
+    // a 4 KiB page, its chunks must cover the range exactly, in
+    // address order, none crossing an interleave boundary, each
+    // decoded as the reference decodes its first byte.
+    Rng rng(53);
+    for (auto p : {dram::DramParams::hbm2(1 * GiB),
+                   dram::DramParams::ddr4_3200(4 * GiB),
+                   dram::DramParams::pcm(4 * GiB)}) {
+        SCOPED_TRACE(p.name);
+        dram::DramDevice dev(p);
+        for (int i = 0; i < 2000; ++i) {
+            u32 bytes = 1 + u32(rng.below(4096));
+            Addr addr = rng.below(p.capacityBytes - bytes + 1);
+            Addr next = addr;
+            dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) {
+                ASSERT_EQ(c.addr, next) << "addr " << addr;
+                ASSERT_GT(c.bytes, 0u);
+                ASSERT_EQ(c.addr / p.interleaveBytes,
+                          (c.addr + c.bytes - 1) / p.interleaveBytes)
+                    << "chunk at " << c.addr << " crosses an interleave "
+                    << "boundary";
+                u32 refCh;
+                u64 refBank, refRow;
+                referenceDecode(p, c.addr, refCh, refBank, refRow);
+                ASSERT_EQ(c.ch, refCh) << "chunk at " << c.addr;
+                ASSERT_EQ(c.bank, refBank) << "chunk at " << c.addr;
+                ASSERT_EQ(c.row, refRow) << "chunk at " << c.addr;
+                next = c.addr + c.bytes;
+            });
+            ASSERT_EQ(next, addr + bytes) << "addr " << addr << " bytes "
+                                          << bytes;
         }
     }
 }
@@ -99,8 +147,8 @@ TEST(DramDecode, Table1PresetsMatchReference)
 TEST(DramDecode, ProbeEqualsAccessForSingleChunk)
 {
     // MemController's idle drain issues a queued write into a gap only
-    // if probeChunkDone says it completes in time, so the probe must
-    // predict exactly what access() then reports for that chunk: reads
+    // if probe() says it completes in time, so the probe must predict
+    // exactly what issue() then reports for that chunk: reads
     // and writes (PCM's write recovery included), row hits, misses and
     // contended starts, on a multi-channel geometry unlike any preset's.
     for (const char *preset : {"hbm2", "ddr4", "pcm"}) {
@@ -122,11 +170,10 @@ TEST(DramDecode, ProbeEqualsAccessForSingleChunk)
             u32 bytes = 1 + u32(rng.below(room));
             AccessType t = rng.chance(0.5) ? AccessType::Read
                                            : AccessType::Write;
-            u32 ch;
-            u64 bank, row;
-            dev.decode(addr, ch, bank, row);
-            Tick predicted = dev.probeChunkDone(ch, bank, row, bytes, now);
-            ASSERT_EQ(predicted, dev.access(addr, bytes, t, now))
+            dram::Chunk c = chunkAt(dev, addr, bytes);
+            ASSERT_EQ(c.addr, addr) << "one chunk per access";
+            Tick predicted = dev.probe(c, now);
+            ASSERT_EQ(predicted, dev.issue(c, t, now))
                 << preset << " access " << i << " addr " << addr
                 << " bytes " << bytes;
         }

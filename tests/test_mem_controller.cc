@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -35,10 +36,10 @@ ddr()
 bool
 opensRow(const dram::DramDevice &dev, Addr addr)
 {
-    u32 ch;
-    u64 bank, row;
-    dev.decode(addr, ch, bank, row);
-    return dev.rowOpen(ch, bank, row);
+    bool open = false;
+    dev.forEachChunk(addr, 1,
+                     [&](const dram::Chunk &c) { open = dev.rowOpen(c); });
+    return open;
 }
 
 // ---------------------------------------------------------------------
@@ -231,9 +232,8 @@ TEST(MemController, ZeroTrafficStatsAreZeroAndFinite)
     ctrl.collectStats(s, "q");
     for (const char *key :
          {"q.avgReadQueueDelayPs", "q.avgWriteQueueDelayPs",
-          "q.drainEpisodes", "q.rowHitBypasses", "q.queuedWrites",
-          "q.readDepthMean", "q.readDepthMax", "q.writeDepthMean",
-          "q.writeDepthMax"}) {
+          "q.drainEpisodes", "q.rowHitBypasses", "q.readDepthMean",
+          "q.readDepthMax", "q.writeDepthMean", "q.writeDepthMax"}) {
         ASSERT_TRUE(s.has(key)) << key;
         EXPECT_TRUE(std::isfinite(s.get(key))) << key;
         EXPECT_DOUBLE_EQ(s.get(key), 0.0) << key;
@@ -268,12 +268,11 @@ class RefController
     access(Addr addr, u32 bytes, AccessType type, Tick now)
     {
         Tick queueDelay = 0;
-        forEachChunk(addr, bytes, [&](Addr, u32, u32 ch, u64 bank, u64) {
-            idleDrain(ch, now);
+        dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) {
+            idleDrain(c.ch, now);
             if (type == AccessType::Read)
-                sampleReadDepth(ch, now);
-            Tick waitUntil =
-                std::max(dev.channelBusUntil(ch), dev.bankReadyAt(ch, bank));
+                sampleReadDepth(c.ch, now);
+            Tick waitUntil = dev.freeAt(c);
             if (waitUntil > now)
                 queueDelay = std::max(queueDelay, waitUntil - now);
         });
@@ -282,8 +281,8 @@ class RefController
             readDelay.sample(double(queueDelay));
         }
         Tick done = dev.access(addr, bytes, type, now);
-        forEachChunk(addr, bytes, [&](Addr, u32, u32 ch, u64, u64) {
-            inflight[ch].push_back(dev.channelBusUntil(ch));
+        dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) {
+            inflight[c.ch].push_back(dev.channelBusUntil(c.ch));
         });
         return done;
     }
@@ -291,13 +290,12 @@ class RefController
     void
     post(Addr addr, u32 bytes, Tick readyAt)
     {
-        forEachChunk(addr, bytes,
-                     [&](Addr cur, u32 take, u32 ch, u64, u64) {
-            auto &q = writeQ[ch];
+        dev.forEachChunk(addr, bytes, [&](const dram::Chunk &c) {
+            auto &q = writeQ[c.ch];
             writeDepthDist.sample(double(q.size()));
-            q.push_back({cur, take, readyAt, nextSeq++});
+            q.push_back({c, readyAt, nextSeq++});
             if (q.size() >= cfg.writeHighWatermark)
-                forcedDrain(ch, readyAt);
+                forcedDrain(c.ch, readyAt);
         });
     }
 
@@ -319,6 +317,15 @@ class RefController
         return last;
     }
 
+    u64
+    queuedWrites() const
+    {
+        u64 n = 0;
+        for (const auto &q : writeQ)
+            n += q.size();
+        return n;
+    }
+
     void
     resetStats()
     {
@@ -335,7 +342,7 @@ class RefController
     void
     collectStats(StatSet &out, const std::string &prefix) const
     {
-        u64 n = 0, bypasses = 0, queued = 0;
+        u64 n = 0, bypasses = 0;
         double total = 0.0;
         for (const Distribution &d : writeDelayPerCh) {
             n += d.count();
@@ -343,13 +350,10 @@ class RefController
         }
         for (u64 c : bypassesPerCh)
             bypasses += c;
-        for (const auto &q : writeQ)
-            queued += q.size();
         out.add(prefix + ".avgReadQueueDelayPs", readDelay.mean());
         out.add(prefix + ".avgWriteQueueDelayPs", n ? total / n : 0.0);
         out.add(prefix + ".drainEpisodes", double(nDrainEpisodes));
         out.add(prefix + ".rowHitBypasses", double(bypasses));
-        out.add(prefix + ".queuedWrites", double(queued));
         out.add(prefix + ".readDepthMean", readDepthDist.mean());
         out.add(prefix + ".readDepthMax", readDepthDist.max());
         out.add(prefix + ".writeDepthMean", writeDepthDist.mean());
@@ -359,30 +363,10 @@ class RefController
   private:
     struct QueuedWrite
     {
-        Addr addr;
-        u32 bytes;
+        dram::Chunk chunk;
         Tick readyAt;
         u64 seq;
     };
-
-    template <typename Fn>
-    void
-    forEachChunk(Addr addr, u32 bytes, Fn fn)
-    {
-        const u32 ilv = dev.params().interleaveBytes;
-        Addr cur = addr;
-        u64 remaining = bytes;
-        while (remaining > 0) {
-            u64 inChunk = ilv - (cur % ilv);
-            u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-            u32 ch;
-            u64 bank, row;
-            dev.decode(cur, ch, bank, row);
-            fn(cur, take, ch, bank, row);
-            cur += take;
-            remaining -= take;
-        }
-    }
 
     size_t
     pickFrFcfs(const std::vector<QueuedWrite> &q, bool &bypass) const
@@ -392,7 +376,7 @@ class RefController
         for (size_t i = 0; i < q.size(); ++i) {
             if (q[i].seq < q[oldest].seq)
                 oldest = i;
-            if (opensRow(dev, q[i].addr) &&
+            if (dev.rowOpen(q[i].chunk) &&
                 (oldestHit == q.size() || q[i].seq < q[oldestHit].seq))
                 oldestHit = i;
         }
@@ -411,7 +395,7 @@ class RefController
         writeQ[ch].erase(writeQ[ch].begin() + idx);
         writeDelayPerCh[ch].sample(
             double(issueTick > w.readyAt ? issueTick - w.readyAt : 0));
-        Tick done = dev.access(w.addr, w.bytes, AccessType::Write, issueTick);
+        Tick done = dev.issue(w.chunk, AccessType::Write, issueTick);
         inflight[ch].push_back(done);
         return done;
     }
@@ -425,10 +409,7 @@ class RefController
             size_t idx = pickFrFcfs(q, bypass);
             const QueuedWrite &w = q[idx];
             Tick issueTick = std::min(w.readyAt, now);
-            u32 wCh;
-            u64 bank, row;
-            dev.decode(w.addr, wCh, bank, row);
-            if (dev.probeChunkDone(wCh, bank, row, w.bytes, issueTick) > now)
+            if (dev.probe(w.chunk, issueTick) > now)
                 break;
             if (bypass)
                 ++bypassesPerCh[ch];
@@ -499,7 +480,8 @@ runAgainstReference(const RefCase &c)
     std::vector<Addr> hot;
     for (int i = 0; i < 12; ++i)
         hot.push_back(rng.below(span / 64) * 64);
-    const u32 sizes[] = {64, 64, 64, 128, 256, 512, 2048, 100};
+    // 4096 is tagless's page fetch: 8 chunks per DDR4 channel.
+    const u32 sizes[] = {64, 64, 64, 128, 256, 512, 2048, 100, 4096};
 
     // Mostly back-to-back traffic that keeps queues and banks busy,
     // with occasional idle stretches for the idle drain to fill.
@@ -511,7 +493,7 @@ runAgainstReference(const RefCase &c)
         Addr addr = rng.chance(0.6)
             ? hot[rng.below(hot.size())] + rng.below(64) * 64
             : rng.below(span);
-        u32 bytes = sizes[rng.below(8)];
+        u32 bytes = sizes[rng.below(std::size(sizes))];
         u64 kind = rng.below(1000);
         if (kind < 450) {
             ASSERT_EQ(ctrl.access(addr, bytes, AccessType::Read, now),
@@ -540,6 +522,7 @@ runAgainstReference(const RefCase &c)
         ref.collectStats(want, "q");
         ASSERT_EQ(got, want) << "op " << op << "\n"
                              << got.toString() << "vs\n" << want.toString();
+        ASSERT_EQ(ctrl.queuedWrites(), ref.queuedWrites()) << "op " << op;
         dev.collectStats(gotDev, "d");
         refDev.collectStats(wantDev, "d");
         ASSERT_EQ(gotDev, wantDev) << "op " << op;
