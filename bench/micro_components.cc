@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * XTA lookups, remap-table lookups, DRAM-device and memory-controller
- * accesses, SRAM cache and hierarchy operations, and trace generation
- * throughput.
+ * accesses, SRAM cache, DRAM-cache tag store and hierarchy operations,
+ * and trace generation throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -98,6 +98,24 @@ BM_SramCacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SramCacheAccess);
+
+/** The DRAM-cache tag store on IdealCache's path (ideal, DFC, tagless):
+ *  1 GiB of NM in 1 KiB lines (65,536 16-way sets on sparse storage),
+ *  random lines over 16 GiB, access then insert on a miss as
+ *  IdealCache::serve does. Ungated. */
+void
+BM_DramCacheTagAccess(benchmark::State &state)
+{
+    cache::CacheParams p{"dramCacheTags", 1 * GiB, 16, 1024};
+    cache::SparseSetAssocCache c(p);
+    Rng rng(11);
+    for (auto _ : state) {
+        Addr a = rng.below(16 * GiB / 1024) * 1024;
+        if (!c.access(a, AccessType::Read))
+            c.insert(a, false);
+    }
+}
+BENCHMARK(BM_DramCacheTagAccess);
 
 /** The hierarchy on h2-xalanc-low's shape: 8 cores, each reading and
  *  writing a random 192 KiB working set, so most accesses miss the

@@ -59,7 +59,10 @@ class IdealCache : public mem::HybridMemory
 
     u32 lineB;
     std::string label;
-    cache::SetAssocCache tags;
+    /** The 16-way tag store over all of NM. Random page placement
+     *  fills its sets everywhere, so it keeps only the sets a run
+     *  fills (sparse set storage). */
+    cache::SparseSetAssocCache tags;
 
     /** Per-resident-line bitmap of 64 B blocks touched since fill. */
     std::unordered_map<Addr, u64> usedBlocks;

@@ -2,7 +2,8 @@
 
 namespace h2::cache {
 
-SetAssocCache::SetAssocCache(const CacheParams &params)
+template <typename Sets>
+BasicSetAssocCache<Sets>::BasicSetAssocCache(const CacheParams &params)
     : cfg(params)
 {
     h2_assert(cfg.sizeBytes > 0 && cfg.ways > 0 && cfg.lineBytes > 0,
@@ -19,20 +20,20 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
         setShift = floorLog2(sets);
         setMask = sets - 1;
     }
-    u64 n = u64(sets) * cfg.ways;
-    tagLane = ZeroLane<u32>(n);
-    metaLane = ZeroLane<u64>(n);
+    store = Sets(sets, cfg.ways);
 }
 
+template <typename Sets>
 u64
-SetAssocCache::addrLimit() const
+BasicSetAssocCache<Sets>::addrLimit() const
 {
     u64 span = u64(sets) * cfg.lineBytes;
     return span > ~u64(0) / kTagLimit ? ~u64(0) : kTagLimit * span;
 }
 
+template <typename Sets>
 bool
-SetAssocCache::access(Addr addr, AccessType type)
+BasicSetAssocCache<Sets>::access(Addr addr, AccessType type)
 {
     SetRef s = locate(addr);
     u32 way = hitWay(s);
@@ -41,27 +42,30 @@ SetAssocCache::access(Addr addr, AccessType type)
         return false;
     }
     ++nHits;
-    u64 &meta = metaLane[s.base + way];
+    u64 &meta = store.meta(s.at)[way];
     meta = ++clock << 1 | (meta & 1) | u64(type == AccessType::Write);
     return true;
 }
 
+template <typename Sets>
 bool
-SetAssocCache::probe(Addr addr) const
+BasicSetAssocCache<Sets>::probe(Addr addr) const
 {
     return hitWay(locate(addr)) != kNoWay;
 }
 
+template <typename Sets>
 bool
-SetAssocCache::probeDirty(Addr addr) const
+BasicSetAssocCache<Sets>::probeDirty(Addr addr) const
 {
     SetRef s = locate(addr);
     u32 way = hitWay(s);
-    return way != kNoWay && (metaLane[s.base + way] & 1);
+    return way != kNoWay && (store.meta(s.at)[way] & 1);
 }
 
+template <typename Sets>
 std::optional<Eviction>
-SetAssocCache::place(const SetRef &s, bool dirty)
+BasicSetAssocCache<Sets>::place(const SetRef &s, bool dirty)
 {
     // The victim rule (pinned by the reference model in
     // tests/test_cache.cc): first invalid way, else the oldest stamp.
@@ -69,7 +73,9 @@ SetAssocCache::place(const SetRef &s, bool dirty)
     // lowest-index smallest meta word is the first invalid way if there
     // is one and the lowest-index oldest stamp otherwise. Like
     // hitWay(), the scan picks with selects to the end of the set.
-    const u64 *meta = &metaLane[s.base];
+    u64 at = store.claim(s.set, s.at);
+    u32 *tags = store.tags(at);
+    u64 *meta = store.meta(at);
     u32 victim = 0;
     u64 oldestMeta = meta[0];
     for (u32 w = 1; w < cfg.ways; ++w) {
@@ -78,21 +84,21 @@ SetAssocCache::place(const SetRef &s, bool dirty)
         oldestMeta = older ? meta[w] : oldestMeta;
     }
 
-    u64 slot = s.base + victim;
     std::optional<Eviction> evicted;
-    if (tagLane[slot] != kInvalidTag) {
-        bool wasDirty = metaLane[slot] & 1;
+    if (tags[victim] != kInvalidTag) {
+        bool wasDirty = meta[victim] & 1;
         ++nEvictions;
         nDirtyEvictions += wasDirty;
-        evicted = Eviction{lineAddr(s.set, tagLane[slot]), wasDirty};
+        evicted = Eviction{lineAddr(s.set, tags[victim]), wasDirty};
     }
-    tagLane[slot] = s.tag;
-    metaLane[slot] = ++clock << 1 | u64(dirty);
+    tags[victim] = s.tag;
+    meta[victim] = ++clock << 1 | u64(dirty);
     return evicted;
 }
 
+template <typename Sets>
 std::optional<Eviction>
-SetAssocCache::insert(Addr addr, bool dirty)
+BasicSetAssocCache<Sets>::insert(Addr addr, bool dirty)
 {
     SetRef s = locate(addr);
     h2_assert(hitWay(s) == kNoWay, cfg.name, ": double insert of addr ",
@@ -100,33 +106,36 @@ SetAssocCache::insert(Addr addr, bool dirty)
     return place(s, dirty);
 }
 
+template <typename Sets>
 std::optional<Eviction>
-SetAssocCache::fill(Addr addr, bool dirty)
+BasicSetAssocCache<Sets>::fill(Addr addr, bool dirty)
 {
     SetRef s = locate(addr);
     u32 way = hitWay(s);
     if (way == kNoWay)
         return place(s, dirty);
     if (dirty)
-        metaLane[s.base + way] |= 1;
+        store.meta(s.at)[way] |= 1;
     return std::nullopt;
 }
 
+template <typename Sets>
 std::optional<bool>
-SetAssocCache::invalidate(Addr addr)
+BasicSetAssocCache<Sets>::invalidate(Addr addr)
 {
     SetRef s = locate(addr);
     u32 way = hitWay(s);
     if (way == kNoWay)
         return std::nullopt;
-    bool wasDirty = metaLane[s.base + way] & 1;
-    tagLane[s.base + way] = kInvalidTag;
-    metaLane[s.base + way] = 0;
+    bool wasDirty = store.meta(s.at)[way] & 1;
+    store.tags(s.at)[way] = kInvalidTag;
+    store.meta(s.at)[way] = 0;
     return wasDirty;
 }
 
+template <typename Sets>
 u32
-SetAssocCache::residentLinesInRange(Addr base, u64 bytes) const
+BasicSetAssocCache<Sets>::residentLinesInRange(Addr base, u64 bytes) const
 {
     u32 n = 0;
     for (Addr a = base; a < base + bytes; a += cfg.lineBytes)
@@ -135,17 +144,16 @@ SetAssocCache::residentLinesInRange(Addr base, u64 bytes) const
     return n;
 }
 
+template <typename Sets>
 u64
-SetAssocCache::numValidLines() const
+BasicSetAssocCache<Sets>::numValidLines() const
 {
-    u64 n = 0;
-    for (u64 i = 0; i < tagLane.size(); ++i)
-        n += tagLane[i] != kInvalidTag;
-    return n;
+    return store.validWays();
 }
 
+template <typename Sets>
 void
-SetAssocCache::resetStats()
+BasicSetAssocCache<Sets>::resetStats()
 {
     nHits = 0;
     nMisses = 0;
@@ -153,13 +161,18 @@ SetAssocCache::resetStats()
     nDirtyEvictions = 0;
 }
 
+template <typename Sets>
 void
-SetAssocCache::collectStats(StatSet &out, const std::string &prefix) const
+BasicSetAssocCache<Sets>::collectStats(StatSet &out,
+                                       const std::string &prefix) const
 {
     out.add(prefix + ".hits", double(nHits));
     out.add(prefix + ".misses", double(nMisses));
     out.add(prefix + ".evictions", double(nEvictions));
     out.add(prefix + ".dirtyEvictions", double(nDirtyEvictions));
 }
+
+template class BasicSetAssocCache<DenseSets>;
+template class BasicSetAssocCache<SparseSets>;
 
 } // namespace h2::cache

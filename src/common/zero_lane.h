@@ -13,8 +13,11 @@
  *    2 MiB-aligned and ask for transparent huge pages, which cut the
  *    TLB misses of their scattered lookups; with THP off they stay lazy
  *    at the base page size. For tables that are small or whose touched
- *    entries cluster (the tag stores: a set is one contiguous run of
- *    ways, scanned through one pointer per access).
+ *    entries cluster (the XTA and the dense SetAssocCache storage of
+ *    the SRAM hierarchy and the remap caches). The DRAM-cache tag
+ *    stores' sparse set storage (cache/set_assoc_cache.h) is built from
+ *    two of them: a directory of per-set record numbers and an arena of
+ *    whole-set records, so a set's ways stay one contiguous run.
  *  - SparseLane: a directory of leaf numbers plus an arena into which
  *    leaves of kLeafEntries entries are packed in first-write order.
  *    Reading an entry whose leaf was never written costs no memory;

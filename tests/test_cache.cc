@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the LRU victim rule and the generic set-associative cache,
- * including op-by-op equality with a reference tag store.
+ * Tests for the LRU victim rule and the generic set-associative cache
+ * on dense and sparse set storage, including op-by-op equality with a
+ * reference tag store.
  */
 
 #include <gtest/gtest.h>
@@ -213,18 +214,20 @@ sameEviction(const std::optional<Eviction> &a,
         (!a || (a->addr == b->addr && a->dirty == b->dirty));
 }
 
-/** Drive SetAssocCache and RefCache with one seeded op stream,
- *  asserting equal results, evictions and counters after every op. */
+/** Drive a cache of type @p Cache and RefCache with one seeded op
+ *  stream of @p ops operations, asserting equal results, evictions and
+ *  counters after every op. */
+template <typename Cache>
 void
-runAgainstReference(const CacheParams &p, u64 seed)
+runAgainstReference(const CacheParams &p, u64 seed, int ops = 4000)
 {
-    SetAssocCache c(p);
+    Cache c(p);
     RefCache ref(p);
     // A working set of ~3x capacity keeps every set under replacement
     // pressure; sub-line offsets alias.
     const u64 lines = 3 * p.sizeBytes / p.lineBytes;
     Rng rng(seed);
-    for (int op = 0; op < 4000; ++op) {
+    for (int op = 0; op < ops; ++op) {
         SCOPED_TRACE("op " + std::to_string(op));
         Addr a = rng.below(lines) * p.lineBytes + rng.below(p.lineBytes);
         ASSERT_EQ(c.probe(a), ref.probe(a));
@@ -267,7 +270,11 @@ runAgainstReference(const CacheParams &p, u64 seed)
     EXPECT_GT(c.evictions(), 0u);
 }
 
-TEST(SetAssocCache, MatchesReferenceModel)
+/** runAgainstReference over small geometries: 1 to 16 ways, and a
+ *  power-of-two, a non-power-of-two and a single set. */
+template <typename Cache>
+void
+runSmallGeometriesAgainstReference()
 {
     u64 seed = 0;
     for (u32 ways : {1u, 3u, 8u, 16u}) {
@@ -278,12 +285,111 @@ TEST(SetAssocCache, MatchesReferenceModel)
             p.sizeBytes = u64(sets) * ways * p.lineBytes;
             SCOPED_TRACE("ways=" + std::to_string(ways) +
                          " sets=" + std::to_string(sets));
-            ASSERT_EQ(SetAssocCache(p).numSets(), sets);
-            runAgainstReference(p, ++seed);
-            if (HasFatalFailure())
+            ASSERT_EQ(Cache(p).numSets(), sets);
+            runAgainstReference<Cache>(p, ++seed);
+            if (::testing::Test::HasFatalFailure())
                 return;
         }
     }
+}
+
+TEST(SetAssocCache, MatchesReferenceModel)
+{
+    runSmallGeometriesAgainstReference<SetAssocCache>();
+}
+
+TEST(SparseSetAssocCache, MatchesReferenceModel)
+{
+    runSmallGeometriesAgainstReference<SparseSetAssocCache>();
+}
+
+/** A DRAM-cache tag store's shape: many sets, 16 ways, 1 KiB lines. */
+CacheParams
+dramCacheGeometry(u32 sets)
+{
+    CacheParams p;
+    p.name = "dramCacheTags";
+    p.ways = 16;
+    p.lineBytes = 1024;
+    p.sizeBytes = u64(sets) * p.ways * p.lineBytes;
+    return p;
+}
+
+TEST(SparseSetAssocCache, MatchesReferenceModelAtDramCacheGeometry)
+{
+    // 2,048 sets of 16 ways: about 16 insertions per set over the
+    // stream, so sets claim their records in scattered order and most
+    // of them evict.
+    runAgainstReference<SparseSetAssocCache>(dramCacheGeometry(2048), 77,
+                                             100000);
+}
+
+TEST(SparseSetAssocCache, UnwrittenSetsClaimNoRecord)
+{
+    // 1 GiB of 1 KiB lines: 65,536 sets. Reads and invalidates of sets
+    // never written read the shared all-invalid record.
+    SparseSetAssocCache c(dramCacheGeometry(65536));
+    Rng rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        Addr a = rng.below(c.addrLimit() / 1024) * 1024;
+        EXPECT_FALSE(c.probe(a));
+        EXPECT_FALSE(c.probeDirty(a));
+        EXPECT_FALSE(c.access(a, i % 2 ? AccessType::Write
+                                        : AccessType::Read));
+        EXPECT_FALSE(c.invalidate(a).has_value());
+    }
+    EXPECT_EQ(c.setStore().records(), 0u);
+    EXPECT_EQ(c.misses(), 20000u);
+    EXPECT_EQ(c.numValidLines(), 0u);
+    EXPECT_EQ(c.residentLinesInRange(0, 64 * MiB), 0u);
+
+    // The first insertion into a set claims its record; later ones into
+    // the same set reuse it, and an emptied set keeps it.
+    const u64 setSpan = u64(c.numSets()) * 1024;
+    c.insert(0, true);
+    c.insert(setSpan, false);
+    EXPECT_EQ(c.setStore().records(), 1u);
+    c.fill(1024, false);
+    EXPECT_EQ(c.setStore().records(), 2u);
+    EXPECT_EQ(c.invalidate(0), std::optional<bool>(true));
+    EXPECT_EQ(c.invalidate(setSpan), std::optional<bool>(false));
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_EQ(c.setStore().records(), 2u);
+    EXPECT_EQ(c.numValidLines(), 1u);
+}
+
+TEST(SparseSetAssocCache, ValidLineCountsMatchDenseStorage)
+{
+    // One op stream over both storages: the valid-line count (a scan
+    // of every way for the dense lanes, of the claimed records for the
+    // sparse arena) and per-range residency agree.
+    CacheParams p = dramCacheGeometry(512);
+    SetAssocCache dense(p);
+    SparseSetAssocCache sparse(p);
+    const u64 lines = 2 * p.sizeBytes / p.lineBytes;
+    Rng rng(9);
+    for (int op = 0; op < 20000; ++op) {
+        Addr a = rng.below(lines) * p.lineBytes;
+        bool dirty = rng.chance(0.3);
+        if (rng.below(5) == 0) {
+            ASSERT_EQ(dense.invalidate(a), sparse.invalidate(a));
+        } else {
+            ASSERT_TRUE(sameEviction(dense.fill(a, dirty),
+                                     sparse.fill(a, dirty)));
+        }
+        if (op % 1000 == 0) {
+            ASSERT_EQ(dense.numValidLines(), sparse.numValidLines());
+        }
+    }
+    EXPECT_GT(dense.numValidLines(), p.sizeBytes / p.lineBytes / 2);
+    EXPECT_EQ(dense.numValidLines(), sparse.numValidLines());
+    for (u64 base = 0; base < 2 * p.sizeBytes; base += p.sizeBytes / 4) {
+        EXPECT_EQ(dense.residentLinesInRange(base, p.sizeBytes / 4),
+                  sparse.residentLinesInRange(base, p.sizeBytes / 4))
+            << base;
+    }
+    EXPECT_EQ(dense.residentLinesInRange(0, 2 * p.sizeBytes),
+              dense.numValidLines());
 }
 
 struct GeometryParam

@@ -69,7 +69,8 @@ TEST(DesignRegistry, BuildingADesignTouchesNoDenseTable)
     mem::MemSystemParams mp;
     mp.nmBytes = 1024 * MiB;
     mp.fmBytes = 16384 * MiB;
-    for (const char *spec : {"hybrid2", "mempod", "lgm", "dfc"}) {
+    for (const char *spec :
+         {"hybrid2", "mempod", "lgm", "dfc", "ideal", "tagless"}) {
         u64 before = test::residentBytes();
         auto design = makeDesign(spec, mp, llc);
         u64 growth = test::residentGrowth(before);

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "baselines/flat_baseline.h"
-#include "common/rng.h"
 #include "baselines/ideal_cache.h"
+#include "common/rng.h"
 #include "common/units.h"
+#include "resident.h"
 
 namespace h2::baselines {
 namespace {
@@ -185,6 +188,38 @@ TEST(IdealCache, ServedFromNmFractionGrowsWithReuse)
             c.access(a, AccessType::Read, t += 10000);
     double frac = double(c.requestsFromNm()) / double(c.requests());
     EXPECT_GT(frac, 0.8); // working set fits: mostly NM after round 1
+}
+
+TEST(IdealCache, ScatteredFillsAtPaperScaleStayResidentSmall)
+{
+    // The ideal cache at 1 GiB NM with 256 B lines has a 4M-line tag
+    // store (48 MB of tags and meta words), and random page placement
+    // scatters a run's fills across all of its sets. Resident memory
+    // must follow the sets filled, not their spread: flat lanes would
+    // hold one page (4 KiB, or a 2 MiB huge page) of tags and one of
+    // meta words per fill, 32-48 MB for these 4096.
+    mem::MemSystemParams mp;
+    mp.nmBytes = 1024 * MiB;
+    mp.fmBytes = 16384 * MiB;
+    IdealCache c(mp, 256);
+    Rng rng(2020);
+    std::unordered_set<Addr> filled;
+    Tick now = 0;
+    u64 before = test::residentBytes();
+    for (int i = 0; i < 4096; ++i) {
+        Addr a = rng.below(mp.fmBytes / 256) * 256;
+        now = c.access(a, AccessType::Read, now).completeAt();
+        filled.insert(a);
+    }
+    EXPECT_LT(test::residentGrowth(before), 8 * MiB);
+    ASSERT_EQ(c.fills(), filled.size());
+    // About 4096 lines over 262,144 16-way sets: no set overflows, so
+    // every filled line is still present.
+    for (Addr a : filled) {
+        auto r = c.access(a, AccessType::Read, now);
+        ASSERT_TRUE(r.fromNm) << a;
+        now = r.completeAt();
+    }
 }
 
 TEST(IdealCache, NameIncludesLineSize)
