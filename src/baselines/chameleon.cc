@@ -242,7 +242,6 @@ Chameleon::collectStats(StatSet &out) const
     out.add("chameleon.cacheModeFills", double(nCacheModeFills));
     out.add("chameleon.remapCacheHits", double(remapCache.hits()));
     out.add("chameleon.remapCacheMisses", double(remapCache.misses()));
-    out.add("chameleon.metaReads", double(metaReads()));
     out.add("chameleon.metaWrites", double(metaWrites()));
 }
 

@@ -43,8 +43,6 @@ DfcCache::collectStats(StatSet &out) const
     IdealCache::collectStats(out);
     out.add("dfc.tagCacheHits", double(tagCache.hits()));
     out.add("dfc.tagCacheMisses", double(tagCache.misses()));
-    out.add("dfc.tagReads", double(metaReads()));
-    out.add("dfc.tagWrites", double(metaWrites()));
 }
 
 H2_REGISTER_DESIGN(dfc, [] {

@@ -34,7 +34,6 @@ IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
     tagLookup(addr, tl);
 
     if (tags.access(lineAddr, type)) {
-        ++nHits;
         usedBlocks[lineAddr] |= u64(1) << blockIdx;
         // The cache maps NM 1:1 by line address modulo NM capacity; the
         // tag store guarantees at most one resident line per frame.
@@ -47,7 +46,6 @@ IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
     // Miss: fetch the full line from FM (critical 64 B first), fill NM.
     auto victim = tags.insert(lineAddr, type == AccessType::Write);
     if (victim) {
-        ++evictedLines;
         auto it = usedBlocks.find(victim->addr);
         u64 used = it == usedBlocks.end() ? 0 : it->second;
         u32 blocksPerLine = lineB / mem::llcLineBytes;
@@ -65,7 +63,6 @@ IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
             postWrite(fmc(), victim->addr, lineB, tl.now());
         }
     }
-    ++nFills;
     usedBlocks[lineAddr] = u64(1) << blockIdx;
 
     // Critical word first; the rest of the line and the NM fill stream
@@ -103,7 +100,7 @@ IdealCache::wastedFetchFraction() const
     // bounded traces most fetched lines are still resident at the end
     // of the run.
     u32 blocksPerLine = lineB / mem::llcLineBytes;
-    u64 fetched = evictedLines * u64(blocksPerLine);
+    u64 fetched = tags.evictions() * u64(blocksPerLine);
     u64 wasted = wastedBlocks;
     for (const auto &[line, used] : usedBlocks) {
         fetched += blocksPerLine;
@@ -118,10 +115,7 @@ void
 IdealCache::resetStats()
 {
     mem::HybridMemory::resetStats();
-    nHits = 0;
-    nFills = 0;
     wastedBlocks = 0;
-    evictedLines = 0;
     tags.resetStats();
 }
 
@@ -129,9 +123,6 @@ void
 IdealCache::collectStats(StatSet &out) const
 {
     mem::HybridMemory::collectStats(out);
-    out.add("cache.lineHits", double(nHits));
-    out.add("cache.fills", double(nFills));
-    out.add("cache.evictedLines", double(evictedLines));
     out.add("cache.wastedFetchFraction", wastedFetchFraction());
     tags.collectStats(out, "cache.tags");
 }

@@ -36,11 +36,12 @@ class IdealCache : public mem::HybridMemory
     u32 lineBytes() const { return lineB; }
 
     /** Fraction of fetched 64 B blocks never accessed before eviction
-     *  (evaluated over evicted lines; Figure 1). */
+     *  (over the lines evicted since the last resetStats() and the
+     *  resident ones; Figure 1). */
     double wastedFetchFraction() const;
 
-    u64 fills() const { return nFills; }
-    u64 lineHits() const { return nHits; }
+    u64 fills() const { return tags.misses(); }
+    u64 lineHits() const { return tags.hits(); }
 
   protected:
     /**
@@ -67,10 +68,7 @@ class IdealCache : public mem::HybridMemory
     /** Per-resident-line bitmap of 64 B blocks touched since fill. */
     std::unordered_map<Addr, u64> usedBlocks;
 
-    u64 nHits = 0;
-    u64 nFills = 0;
     u64 wastedBlocks = 0;  ///< fetched blocks never used, over evictions
-    u64 evictedLines = 0;
 };
 
 } // namespace h2::baselines

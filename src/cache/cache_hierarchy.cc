@@ -50,7 +50,6 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
 {
     h2_assert(core < cfg.numCores, "core id out of range");
     Addr line = addr & ~Addr(cfg.l1.lineBytes - 1);
-    ++nAccesses;
     HierarchyResult result;
 
     if (l1s[core]->access(line, type)) {
@@ -77,9 +76,17 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
     result.latencyCycles = cfg.llcLatencyCycles;
     result.hitLevel = 0;
     result.llcMiss = true;
-    ++nLlcMisses;
     fillL1(core, line, type == AccessType::Write, result);
     return result;
+}
+
+u64
+CacheHierarchy::accesses() const
+{
+    u64 n = 0;
+    for (const auto &c : l1s)
+        n += c->hits() + c->misses();
+    return n;
 }
 
 u64
@@ -98,8 +105,6 @@ CacheHierarchy::llcResidentLinesInRange(Addr base, u64 bytes) const
 void
 CacheHierarchy::resetStats()
 {
-    nAccesses = 0;
-    nLlcMisses = 0;
     for (auto &c : l1s)
         c->resetStats();
     for (auto &c : l2s)
@@ -110,8 +115,6 @@ CacheHierarchy::resetStats()
 void
 CacheHierarchy::collectStats(StatSet &out) const
 {
-    out.add("hier.accesses", double(nAccesses));
-    out.add("hier.llcMisses", double(nLlcMisses));
     llc->collectStats(out, "hier.llc");
 }
 

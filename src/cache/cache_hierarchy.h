@@ -69,8 +69,10 @@ class CacheHierarchy
     u64 addrLimit() const;
 
     const HierarchyParams &params() const { return cfg; }
-    u64 llcMisses() const { return nLlcMisses; }
-    u64 accesses() const { return nAccesses; }
+    u64 llcMisses() const { return llc->misses(); }
+    /** Accesses since the last resetStats(): every one probes its
+     *  core's L1 once. */
+    u64 accesses() const;
 
     /** Zero counters after warm-up (cache contents are kept). */
     void resetStats();
@@ -90,8 +92,6 @@ class CacheHierarchy
     std::vector<std::unique_ptr<SetAssocCache>> l1s;
     std::vector<std::unique_ptr<SetAssocCache>> l2s;
     std::unique_ptr<SetAssocCache> llc;
-    u64 nAccesses = 0;
-    u64 nLlcMisses = 0;
 };
 
 } // namespace h2::cache

@@ -176,7 +176,6 @@ DramDevice::collectStats(StatSet &out, const std::string &prefix) const
     out.add(prefix + ".actEnergyPj", counters.actEnergyPj);
     out.add(prefix + ".busUtilization", busUtilization());
     if (cfg.trackWear) {
-        out.add(prefix + ".wearTotalBytes", double(wearTotalBytes()));
         out.add(prefix + ".maxBankWearBytes",
                 double(*std::max_element(wearBytes.begin(),
                                          wearBytes.end())));

@@ -39,7 +39,6 @@ void
 HybridMemory::recordService(AccessType type, bool fromNm,
                             const Timeline &tl)
 {
-    ++nRequests;
     if (fromNm)
         ++nFromNm;
     if (type == AccessType::Read) {
@@ -138,7 +137,6 @@ HybridMemory::resetStats()
 {
     nMetaReads = 0;
     nMetaWrites = 0;
-    nRequests = 0;
     nFromNm = 0;
     nDemandReads = 0;
     nDemandReadsFromNm = 0;
@@ -155,7 +153,6 @@ HybridMemory::resetStats()
 void
 HybridMemory::collectStats(StatSet &out) const
 {
-    out.add("mem.requests", double(nRequests));
     out.add("mem.requestsFromNm", double(nFromNm));
     out.add("mem.demandReads", double(nDemandReads));
     out.add("mem.writebacks", double(nWritebacks));
@@ -163,7 +160,6 @@ HybridMemory::collectStats(StatSet &out) const
     out.add("mem.avgNmLatencyPs", avgNmLatencyPs());
     out.add("mem.avgMissLatencyPs", avgMissLatencyPs());
     out.add("mem.avgWritebackLatencyPs", avgWritebackLatencyPs());
-    out.add("mem.dynamicEnergyPj", dynamicEnergyPj());
     // Demand-facing queueing wait across both controllers (ps per
     // demand access; 0 with no demand traffic).
     u64 demand = fmCtrl->demandAccesses()

@@ -143,7 +143,7 @@ class HybridMemory
      */
     void drainQueues(Tick now);
 
-    u64 requests() const { return nRequests; }
+    u64 requests() const { return nDemandReads + nWritebacks; }
     u64 requestsFromNm() const { return nFromNm; }
 
     /** Mean critical-path latency (ps) of demand (read) requests —
@@ -248,7 +248,6 @@ class HybridMemory
     u64 metaRotor = 0; ///< spreads metadata accesses over the region
     u64 nMetaReads = 0;
     u64 nMetaWrites = 0;
-    u64 nRequests = 0;
     u64 nFromNm = 0;
     u64 nDemandReads = 0;
     u64 nDemandReadsFromNm = 0;

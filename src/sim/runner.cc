@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/units.h"
 #include "sim/design_registry.h"
 
 namespace h2::sim {
@@ -41,34 +40,12 @@ evaluatedDesigns()
     return designs;
 }
 
-std::string
-validateRunConfig(const RunConfig &cfg)
-{
-    if (cfg.numCores == 0)
-        return "numCores must be at least 1";
-    if (cfg.instrPerCore == 0)
-        return "instrPerCore must be at least 1 (zero-instruction runs "
-               "produce no metrics)";
-    if (cfg.nmBytes == 0)
-        return "nmBytes must be non-zero (use the 'baseline' design for "
-               "an FM-only system)";
-    if (cfg.nmBytes >= cfg.fmBytes)
-        return detail::concat(
-            "NM capacity (", formatBytes(cfg.nmBytes),
-            ") must be smaller than FM capacity (",
-            formatBytes(cfg.fmBytes),
-            "); the paper evaluates NM:FM ratios of 1:16 to 4:16");
-    if (!cfg.queue)
-        return "queue=false is no longer supported: the queued memory "
-               "controller is the only dispatch path";
-    return {};
-}
+namespace {
 
+/** makeSystemConfig without the validation. */
 SystemConfig
-makeSystemConfig(const RunConfig &cfg)
+expandRunConfig(const RunConfig &cfg)
 {
-    if (std::string err = validateRunConfig(cfg); !err.empty())
-        h2_fatal("invalid run config: ", err);
     SystemConfig sc = table1Config(cfg.nmBytes, cfg.fmBytes);
     sc.numCores = cfg.numCores;
     sc.instrPerCore = cfg.instrPerCore;
@@ -77,6 +54,25 @@ makeSystemConfig(const RunConfig &cfg)
     sc.mem.fmTech = cfg.fm;
     sc.runTimeoutMs = cfg.runTimeoutMs;
     return sc;
+}
+
+} // namespace
+
+std::string
+validateRunConfig(const RunConfig &cfg)
+{
+    if (!cfg.queue)
+        return "queue=false is no longer supported: the queued memory "
+               "controller is the only dispatch path";
+    return validateSystemConfig(expandRunConfig(cfg));
+}
+
+SystemConfig
+makeSystemConfig(const RunConfig &cfg)
+{
+    if (std::string err = validateRunConfig(cfg); !err.empty())
+        h2_fatal("invalid run config: ", err);
+    return expandRunConfig(cfg);
 }
 
 Metrics

@@ -82,9 +82,11 @@ struct RunOutcome
 
 /**
  * Sanity-check @p cfg; returns "" when valid, otherwise an actionable
- * reason (zero cores, zero instruction budget, NM >= FM, ...). The
- * simulation entry points reject invalid configs with h2_fatal; h2sim
- * reports the reason and exits with code 2.
+ * reason. It rejects queue=false itself and checks the rest (zero
+ * cores, zero instruction budget, NM >= FM, ...) through
+ * validateSystemConfig on the expanded config. The simulation entry
+ * points reject invalid configs with h2_fatal; h2sim reports the
+ * reason and exits with code 2.
  */
 std::string validateRunConfig(const RunConfig &cfg);
 

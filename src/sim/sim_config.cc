@@ -28,11 +28,14 @@ validateSystemConfig(const SystemConfig &cfg)
         return "instrPerCore must be at least 1 (zero-instruction runs "
                "produce no metrics)";
     if (cfg.mem.nmBytes == 0)
-        return "mem.nmBytes must be non-zero";
+        return "nmBytes must be non-zero (use the 'baseline' design for "
+               "an FM-only system)";
     if (cfg.mem.nmBytes >= cfg.mem.fmBytes)
-        return detail::concat("NM capacity (", formatBytes(cfg.mem.nmBytes),
-                              ") must be smaller than FM capacity (",
-                              formatBytes(cfg.mem.fmBytes), ")");
+        return detail::concat(
+            "NM capacity (", formatBytes(cfg.mem.nmBytes),
+            ") must be smaller than FM capacity (",
+            formatBytes(cfg.mem.fmBytes),
+            "); the paper evaluates NM:FM ratios of 1:16 to 4:16");
     return {};
 }
 

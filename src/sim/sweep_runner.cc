@@ -73,7 +73,6 @@ SweepRunner::seed(const std::string &resultKey, const RunOutcome &outcome)
     if (done.count(resultKey) || inFlight.count(resultKey))
         return;
     done.emplace(resultKey, outcome);
-    successCacheFresh = false;
 }
 
 void
@@ -99,7 +98,6 @@ SweepRunner::submit(const workloads::Workload &workload,
             std::unique_lock lock(mu);
             inFlight.erase(k);
             done.insert_or_assign(k, std::move(out));
-            successCacheFresh = false;
         }
         doneCv.notify_all();
     });
@@ -170,33 +168,6 @@ SweepRunner::outcomes()
 {
     waitAll();
     return done;
-}
-
-const std::map<std::string, Metrics> &
-SweepRunner::results()
-{
-    waitAll();
-    std::unique_lock lock(mu);
-    if (!successCacheFresh) {
-        successCache.clear();
-        for (const auto &[k, o] : done)
-            if (o.ok)
-                successCache.emplace(k, o.metrics);
-        successCacheFresh = true;
-    }
-    return successCache;
-}
-
-u64
-SweepRunner::totalAccesses()
-{
-    waitAll();
-    std::unique_lock lock(mu);
-    u64 total = 0;
-    for (const auto &[k, o] : done)
-        if (o.ok)
-            total += o.metrics.memAccesses;
-    return total;
 }
 
 } // namespace h2::sim

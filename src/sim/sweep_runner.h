@@ -100,15 +100,7 @@ class SweepRunner
      *  map order is deterministic regardless of completion order. */
     const std::map<std::string, RunOutcome> &outcomes();
 
-    /** Successful results only, keyed "workload|design" (after
-     *  waitAll); the pre-fault-tolerance result map shape, still used
-     *  by the benches and the determinism tests. */
-    const std::map<std::string, Metrics> &results();
-
     u32 jobs() const { return pool.size(); }
-
-    /** Total core-side memory accesses across successful simulations. */
-    u64 totalAccesses();
 
     /** The sweep-point key "<workload>|<canonical design spec>" — the
      *  result-map and journal key.
@@ -132,9 +124,6 @@ class SweepRunner
     std::condition_variable doneCv;
     std::map<std::string, RunOutcome> done;
     std::set<std::string> inFlight;
-    /** Successes-only view, rebuilt lazily by results(). */
-    std::map<std::string, Metrics> successCache;
-    bool successCacheFresh = false;
 };
 
 } // namespace h2::sim

@@ -301,7 +301,7 @@ TEST_F(DcmcTest, CollectStatsKeys)
     for (const char *key :
          {"dcmc.lineHits", "dcmc.lineMisses", "dcmc.missSectorNm",
           "dcmc.missSectorFm", "dcmc.migrations", "dcmc.swapOuts",
-          "dcmc.bytes.nmMeta", "mem.requests", "fm.reads", "nm.reads"})
+          "dcmc.bytes.nmMeta", "mem.demandReads", "fm.reads", "nm.reads"})
         EXPECT_TRUE(out.has(key)) << key;
     EXPECT_DOUBLE_EQ(out.get("dcmc.missSectorFm"), 1.0);
 }

@@ -344,7 +344,7 @@ TEST(PcmDevice, WearCountersTrackPerBankWrites)
 
     StatSet out;
     dev.collectStats(out, "fm");
-    EXPECT_DOUBLE_EQ(out.get("fm.wearTotalBytes"), 128.0);
+    EXPECT_DOUBLE_EQ(out.get("fm.bytesWritten"), 128.0);
     EXPECT_DOUBLE_EQ(out.get("fm.maxBankWearBytes"), 128.0);
     EXPECT_DOUBLE_EQ(out.get("fm.maxBankWearDelta"), 128.0);
     EXPECT_DOUBLE_EQ(out.get("fm.rowEmpty"), 1.0);
@@ -365,7 +365,6 @@ TEST(DramDevice, WearKeysAbsentWithoutTracking)
     dev.access(0, 64, AccessType::Write, 0);
     StatSet out;
     dev.collectStats(out, "fm");
-    EXPECT_FALSE(out.has("fm.wearTotalBytes"));
     EXPECT_FALSE(out.has("fm.maxBankWearBytes"));
     EXPECT_FALSE(out.has("fm.maxBankWearDelta"));
     EXPECT_TRUE(out.has("fm.rowEmpty"));

@@ -153,6 +153,28 @@ TEST(IdealCache, ResidentUnusedBlocksCountAsWaste)
     EXPECT_DOUBLE_EQ(c.wastedFetchFraction(), 0.75);
 }
 
+TEST(IdealCache, WastedFetchFractionRestartsWithResetStats)
+{
+    auto sys = smallSys();
+    IdealCache c(sys, 256);
+    // Before the reset: line 0 (1 of 4 blocks used) is evicted by 16
+    // singly-touched lines of its set, which stay resident.
+    c.access(0, AccessType::Read, 0);
+    evictLineZero(c, sys, 1000000);
+    c.resetStats();
+    // After it: 17 fully used lines of set 1 evict one of their own.
+    Tick t = 100000000;
+    for (u64 k = 0; k <= 16; ++k)
+        for (u64 b = 0; b < 256; b += 64)
+            c.access(256 + k * (sys.nmBytes / 16) + b, AccessType::Read,
+                     t += 1000000);
+    EXPECT_EQ(c.fills(), 17u);
+    // Evicted since the reset: one line, nothing wasted. Resident: 16
+    // lines wasting 3 of 4 blocks and 16 wasting none. The line
+    // evicted before the reset counts no more.
+    EXPECT_DOUBLE_EQ(c.wastedFetchFraction(), (16.0 * 3) / (4 + 32.0 * 4));
+}
+
 class WasteByLineSize : public ::testing::TestWithParam<u32>
 {
 };
@@ -234,7 +256,7 @@ TEST(IdealCache, CollectStats)
     c.access(0, AccessType::Read, 0);
     StatSet out;
     c.collectStats(out);
-    EXPECT_DOUBLE_EQ(out.get("cache.fills"), 1.0);
+    EXPECT_DOUBLE_EQ(out.get("cache.tags.misses"), 1.0);
     EXPECT_TRUE(out.has("cache.wastedFetchFraction"));
 }
 

@@ -329,7 +329,7 @@ TEST(GoldenMetrics, Hybrid2Mix)
 
 // fm=pcm legs: pin the PCM far-memory backend — asymmetric read/write
 // timing (tRCD/tWR), the asymmetric per-operation energy split, and
-// the per-bank wear counters (`fm.wearTotalBytes` etc. appear only
+// the per-bank wear counters (`fm.maxBankWearBytes` etc. appear only
 // here). One leg per structural organization (FM-only, DRAM cache,
 // Hybrid2), plus one pointer-heavy workload for a second traffic
 // shape.

@@ -132,8 +132,8 @@ TEST(Hierarchy, CollectStats)
     h.access(0, 0, AccessType::Read);
     StatSet out;
     h.collectStats(out);
-    EXPECT_DOUBLE_EQ(out.get("hier.accesses"), 1.0);
-    EXPECT_DOUBLE_EQ(out.get("hier.llcMisses"), 1.0);
+    EXPECT_DOUBLE_EQ(out.get("hier.llc.hits"), 0.0);
+    EXPECT_DOUBLE_EQ(out.get("hier.llc.misses"), 1.0);
 }
 
 TEST(Hierarchy, WriteMissInstallsDirtyLine)

@@ -91,7 +91,7 @@ TEST(MetricsJson, ContainsEveryScalarAndDetail)
     m.instructions = 42;
     m.timePs = 1000;
     m.ipc = 1.5;
-    m.detail.add("dfc.tagReads", 7.0);
+    m.detail.add("dfc.tagCacheMisses", 7.0);
 
     std::string json = m.toJson();
     EXPECT_NE(json.find("\"workload\": \"lbm\""), std::string::npos);
@@ -99,7 +99,7 @@ TEST(MetricsJson, ContainsEveryScalarAndDetail)
     EXPECT_NE(json.find("\"instructions\": 42"), std::string::npos);
     EXPECT_NE(json.find("\"time_ps\": 1000"), std::string::npos);
     EXPECT_NE(json.find("\"ipc\": 1.5"), std::string::npos);
-    EXPECT_NE(json.find("\"dfc.tagReads\": 7"), std::string::npos);
+    EXPECT_NE(json.find("\"dfc.tagCacheMisses\": 7"), std::string::npos);
 }
 
 TEST(MetricsCsv, RowMatchesHeaderWidth)
@@ -203,7 +203,7 @@ TEST(MetricsJson, FromJsonRoundTripsExactly)
     m.mpki = 0.1 + 0.2; // deliberately not exactly 0.3
     m.servedFromNm = 2.0 / 3.0;
     m.dynamicEnergyPj = 1e18;
-    m.detail.add("dfc.tagReads", 7.125);
+    m.detail.add("dfc.tagCacheMisses", 7.125);
     m.detail.add("mc.queueDepth.mean", 1.0 / 3.0);
 
     std::string err;

@@ -170,9 +170,9 @@ TEST_F(RunnerTest, FmKnobReachesTheDevices)
     Metrics dram = simulateOne(quickCfg(), tinyWorkload(), "baseline");
     Metrics pcm = simulateOne(cfg, tinyWorkload(), "baseline");
     EXPECT_GT(pcm.timePs, dram.timePs);
-    EXPECT_TRUE(pcm.detail.has("fm.wearTotalBytes"));
+    EXPECT_TRUE(pcm.detail.has("fm.maxBankWearBytes"));
     EXPECT_TRUE(pcm.detail.has("fm.maxBankWearDelta"));
-    EXPECT_FALSE(dram.detail.has("fm.wearTotalBytes"));
+    EXPECT_FALSE(dram.detail.has("fm.maxBankWearBytes"));
 }
 
 } // namespace

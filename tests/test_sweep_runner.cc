@@ -53,6 +53,21 @@ tinySpecs()
     return specs;
 }
 
+/** @p a and @p b hold the same keys in the same order, and each
+ *  outcome matches on ok, error and metrics (wallMs is wall clock). */
+void
+expectSameOutcomes(const std::map<std::string, RunOutcome> &a,
+                   const std::map<std::string, RunOutcome> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+        ASSERT_EQ(ia->first, ib->first);
+        EXPECT_EQ(ia->second.ok, ib->second.ok) << ia->first;
+        EXPECT_EQ(ia->second.error, ib->second.error) << ia->first;
+        EXPECT_EQ(ia->second.metrics, ib->second.metrics) << ia->first;
+    }
+}
+
 TEST(SweepRunner, BitIdenticalAcrossJobCounts)
 {
     SweepRunner serial(quickCfg(), 1);
@@ -70,7 +85,7 @@ TEST(SweepRunner, BitIdenticalAcrossJobCounts)
     }
     // Whole-map equality doubles as the ordering check: both maps
     // iterate in key order no matter which worker finished first.
-    EXPECT_EQ(serial.results(), parallel.results());
+    expectSameOutcomes(serial.outcomes(), parallel.outcomes());
 }
 
 TEST(SweepRunner, SubmitOrderDoesNotAffectResults)
@@ -84,7 +99,7 @@ TEST(SweepRunner, SubmitOrderDoesNotAffectResults)
     auto reversedSpecs = specs;
     std::reverse(reversedSpecs.begin(), reversedSpecs.end());
     backward.submitSweep(suite, reversedSpecs);
-    EXPECT_EQ(forward.results(), backward.results());
+    expectSameOutcomes(forward.outcomes(), backward.outcomes());
 }
 
 TEST(SweepRunner, AgreesWithSerialRunner)
@@ -114,7 +129,7 @@ TEST(SweepRunner, DuplicateSubmitsAreMemoized)
     for (int i = 0; i < 10; ++i)
         sweep.submit(w, "baseline");
     sweep.waitAll();
-    EXPECT_EQ(sweep.results().size(), 1u);
+    EXPECT_EQ(sweep.outcomes().size(), 1u);
     // Blocking getter returns the one cached entry.
     const Metrics &a = sweep.run(w, "baseline");
     const Metrics &b = sweep.run(w, "baseline");

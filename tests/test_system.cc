@@ -87,6 +87,46 @@ INSTANTIATE_TEST_SUITE_P(Designs, AllDesigns,
                                            "chameleon", "lgm", "tagless",
                                            "dfc", "ideal:256"));
 
+/** Each number is counted once, so the detail keys that remain must
+ *  agree with the top-level fields they break down. Run under NM
+ *  pressure (2 MiB of NM, mcf), where the DRAM caches evict. */
+class CountedOnce : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(CountedOnce, DetailKeysAgreeWithTopLevelFieldsUnderPressure)
+{
+    SystemConfig cfg = table1Config(2 * MiB);
+    cfg.numCores = 2;
+    cfg.instrPerCore = 300'000;
+    cfg.warmupInstrPerCore = 100'000;
+    cfg.seed = 42;
+    const std::string spec = GetParam();
+    System sys(cfg, workloads::findWorkload("mcf"),
+               [&](const mem::MemSystemParams &mp,
+                   const mem::LlcView &llc) {
+                   return makeDesign(spec, mp, llc);
+               });
+    sys.run();
+    Metrics m = sys.metrics();
+    const StatSet &d = m.detail;
+    EXPECT_EQ(double(m.llcMisses), d.get("hier.llc.misses"));
+    EXPECT_EQ(double(m.memRequests),
+              d.get("mem.demandReads") + d.get("mem.writebacks"));
+    EXPECT_DOUBLE_EQ(m.dynamicEnergyPj, d.get("nm.dynamicEnergyPj") +
+                                            d.get("fm.dynamicEnergyPj"));
+    if (d.has("cache.tags.hits")) {
+        // The IdealCache designs: a request is served from NM exactly
+        // when the tag store hits.
+        EXPECT_GT(d.get("cache.tags.evictions"), 0.0);
+        EXPECT_EQ(d.get("mem.requestsFromNm"), d.get("cache.tags.hits"));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pressure, CountedOnce,
+                         ::testing::Values("ideal", "tagless", "dfc",
+                                           "chameleon", "hybrid2:cache=1"));
+
 TEST(SystemTest, BaselineHasNoNmTraffic)
 {
     Metrics m = runDesign("baseline");

@@ -101,9 +101,9 @@ TEST(Dfc, TagStoreTrafficInNm)
     c.drainQueues(0);
     StatSet out;
     c.collectStats(out);
-    // One tag-store read (lookup miss) and one write (fill update).
-    EXPECT_GE(out.get("dfc.tagReads"), 1.0);
-    EXPECT_GE(out.get("dfc.tagWrites"), 1.0);
+    // One tag-store read (tag-cache miss) and one write (fill update).
+    EXPECT_GE(out.get("dfc.tagCacheMisses"), 1.0);
+    EXPECT_GE(out.get("cache.tags.misses"), 1.0);
     // Tag traffic appears as NM reads beyond pure data movement.
     EXPECT_GT(c.nmDevice().stats().reads, 0u);
 }
