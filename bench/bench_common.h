@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared harness for the bench programs: `figures` (the paper's
- * figures and tables, bench/figures.cc), `bench_wallclock` and
- * `bench_load_sweep`.
+ * figures and tables, bench/figures.cc) and `bench_wallclock`.
  *
  * Each accepts:
  *   --mode=quick|full   quick (default): representative 6-workload

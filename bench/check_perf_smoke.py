@@ -7,10 +7,13 @@ The benchmark JSON is google-benchmark's --benchmark_format=json
 output; the reference (bench/perf_reference.json) carries per-leg
 real_time nanoseconds and the relative tolerance. The gated legs are
 exactly the reference's: BM_DramAccess, BM_XtaLookup, BM_RemapLookup
-and BM_SramCacheAccess. A gated leg fails
-when measured > reference * (1 + tolerance); a gated leg missing from
-the benchmark output also fails (a renamed or deleted leg must update
-the reference, not silently drop out of the gate). Exit 0 = all legs
+and BM_SramCacheAccess. Each leg is judged by its `median` aggregate
+only, so the benchmark must run with --benchmark_repetitions (CI uses
+5): one repetition slowed by a noisy runner cannot fail the gate. A
+gated leg fails when median > reference * (1 + tolerance); a gated leg
+with no median in the benchmark output also fails (a renamed or
+deleted leg must update the reference, and a run without repetitions
+must not fall back to gating on one noisy row). Exit 0 = all legs
 within tolerance, 1 = regression or missing leg, 2 = usage error.
 
 Stdlib only — CI must not need pip.
@@ -30,25 +33,27 @@ def main() -> int:
         ref = json.load(f)
 
     tolerance = float(ref["tolerance"])
-    measured = {}
+    medians = {}
     for b in bench.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
+        if (b.get("run_type") != "aggregate"
+                or b.get("aggregate_name") != "median"):
             continue
         # Normalize to nanoseconds regardless of the leg's display unit.
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[b["time_unit"]]
-        measured[b["name"]] = float(b["real_time"]) * scale
+        medians[b["run_name"]] = float(b["real_time"]) * scale
 
     failed = False
     for name, ref_ns in sorted(ref["reference_ns"].items()):
         limit = ref_ns * (1.0 + tolerance)
-        got = measured.get(name)
+        got = medians.get(name)
         if got is None:
-            print(f"FAIL {name}: not present in benchmark output "
-                  f"(renamed/deleted legs must update the reference)")
+            print(f"FAIL {name}: not present (run with "
+                  f"--benchmark_repetitions; renamed/deleted legs must "
+                  f"update the reference)")
             failed = True
             continue
         verdict = "FAIL" if got > limit else "ok"
-        print(f"{verdict:4s} {name}: {got:.2f} ns "
+        print(f"{verdict:4s} {name}: {got:.2f} ns median "
               f"(reference {ref_ns:.2f} ns, limit {limit:.2f} ns)")
         if got > limit:
             failed = True

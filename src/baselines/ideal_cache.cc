@@ -35,8 +35,12 @@ IdealCache::serve(Addr addr, AccessType type, mem::Timeline &tl)
 
     if (tags.access(lineAddr, type)) {
         usedBlocks[lineAddr] |= u64(1) << blockIdx;
-        // The cache maps NM 1:1 by line address modulo NM capacity; the
-        // tag store guarantees at most one resident line per frame.
+        // The NM frame is the line address modulo NM capacity (so are
+        // the fill below and the dirty-victim read). This is not 1:1:
+        // the tag store is 16-way LRU, and lines whose addresses differ
+        // by a multiple of NM capacity share a set, so up to 16 resident
+        // lines map to one frame and its bank and row. A 1:1 frame
+        // would come from the (set, way) the line was placed in.
         Addr nmAddr = lineAddr % sys.nmBytes + (addr - lineAddr);
         tl.serialize(nmc().access(nmAddr, mem::llcLineBytes, type,
                                 tl.now()));

@@ -104,7 +104,6 @@ Dcmc::metaAccess(AccessType type, mem::Timeline &tl)
     }
     // Table reads gate the next step of the miss path; table writes are
     // posted and drain behind the request's serialized reads.
-    bytes.nmMeta += 64;
     nmMetaRegionAccess(type, metaBytesTotal, tl);
 }
 
@@ -502,7 +501,6 @@ Dcmc::collectStats(StatSet &out) const
     out.add("dcmc.metaSkipped", double(nMetaSkipped));
     out.add("dcmc.freeSwapOuts", double(nFreeSwapOuts));
     out.add("dcmc.bytes.nmDemand", double(bytes.nmDemand));
-    out.add("dcmc.bytes.nmMeta", double(bytes.nmMeta));
     out.add("dcmc.bytes.nmMigration", double(bytes.nmMigration));
     out.add("dcmc.bytes.nmSwap", double(bytes.nmSwap));
     out.add("dcmc.bytes.nmWriteback", double(bytes.nmWriteback));

@@ -34,11 +34,11 @@
 
 namespace h2::core {
 
-/** Traffic breakdown counters (bytes) by purpose. */
+/** Traffic breakdown counters (bytes) by purpose. Metadata traffic is
+ *  64 B per metaReads()/metaWrites() access, so it has no counter. */
 struct DcmcTraffic
 {
     u64 nmDemand = 0;    ///< 64 B serves and line fills into NM
-    u64 nmMeta = 0;      ///< remap/inverted-remap/stack traffic
     u64 nmMigration = 0; ///< sector promotion line fetches written to NM
     u64 nmSwap = 0;      ///< victim sector reads during swap-out
     u64 nmWriteback = 0; ///< NM reads sourcing dirty-line writebacks

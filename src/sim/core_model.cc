@@ -24,11 +24,9 @@ CoreModel::CoreModel(CoreId coreId, const CoreParams &params,
                      workloads::TraceSource &traceSource,
                      cache::CacheHierarchy &hierarchy,
                      mem::HybridMemory &memorySystem,
-                     const AddressMap &addressMap, Addr virtualBase,
-                     u64 instrBudget)
+                     const AddressMap &addressMap, Addr virtualBase)
     : id(coreId), p(params), trace(traceSource), hier(hierarchy),
-      memory(memorySystem), map(addressMap), vbase(virtualBase),
-      budget(instrBudget)
+      memory(memorySystem), map(addressMap), vbase(virtualBase)
 {
     h2_assert(p.issueWidth > 0 && p.maxOutstanding > 0, "bad core params");
     pending.init(p.maxOutstanding);
@@ -65,7 +63,6 @@ CoreModel::step()
         clock += p.periodPs; // stores retire through the store buffer
 
     if (res.llcMiss) {
-        ++nLlcMisses;
         // The demand fill is always a memory read; stores merge into
         // the fetched line in SRAM and reach DRAM on LLC eviction.
         Addr lineAddr = paddr & ~Addr(mem::llcLineBytes - 1);

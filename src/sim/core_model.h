@@ -76,9 +76,8 @@ class CoreModel
     CoreModel(CoreId id, const CoreParams &params,
               workloads::TraceSource &trace,
               cache::CacheHierarchy &hierarchy, mem::HybridMemory &memory,
-              const AddressMap &map, Addr virtualBase, u64 instrBudget);
+              const AddressMap &map, Addr virtualBase);
 
-    bool done() const { return instrs >= budget; }
     Tick now() const { return clock; }
 
     /** Process one trace record. */
@@ -91,8 +90,6 @@ class CoreModel
     void beginMeasurement();
 
     u64 instructions() const { return instrs; }
-    u64 memAccesses() const { return nAccesses; }
-    u64 llcMisses() const { return nLlcMisses; }
 
     u64 measuredInstructions() const { return instrs - measInstr0; }
     u64 measuredAccesses() const { return nAccesses - measAccess0; }
@@ -155,13 +152,11 @@ class CoreModel
     mem::HybridMemory &memory;
     const AddressMap &map;
     Addr vbase;
-    u64 budget;
 
     Tick clock = 0;
     u64 issueCarry = 0; ///< sub-cycle remainder of gap / issueWidth
     u64 instrs = 0;
     u64 nAccesses = 0;
-    u64 nLlcMisses = 0;
     u64 measInstr0 = 0;
     u64 measAccess0 = 0;
     Tick measClock0 = 0;

@@ -49,8 +49,7 @@ System::System(const SystemConfig &config,
         Addr vbase = wl.multithreaded
             ? 0 : Addr(c) * wl.perCoreFootprint(cfg.numCores);
         cores.push_back(std::make_unique<CoreModel>(
-            c, coreParams, *traces.back(), *hier, *mem, *map, vbase,
-            cfg.warmupInstrPerCore + cfg.instrPerCore));
+            c, coreParams, *traces.back(), *hier, *mem, *map, vbase));
     }
 }
 

@@ -138,19 +138,19 @@ class CoreModelTest : public ::testing::Test
 TEST_F(CoreModelTest, InstructionAccounting)
 {
     ScriptedTrace trace({{9, 0, AccessType::Read}});
-    CoreModel core(0, cp, trace, hier, memory, map, 0, 100);
-    while (!core.done())
+    CoreModel core(0, cp, trace, hier, memory, map, 0);
+    while (core.instructions() < 100)
         core.step();
     core.drain();
     EXPECT_GE(core.instructions(), 100u);
-    EXPECT_EQ(core.memAccesses(), 10u); // 100 instr / (9+1) per access
+    EXPECT_EQ(core.measuredAccesses(), 10u); // 100 instr / (9+1) per access
 }
 
 TEST_F(CoreModelTest, GapAdvancesClockAtIssueWidth)
 {
     // 400 gap instructions at width 4 = 100 cycles minimum.
     ScriptedTrace trace({{400, 0, AccessType::Read}});
-    CoreModel core(0, cp, trace, hier, memory, map, 0, 401);
+    CoreModel core(0, cp, trace, hier, memory, map, 0);
     core.step();
     core.drain();
     EXPECT_GE(core.now(), 100u * cp.periodPs);
@@ -161,11 +161,11 @@ TEST_F(CoreModelTest, LlcMissesReachMemory)
     ScriptedTrace trace({{0, 0, AccessType::Read},
                          {0, 64 * KiB, AccessType::Read},
                          {0, 128 * KiB, AccessType::Read}});
-    CoreModel core(0, cp, trace, hier, memory, map, 0, 3);
-    while (!core.done())
+    CoreModel core(0, cp, trace, hier, memory, map, 0);
+    while (core.instructions() < 3)
         core.step();
     core.drain();
-    EXPECT_EQ(core.llcMisses(), 3u);
+    EXPECT_EQ(hier.llcMisses(), 3u);
     EXPECT_EQ(memory.requests(), 3u);
 }
 
@@ -183,8 +183,8 @@ TEST_F(CoreModelTest, SerialMissesStallWithMlpOne)
         ScriptedTrace t(recs);
         CoreParams p;
         p.maxOutstanding = mlp;
-        CoreModel core(0, p, t, h, m, map, 0, 64);
-        while (!core.done())
+        CoreModel core(0, p, t, h, m, map, 0);
+        while (core.instructions() < 64)
             core.step();
         core.drain();
         return core.now();
@@ -206,8 +206,8 @@ TEST_F(CoreModelTest, WritesDoNotStall)
         ScriptedTrace t(recs);
         CoreParams p;
         p.maxOutstanding = 1;
-        CoreModel core(0, p, t, h, m, map, 0, 32);
-        while (!core.done())
+        CoreModel core(0, p, t, h, m, map, 0);
+        while (core.instructions() < 32)
             core.step();
         core.drain();
         return core.now();
@@ -218,7 +218,7 @@ TEST_F(CoreModelTest, WritesDoNotStall)
 TEST_F(CoreModelTest, DrainWaitsForOutstanding)
 {
     ScriptedTrace trace({{0, 0, AccessType::Read}});
-    CoreModel core(0, cp, trace, hier, memory, map, 0, 1);
+    CoreModel core(0, cp, trace, hier, memory, map, 0);
     core.step();
     Tick beforeDrain = core.now();
     core.drain();
@@ -228,11 +228,11 @@ TEST_F(CoreModelTest, DrainWaitsForOutstanding)
 TEST_F(CoreModelTest, CacheHitsStayLocal)
 {
     ScriptedTrace trace({{0, 0, AccessType::Read}});
-    CoreModel core(0, cp, trace, hier, memory, map, 0, 10);
-    while (!core.done())
+    CoreModel core(0, cp, trace, hier, memory, map, 0);
+    while (core.instructions() < 10)
         core.step();
     core.drain();
-    EXPECT_EQ(core.llcMisses(), 1u); // 9 L1 hits after the first miss
+    EXPECT_EQ(hier.llcMisses(), 1u); // 9 L1 hits after the first miss
     EXPECT_EQ(memory.requests(), 1u);
 }
 

@@ -34,6 +34,15 @@ smallParams()
     return p;
 }
 
+/** NM metadata bytes: every metadata access moves one 64 B block. */
+u64
+metaBytes(const Dcmc &d)
+{
+    StatSet out;
+    d.collectStats(out);
+    return 64 * u64(out.get("dcmc.metaReads") + out.get("dcmc.metaWrites"));
+}
+
 class DcmcTest : public ::testing::Test
 {
   protected:
@@ -239,7 +248,7 @@ TEST_F(DcmcAblationTest, NoRemapSkipsMetadata)
     u64 nmFlat = d.remapTable().nmFlatSectors();
     for (u64 i = 0; i < 100; ++i)
         d.access((nmFlat + i) * 2048, AccessType::Read, t += 10000);
-    EXPECT_EQ(d.traffic().nmMeta, 0u);
+    EXPECT_EQ(metaBytes(d), 0u);
     StatSet out;
     d.collectStats(out);
     EXPECT_GT(out.get("dcmc.metaSkipped"), 0.0);
@@ -253,7 +262,7 @@ TEST_F(DcmcAblationTest, DefaultChargesMetadata)
     u64 nmFlat = d.remapTable().nmFlatSectors();
     for (u64 i = 0; i < 100; ++i)
         d.access((nmFlat + i) * 2048, AccessType::Read, t += 10000);
-    EXPECT_GT(d.traffic().nmMeta, 0u);
+    EXPECT_GT(metaBytes(d), 0u);
 }
 
 TEST_F(DcmcTest, AccessCounterOnlyForFmSectors)
@@ -301,7 +310,7 @@ TEST_F(DcmcTest, CollectStatsKeys)
     for (const char *key :
          {"dcmc.lineHits", "dcmc.lineMisses", "dcmc.missSectorNm",
           "dcmc.missSectorFm", "dcmc.migrations", "dcmc.swapOuts",
-          "dcmc.bytes.nmMeta", "mem.demandReads", "fm.reads", "nm.reads"})
+          "dcmc.metaReads", "mem.demandReads", "fm.reads", "nm.reads"})
         EXPECT_TRUE(out.has(key)) << key;
     EXPECT_DOUBLE_EQ(out.get("dcmc.missSectorFm"), 1.0);
 }
@@ -366,9 +375,10 @@ TEST(DcmcWarmupReset, InvariantsHoldAfterResetStats)
 TEST(DcmcReconciliation, TrafficCountersMatchDramDevices)
 {
     // Every byte a DRAM device moves must be attributed to exactly one
-    // dcmc.bytes.* purpose counter (demand, meta, migration, swap,
-    // writeback) — otherwise the Figure 16/17 traffic breakdowns drift
-    // from DramStats.
+    // purpose: a dcmc.bytes.* counter (demand, migration, swap,
+    // writeback) or a 64 B metadata access (dcmc.metaReads/metaWrites)
+    // — otherwise the Figure 16/17 traffic breakdowns drift from
+    // DramStats.
     Dcmc d(smallSys(), smallParams());
     Rng rng(13);
     Tick t = 0;
@@ -382,7 +392,7 @@ TEST(DcmcReconciliation, TrafficCountersMatchDramDevices)
     // The scenario must exercise the once-missing counter.
     EXPECT_GT(d.evictionsToFm(), 0u);
     EXPECT_GT(b.nmWriteback, 0u);
-    EXPECT_EQ(b.nmDemand + b.nmMeta + b.nmMigration + b.nmSwap +
+    EXPECT_EQ(b.nmDemand + metaBytes(d) + b.nmMigration + b.nmSwap +
               b.nmWriteback,
               d.nmDevice().stats().totalBytes());
     EXPECT_EQ(b.fmDemand + b.fmWriteback + b.fmMigration + b.fmSwap,

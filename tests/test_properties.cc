@@ -1,18 +1,23 @@
 /**
  * @file
  * Parameterized property tests across configurations and seeds:
- * invariants that must hold for any geometry the DSE explores.
+ * invariants that must hold for any geometry the DSE explores, and the
+ * queued controller's response to injected load.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "baselines/ideal_cache.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/dcmc.h"
 #include "dram/dram_device.h"
+#include "sim/runner.h"
+#include "workloads/workload_registry.h"
 
 namespace h2 {
 namespace {
@@ -173,6 +178,46 @@ TEST(AblationOrdering, MigrationsBoundedByEvictions)
     // Denials are recorded.
     EXPECT_GE(out.get("dcmc.deniedByCounter") +
               out.get("dcmc.deniedByBudget"), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Queued-controller load response: lbm at 1, 2, 4 and 8 cores (the
+// injected-load knob), 30k + 30k instructions per core, 1 GiB NM, on
+// the two structurally different contended designs.
+// ---------------------------------------------------------------------
+
+TEST(LoadResponse, ContentionResponse)
+{
+    for (const char *design : {"hybrid2", "dfc"}) {
+        double prevLatency = 0.0;
+        double lightDelayPs = 0.0; // at 1 core
+        double peakDelayPs = 0.0;  // at 8 cores
+        for (u32 cores : {1u, 2u, 4u, 8u}) {
+            sim::RunConfig cfg;
+            cfg.nmBytes = 1 * GiB;
+            cfg.instrPerCore = 30'000;
+            cfg.warmupInstrPerCore = 30'000;
+            cfg.numCores = cores;
+            sim::Metrics m = sim::simulateOne(
+                cfg, workloads::findWorkload("lbm"), design);
+            const double latency = m.detail.get("mem.avgLatencyPs");
+            const double delay = m.detail.get("mem.avgQueueDelayPs");
+            // A queued model that got faster under contention is
+            // broken; a hair of slack covers near-equal low-load points.
+            EXPECT_GE(latency, prevLatency * 0.995)
+                << design << " avg latency dropped under load at "
+                << cores << " cores";
+            prevLatency = std::max(prevLatency, latency);
+            if (cores == 1)
+                lightDelayPs = delay;
+            peakDelayPs = delay;
+        }
+        // The controller observes contention, not a constant.
+        EXPECT_GT(peakDelayPs, 0.0)
+            << design << " queue delay not positive at 8 cores";
+        EXPECT_LE(lightDelayPs, peakDelayPs)
+            << design << " queue delay shrank with load (1 vs 8 cores)";
+    }
 }
 
 } // namespace
