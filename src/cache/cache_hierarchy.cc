@@ -33,10 +33,11 @@ CacheHierarchy::insertLlc(Addr addr, bool dirty, HierarchyResult &result)
 }
 
 void
-CacheHierarchy::fillL1(CoreId core, Addr addr, bool dirty,
-                       HierarchyResult &result)
+CacheHierarchy::fillL1(CoreId core, const SetAssocCache::SetRef &s,
+                       bool dirty, HierarchyResult &result)
 {
-    auto v1 = l1s[core]->insert(addr, dirty);
+    // Nothing entered the L1 since its miss located s.
+    auto v1 = l1s[core]->insert(s, dirty);
     if (!v1)
         return;
     // L1 victim falls into L2 (merge if already present).
@@ -52,7 +53,9 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
     Addr line = addr & ~Addr(cfg.l1.lineBytes - 1);
     HierarchyResult result;
 
-    if (l1s[core]->access(line, type)) {
+    SetAssocCache &l1 = *l1s[core];
+    SetAssocCache::SetRef l1Set = l1.locate(line);
+    if (l1.access(l1Set, type)) {
         result.latencyCycles = cfg.l1LatencyCycles;
         result.hitLevel = 1;
         return result;
@@ -62,13 +65,13 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
         result.hitLevel = 2;
         // Promote to L1, retaining the L2 copy (non-inclusive). The L1
         // copy starts clean; dirt stays in L2 until eviction merges it.
-        fillL1(core, line, false, result);
+        fillL1(core, l1Set, false, result);
         return result;
     }
     if (llc->access(line, type)) {
         result.latencyCycles = cfg.llcLatencyCycles;
         result.hitLevel = 3;
-        fillL1(core, line, false, result);
+        fillL1(core, l1Set, false, result);
         return result;
     }
 
@@ -76,7 +79,7 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
     result.latencyCycles = cfg.llcLatencyCycles;
     result.hitLevel = 0;
     result.llcMiss = true;
-    fillL1(core, line, type == AccessType::Write, result);
+    fillL1(core, l1Set, type == AccessType::Write, result);
     return result;
 }
 

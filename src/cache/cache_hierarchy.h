@@ -83,9 +83,12 @@ class CacheHierarchy
     void collectStats(StatSet &out) const;
 
   private:
-    /** Insert into L1, cascading each victim downward with one fill()
-     *  per level. A dirty LLC victim is reported through @p result. */
-    void fillL1(CoreId core, Addr addr, bool dirty, HierarchyResult &result);
+    /** Insert the line whose L1 miss located @p s into core @p core's
+     *  L1 (no second lookup), cascading each victim downward with one
+     *  fill() per level. A dirty LLC victim is reported through
+     *  @p result. */
+    void fillL1(CoreId core, const SetAssocCache::SetRef &s, bool dirty,
+                HierarchyResult &result);
     void insertLlc(Addr addr, bool dirty, HierarchyResult &result);
 
     HierarchyParams cfg;

@@ -1,5 +1,8 @@
 #include "cache/set_assoc_cache.h"
 
+#include <algorithm>
+#include <vector>
+
 namespace h2::cache {
 
 template <typename Sets>
@@ -33,22 +36,6 @@ BasicSetAssocCache<Sets>::addrLimit() const
 
 template <typename Sets>
 bool
-BasicSetAssocCache<Sets>::access(Addr addr, AccessType type)
-{
-    SetRef s = locate(addr);
-    u32 way = hitWay(s);
-    if (way == kNoWay) {
-        ++nMisses;
-        return false;
-    }
-    ++nHits;
-    u64 &meta = store.meta(s.at)[way];
-    meta = ++clock << 1 | (meta & 1) | u64(type == AccessType::Write);
-    return true;
-}
-
-template <typename Sets>
-bool
 BasicSetAssocCache<Sets>::probe(Addr addr) const
 {
     return hitWay(locate(addr)) != kNoWay;
@@ -65,7 +52,7 @@ BasicSetAssocCache<Sets>::probeDirty(Addr addr) const
 
 template <typename Sets>
 std::optional<Eviction>
-BasicSetAssocCache<Sets>::place(const SetRef &s, bool dirty)
+BasicSetAssocCache<Sets>::insert(const SetRef &s, bool dirty)
 {
     // The victim rule (pinned by the reference model in
     // tests/test_cache.cc): first invalid way, else the oldest stamp.
@@ -75,9 +62,9 @@ BasicSetAssocCache<Sets>::place(const SetRef &s, bool dirty)
     // hitWay(), the scan picks with selects to the end of the set.
     u64 at = store.claim(s.set, s.at);
     u32 *tags = store.tags(at);
-    u64 *meta = store.meta(at);
+    u32 *meta = store.meta(at);
     u32 victim = 0;
-    u64 oldestMeta = meta[0];
+    u32 oldestMeta = meta[0];
     for (u32 w = 1; w < cfg.ways; ++w) {
         bool older = meta[w] < oldestMeta;
         victim = older ? w : victim;
@@ -92,7 +79,7 @@ BasicSetAssocCache<Sets>::place(const SetRef &s, bool dirty)
         evicted = Eviction{lineAddr(s.set, tags[victim]), wasDirty};
     }
     tags[victim] = s.tag;
-    meta[victim] = ++clock << 1 | u64(dirty);
+    meta[victim] = nextStamp() << 1 | u32(dirty);
     return evicted;
 }
 
@@ -103,7 +90,7 @@ BasicSetAssocCache<Sets>::insert(Addr addr, bool dirty)
     SetRef s = locate(addr);
     h2_assert(hitWay(s) == kNoWay, cfg.name, ": double insert of addr ",
               addr);
-    return place(s, dirty);
+    return insert(s, dirty);
 }
 
 template <typename Sets>
@@ -113,7 +100,7 @@ BasicSetAssocCache<Sets>::fill(Addr addr, bool dirty)
     SetRef s = locate(addr);
     u32 way = hitWay(s);
     if (way == kNoWay)
-        return place(s, dirty);
+        return insert(s, dirty);
     if (dirty)
         store.meta(s.at)[way] |= 1;
     return std::nullopt;
@@ -148,7 +135,42 @@ template <typename Sets>
 u64
 BasicSetAssocCache<Sets>::numValidLines() const
 {
-    return store.validWays();
+    u64 n = 0;
+    store.forEachRecord([&](u64 at) {
+        const u32 *tags = store.tags(at);
+        for (u32 w = 0; w < cfg.ways; ++w)
+            n += tags[w] != kInvalidTag;
+    });
+    return n;
+}
+
+template <typename Sets>
+void
+BasicSetAssocCache<Sets>::renumberStamps()
+{
+    // A way's rank is one more than the number of valid ways of its set
+    // with an older stamp. Sets with no valid way (every untouched one)
+    // are only read, so renumbering claims no storage.
+    std::vector<u32> ranked(cfg.ways);
+    u32 top = 0;
+    store.forEachRecord([&](u64 at) {
+        const u32 *meta = store.meta(at);
+        bool any = false;
+        for (u32 w = 0; w < cfg.ways; ++w) {
+            u32 rank = 0;
+            if (meta[w] != 0) {
+                rank = 1;
+                for (u32 v = 0; v < cfg.ways; ++v)
+                    rank += meta[v] != 0 && meta[v] < meta[w];
+                any = true;
+            }
+            ranked[w] = rank << 1 | (meta[w] & 1);
+            top = std::max(top, rank);
+        }
+        if (any)
+            std::copy(ranked.begin(), ranked.end(), store.meta(at));
+    });
+    clock = top;
 }
 
 template <typename Sets>

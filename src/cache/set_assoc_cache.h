@@ -7,7 +7,9 @@
  * Chameleon's cache mode on dense set storage (SetAssocCache), and the
  * DRAM-cache baselines' tag arrays on sparse set storage
  * (SparseSetAssocCache). Purely functional+statistical: it tracks
- * presence/dirtiness, not data values.
+ * presence/dirtiness, not data values. A way costs 8 bytes, a u32 tag
+ * and a u32 meta word in its set's record; recency stamps come from a
+ * 31-bit clock that renumberStamps() restarts when it runs out.
  *
  * Tags are stored in 32 bits, so an instance names addresses below
  * addrLimit() only; lookups beyond it panic. System rejects a flat
@@ -43,80 +45,91 @@ struct Eviction
 };
 
 /**
- * Dense set storage: two set-major lanes of sets * ways entries, one
- * per field. A set's handle is the lane offset of its first way in
- * both lanes. For the SRAM hierarchy, the remap caches and Chameleon's
- * cache mode: small tag stores, or ones whose touched sets fill most
- * of their pages.
+ * Per-set records in one ZeroLane<u32>: a record holds the set's ways
+ * tag words, then its ways meta words, so a set is 8 * ways bytes of
+ * contiguous memory (32, 64 or 128 B at 4, 8 or 16 ways: within one
+ * host line for the L1 and L2, two adjacent ones for the LLC) and a
+ * hit's meta word sits next to the tags its lookup just read. A set's
+ * handle is the word offset of its record. Zero words are an invalid,
+ * clean, never stamped way, so construction touches no storage. The
+ * common part of DenseSets and SparseSets, which differ only in where
+ * a set's record lives.
  */
-class DenseSets
+class SetRecords
+{
+  public:
+    u32 *tags(u64 at) { return words.data() + at; }
+    const u32 *tags(u64 at) const { return words.data() + at; }
+    u32 *meta(u64 at) { return words.data() + at + ways; }
+    const u32 *meta(u64 at) const { return words.data() + at + ways; }
+
+  protected:
+    SetRecords() = default;
+    SetRecords(u64 records, u32 setWays)
+        : ways(setWays), recordWords(2 * u64(setWays)),
+          words(records * recordWords)
+    {
+    }
+
+    u32 ways = 0;
+    u64 recordWords = 0; ///< words per record: ways tags + ways metas
+    ZeroLane<u32> words;
+};
+
+/**
+ * Dense set storage: every set's record, set-major, so a set's handle
+ * is its index times the record size. For the SRAM hierarchy, the
+ * remap caches and Chameleon's cache mode: small tag stores, or ones
+ * whose touched sets fill most of their pages.
+ */
+class DenseSets : public SetRecords
 {
   public:
     DenseSets() = default;
-    DenseSets(u32 sets, u32 ways)
-        : tagLane(u64(sets) * ways), metaLane(u64(sets) * ways)
-    {
-    }
+    DenseSets(u32 sets, u32 setWays) : SetRecords(sets, setWays) {}
 
-    /** Handle of @p set, for sets of @p ways ways. */
-    u64 find(u32 set, u32 ways) const { return u64(set) * ways; }
+    /** Handle of @p set. */
+    u64 find(u32 set) const { return u64(set) * recordWords; }
     /** Writable handle of @p set, whose handle is @p at. */
     u64 claim(u32, u64 at) { return at; }
 
-    u32 *tags(u64 at) { return tagLane.data() + at; }
-    const u32 *tags(u64 at) const { return tagLane.data() + at; }
-    u64 *meta(u64 at) { return metaLane.data() + at; }
-    const u64 *meta(u64 at) const { return metaLane.data() + at; }
-
-    /** Ways whose tag is nonzero (valid). */
-    u64
-    validWays() const
+    /** Call @p fn with the handle of every set. */
+    template <typename Fn>
+    void
+    forEachRecord(Fn &&fn) const
     {
-        u64 n = 0;
-        for (u64 i = 0; i < tagLane.size(); ++i)
-            n += tagLane[i] != 0;
-        return n;
+        for (u64 at = 0; at < words.size(); at += recordWords)
+            fn(at);
     }
-
-  private:
-    ZeroLane<u32> tagLane;
-    ZeroLane<u64> metaLane;
 };
 
 /**
  * Sparse set storage: a ZeroLane<u32> directory with one record number
- * per set (0 = never written) and a ZeroLane arena into which per-set
- * records are packed in first-write order. The arena keeps ZeroLane's
- * huge-page rule: its touched part is one dense prefix, so huge pages
- * round residency up by less than 2 MiB, and they keep the TLB misses
- * of scattered set lookups near the dense lanes' level (on base pages
+ * per set (0 = never written) and an arena of records packed in
+ * first-write order. The arena keeps ZeroLane's huge-page rule: its
+ * touched part is one dense prefix, so huge pages round residency up
+ * by less than 2 MiB, and they keep the TLB misses of scattered set
+ * lookups near the dense lanes' level (on base pages
  * BM_DramCacheTagAccess ran about 40% slower; README, "Demand-zero
- * tables"). A record holds the
- * set's ways tags, then (8-byte aligned) its ways meta words, so a
- * set's handle is the byte offset of its one record and every way
- * scan runs over one contiguous run of memory. Arena record 0 is never
- * written: a probe, lookup or invalidate of a set that was never
- * written reads an all-invalid set and allocates nothing; only
- * claim(), called by an insertion, gives a set its record. Resident
- * memory therefore follows the sets a run fills, not how widely they
- * are spread. For the DRAM-cache tag stores (IdealCache: ideal, DFC,
- * tagless), which cover all of NM and are filled at random sets.
+ * tables"). Arena record 0 is never written: a probe, lookup or
+ * invalidate of a set that was never written reads an all-invalid set
+ * and allocates nothing; only claim(), called by an insertion, gives a
+ * set its record. Resident memory therefore follows the sets a run
+ * fills, not how widely they are spread. For the DRAM-cache tag stores
+ * (IdealCache: ideal, DFC, tagless), which cover all of NM and are
+ * filled at random sets.
  */
-class SparseSets
+class SparseSets : public SetRecords
 {
   public:
     SparseSets() = default;
     SparseSets(u32 sets, u32 setWays)
-        : ways(setWays),
-          metaOffset(ceilDiv(u64(setWays) * sizeof(u32), 8) * 8),
-          recordBytes(metaOffset + u64(setWays) * sizeof(u64)), dir(sets),
-          arena((u64(sets) + 1) * recordBytes)
+        : SetRecords(u64(sets) + 1, setWays), dir(sets)
     {
     }
 
-    /** Handle of @p set: record 0's if it was never written (a
-     *  record holds its own ways, so the set's way count is unused). */
-    u64 find(u32 set, u32) const { return u64(dir[set]) * recordBytes; }
+    /** Handle of @p set: record 0's if it was never written. */
+    u64 find(u32 set) const { return u64(dir[set]) * recordWords; }
     /** Writable handle of @p set, whose handle is @p at: claims the
      *  next arena record on the set's first write. */
     u64
@@ -125,50 +138,24 @@ class SparseSets
         if (at != 0)
             return at;
         dir[set] = ++nRecords;
-        return u64(nRecords) * recordBytes;
+        return u64(nRecords) * recordWords;
     }
 
-    u32 *tags(u64 at) { return reinterpret_cast<u32 *>(arena.data() + at); }
-    const u32 *
-    tags(u64 at) const
+    /** Call @p fn with the handle of every claimed record. */
+    template <typename Fn>
+    void
+    forEachRecord(Fn &&fn) const
     {
-        return reinterpret_cast<const u32 *>(arena.data() + at);
-    }
-    u64 *
-    meta(u64 at)
-    {
-        return reinterpret_cast<u64 *>(arena.data() + at + metaOffset);
-    }
-    const u64 *
-    meta(u64 at) const
-    {
-        return reinterpret_cast<const u64 *>(arena.data() + at +
-                                             metaOffset);
-    }
-
-    /** Ways whose tag is nonzero (valid), over the claimed records. */
-    u64
-    validWays() const
-    {
-        u64 n = 0;
-        for (u64 r = 1; r <= nRecords; ++r) {
-            const u32 *t = tags(r * recordBytes);
-            for (u32 w = 0; w < ways; ++w)
-                n += t[w] != 0;
-        }
-        return n;
+        for (u64 r = 1; r <= nRecords; ++r)
+            fn(r * recordWords);
     }
 
     /** Records claimed so far (the arena's touched prefix). */
     u64 records() const { return nRecords; }
 
   private:
-    u32 ways = 0;
-    u64 metaOffset = 0;  ///< byte offset of the meta words in a record
-    u64 recordBytes = 0;
     u32 nRecords = 0;
     ZeroLane<u32> dir;
-    ZeroLane<unsigned char> arena;
 };
 
 /**
@@ -185,12 +172,52 @@ class BasicSetAssocCache
   public:
     explicit BasicSetAssocCache(const CacheParams &params);
 
+    /** The set an address maps to and its stored tag: a located
+     *  lookup, which a later insertion of the same line can reuse while
+     *  no other line has been inserted. */
+    struct SetRef
+    {
+        u64 at;   ///< the set's storage handle (Sets::find)
+        u32 set;  ///< set index
+        u32 tag;  ///< stored (complemented) tag of the address
+    };
+
+    /** The set @p addr maps to. */
+    SetRef
+    locate(Addr addr) const
+    {
+        u64 block = blockIndex(addr);
+        u32 set = setIndex(block);
+        return {store.find(set), set, tagOf(block)};
+    }
+
     /**
      * Look up @p addr; on hit, refresh replacement state and apply the
      * dirty bit for writes.
-     * @return true on hit.
+     * @return true on hit. Defined here so that the hierarchy's
+     * lookups inline.
      */
-    bool access(Addr addr, AccessType type);
+    bool
+    access(Addr addr, AccessType type)
+    {
+        return access(locate(addr), type);
+    }
+
+    /** access() of the line @p s located. */
+    bool
+    access(const SetRef &s, AccessType type)
+    {
+        u32 way = hitWay(s);
+        if (way == kNoWay) {
+            ++nMisses;
+            return false;
+        }
+        ++nHits;
+        u32 stamp = nextStamp();
+        u32 &meta = store.meta(s.at)[way];
+        meta = stamp << 1 | (meta & 1) | u32(type == AccessType::Write);
+        return true;
+    }
 
     /** Look up without disturbing replacement state or stats. */
     bool probe(Addr addr) const;
@@ -203,6 +230,10 @@ class BasicSetAssocCache
      * @return the evicted line, if any valid line had to make room.
      */
     std::optional<Eviction> insert(Addr addr, bool dirty);
+
+    /** insert() of the line @p s located, which the caller knows is
+     *  absent (a lookup of it missed): no second locate or scan. */
+    std::optional<Eviction> insert(const SetRef &s, bool dirty);
 
     /**
      * Fill the line containing @p addr with one lookup of its set: if
@@ -224,6 +255,14 @@ class BasicSetAssocCache
      *  2^32 - 1 set spans of sets * lineBytes bytes each (saturating). */
     u64 addrLimit() const;
 
+    /**
+     * Rewrite each set's valid stamps as their ranks within the set (1
+     * for its least recent way) and restart the clock above them.
+     * Every set keeps its recency order, so no later hit, victim or
+     * dirt changes. Called when the 31-bit clock runs out.
+     */
+    void renumberStamps();
+
     const CacheParams &params() const { return cfg; }
     u32 numSets() const { return sets; }
     u64 numValidLines() const;
@@ -241,7 +280,12 @@ class BasicSetAssocCache
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
+    friend struct StampClockPeer; // tests: run the clock to its limit
+
     static constexpr u32 kNoWay = ~u32(0);
+    /** The last stamp the clock hands out before renumberStamps(): a
+     *  meta word holds stamp << 1 | dirty in 32 bits. */
+    static constexpr u32 kStampLimit = (u32(1) << 31) - 1;
     /** Tag word of an invalid way. A way stores ~tag as a u32, so no
      *  stored tag is 0 while tags stay below kTagLimit, the hit scan
      *  needs no separate valid bit, and fresh (demand-zero) storage is
@@ -250,14 +294,6 @@ class BasicSetAssocCache
     /** Tags must be below this for ~tag to fit a u32 and stay nonzero:
      *  addresses below addrLimit(). */
     static constexpr u64 kTagLimit = ~u32(0);
-
-    /** The set an address maps to, and its stored tag. */
-    struct SetRef
-    {
-        u64 at;   ///< the set's storage handle (Sets::find)
-        u32 set;  ///< set index
-        u32 tag;  ///< stored (complemented) tag of the address
-    };
 
     // Hot-path index math: every lookup needs block/set/tag, so the
     // usual power-of-two geometries fold the div/mod into shift/mask
@@ -287,14 +323,6 @@ class BasicSetAssocCache
     {
         return (u64(~stored) * sets + set) * u64(cfg.lineBytes);
     }
-    /** The set @p addr maps to. */
-    SetRef
-    locate(Addr addr) const
-    {
-        u64 block = blockIndex(addr);
-        u32 set = setIndex(block);
-        return {store.find(set, cfg.ways), set, tagOf(block)};
-    }
     /** Way of @p s's set that holds its tag, or kNoWay. The scan runs
      *  to the end of the set rather than exit early: a data-dependent
      *  exit mispredicts on most lookups. A tag is in at most one way
@@ -310,8 +338,15 @@ class BasicSetAssocCache
             sum += tags[w] == s.tag ? w + 1 : 0;
         return sum - 1;
     }
-    /** Place @p s's line, which must be absent, over the set's victim. */
-    std::optional<Eviction> place(const SetRef &s, bool dirty);
+    /** The next recency stamp, renumbering first if the clock has
+     *  reached kStampLimit. */
+    u32
+    nextStamp()
+    {
+        if (clock == kStampLimit)
+            renumberStamps();
+        return ++clock;
+    }
 
     CacheParams cfg;
     u32 sets;
@@ -320,17 +355,17 @@ class BasicSetAssocCache
     u32 lineShift = 0;
     u32 setShift = 0;
     u64 setMask = 0;
-    // A way's tag word holds ~tag (u32, 0 = invalid), so a 16-way
-    // set's hit scan reads one 64 B host line. Its meta word holds
-    // stamp << 1 | dirty (u64): the recency stamp and the dirty bit
-    // move together, and 63 stamp bits cannot wrap within any run (2^63
-    // clock ticks). A valid way's stamp is at least 1 and every stamp
-    // is a distinct clock tick, so comparing meta words orders ways by
-    // stamp, and an invalid way's meta word (0) is below every valid
-    // one. Zero bytes are an invalid, clean, never stamped way, so
-    // construction touches no storage.
+    // A way's tag word holds ~tag (0 = invalid), so a 16-way set's hit
+    // scan reads one 64 B host line. Its meta word, in the same record,
+    // holds stamp << 1 | dirty: the recency stamp and the dirty bit move
+    // together. A valid way's stamp is at least 1 and stamps within a
+    // set are distinct, so comparing meta words orders a set's ways by
+    // recency, and an invalid way's meta word (0) is below every valid
+    // one. Stamps come from a 31-bit clock; when it runs out,
+    // renumberStamps() ranks each set's stamps and the clock restarts
+    // above the ranks.
     Sets store;
-    u64 clock = 0; ///< recency stamp source
+    u32 clock = 0; ///< recency stamp source
     u64 nHits = 0;
     u64 nMisses = 0;
     u64 nEvictions = 0;

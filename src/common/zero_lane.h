@@ -13,11 +13,12 @@
  *    2 MiB-aligned and ask for transparent huge pages, which cut the
  *    TLB misses of their scattered lookups; with THP off they stay lazy
  *    at the base page size. For tables that are small or whose touched
- *    entries cluster (the XTA and the dense SetAssocCache storage of
- *    the SRAM hierarchy and the remap caches). The DRAM-cache tag
+ *    entries cluster: the XTA, and the dense SetAssocCache storage of
+ *    the SRAM hierarchy and the remap caches, one lane of whole-set
+ *    records (a set's tags, then its meta words). The DRAM-cache tag
  *    stores' sparse set storage (cache/set_assoc_cache.h) is built from
  *    two of them: a directory of per-set record numbers and an arena of
- *    whole-set records, so a set's ways stay one contiguous run.
+ *    the same records, so a set's ways stay one contiguous run.
  *  - SparseLane: a directory of leaf numbers plus an arena into which
  *    leaves of kLeafEntries entries are packed in first-write order.
  *    Reading an entry whose leaf was never written costs no memory;

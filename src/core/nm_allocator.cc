@@ -4,37 +4,47 @@
 
 namespace h2::core {
 
+// Boot carve-out: the first cacheSectors locations belong to the cache
+// (paper: "a simple counter for the initially allocated NM space to the
+// cache").
 NmAllocator::NmAllocator(u64 nmLocs, u64 cacheSectors)
-    : total(nmLocs)
+    : total(nmLocs), owners(nmLocs), bootLeft(cacheSectors)
 {
     h2_assert(cacheSectors < nmLocs,
               "the DRAM cache cannot consume the whole NM (",
               cacheSectors, " of ", nmLocs, " locations)");
-    owners.assign(total, Owner::Flat);
-    pool.reserve(cacheSectors);
-    // Boot carve-out: the first cacheSectors locations belong to the
-    // cache (paper: "a simple counter for the initially allocated NM
-    // space to the cache").
-    for (u64 loc = 0; loc < cacheSectors; ++loc) {
-        owners[loc] = Owner::CachePool;
-        pool.push_back(loc);
-    }
     nmCounter = cacheSectors; // start scanning in the flat region
+}
+
+NmAllocator::Owner
+NmAllocator::owner(u64 loc) const
+{
+    h2_assert(loc < total, "NM location ", loc, " out of range");
+    return loc < bootLeft ? Owner::CachePool : owners[loc];
 }
 
 void
 NmAllocator::setOwner(u64 loc, Owner o)
 {
-    owners.at(loc) = o;
+    h2_assert(loc < total && loc >= bootLeft,
+              "setting the owner of NM location ", loc,
+              " outside the written range");
+    owners[loc] = o;
 }
 
 u64
 NmAllocator::popPool()
 {
-    h2_assert(!pool.empty(), "NM pool pop while empty");
-    u64 loc = pool.back();
-    pool.pop_back();
-    h2_assert(owners[loc] == Owner::CachePool, "pool holds non-pool loc");
+    h2_assert(!poolEmpty(), "NM pool pop while empty");
+    u64 loc;
+    if (pool.empty()) {
+        loc = --bootLeft;
+    } else {
+        loc = pool.back();
+        pool.pop_back();
+        h2_assert(owners[loc] == Owner::CachePool,
+                  "pool holds non-pool loc");
+    }
     owners[loc] = Owner::CacheData;
     return loc;
 }
@@ -42,7 +52,7 @@ NmAllocator::popPool()
 void
 NmAllocator::pushPool(u64 loc)
 {
-    h2_assert(owners.at(loc) == Owner::CacheData,
+    h2_assert(owner(loc) == Owner::CacheData,
               "returning a non-cache location to the pool");
     owners[loc] = Owner::CachePool;
     pool.push_back(loc);
@@ -57,7 +67,7 @@ NmAllocator::findVictim(const std::function<bool(u64)> &pinned,
         nmCounter = (nmCounter + 1) % total;
         ++nProbes;
         onProbe(cand);
-        if (owners[cand] != Owner::Flat) {
+        if (owner(cand) != Owner::Flat) {
             ++nSkips;
             continue;
         }
@@ -76,9 +86,8 @@ u64
 NmAllocator::flatCount() const
 {
     u64 n = 0;
-    for (auto o : owners)
-        if (o == Owner::Flat)
-            ++n;
+    for (u64 loc = bootLeft; loc < total; ++loc)
+        n += owners[loc] == Owner::Flat;
     return n;
 }
 

@@ -9,6 +9,11 @@
  * space; when the pool is dry, a flat-resident victim is found with a
  * FIFO counter that wraps over all NM locations, skipping (via inverted
  * remap table + XTA probe) sectors pinned by the DRAM cache.
+ *
+ * Construction builds nothing: the owner lane is demand-zero with Flat
+ * encoded as 0, and the boot carve-out [0, cacheSectors) is an implicit
+ * range under the explicit pool stack rather than pushed entries, so a
+ * location's pages cost memory only once the run writes its owner.
  */
 
 #pragma once
@@ -17,13 +22,15 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/zero_lane.h"
 
 namespace h2::core {
 
 class NmAllocator
 {
   public:
-    enum class Owner : u8 { CachePool, CacheData, Flat };
+    /** Flat is 0: a location never written is flat-resident. */
+    enum class Owner : u8 { Flat, CachePool, CacheData };
 
     /**
      * @param nmLocs       NM locations in the lined region
@@ -31,14 +38,15 @@ class NmAllocator
      */
     NmAllocator(u64 nmLocs, u64 cacheSectors);
 
-    Owner owner(u64 loc) const { return owners.at(loc); }
+    Owner owner(u64 loc) const;
     void setOwner(u64 loc, Owner o);
 
-    bool poolEmpty() const { return pool.empty(); }
-    u64 poolSize() const { return pool.size(); }
+    bool poolEmpty() const { return bootLeft == 0 && pool.empty(); }
+    u64 poolSize() const { return bootLeft + pool.size(); }
 
     /** Take a free location from the pool (must be non-empty);
-     *  the location becomes CacheData. */
+     *  the location becomes CacheData. The pool is a LIFO stack whose
+     *  bottom is the boot range, last location on top. */
     u64 popPool();
 
     /** Return @p loc to the pool (it must be CacheData). */
@@ -63,8 +71,11 @@ class NmAllocator
 
   private:
     u64 total;
-    std::vector<Owner> owners;
-    std::vector<u64> pool;
+    /** Owner of every location at or above bootLeft; those below are
+     *  still in the boot range, so CachePool. */
+    ZeroLane<Owner> owners;
+    u64 bootLeft; ///< boot-range locations [0, bootLeft) never popped
+    std::vector<u64> pool; ///< locations pushed back, above the boot range
     u64 nmCounter = 0; ///< FIFO scan position
     u64 nProbes = 0;
     u64 nSkips = 0;

@@ -14,6 +14,25 @@ namespace {
 // cancelled run stops within milliseconds, rare enough that the
 // success path stays within measurement noise.
 constexpr u32 kCancelCheckStride = 2048;
+
+/** Key of a core that has reached its instruction target. */
+constexpr Tick kCoreDone = ~Tick(0);
+
+/** The core to step next: the earliest key, the lowest index on ties,
+ *  picked with selects over the whole array (a data-dependent branch
+ *  mispredicts on most steps). */
+u32
+earliestCore(const std::vector<Tick> &keys)
+{
+    u32 pick = 0;
+    Tick best = keys[0];
+    for (u32 c = 1; c < keys.size(); ++c) {
+        bool earlier = keys[c] < best;
+        pick = earlier ? c : pick;
+        best = earlier ? keys[c] : best;
+    }
+    return pick;
+}
 } // namespace
 
 System::System(const SystemConfig &config,
@@ -71,17 +90,21 @@ System::runUntil(u64 instrTarget)
 {
     // Advance the globally earliest core (lowest index on ties), so
     // cross-core memory contention is observed in (approximate) time
-    // order.
+    // order. A core's key is its now(), or kCoreDone once it reaches
+    // the target; a step moves only the stepped core's key.
+    auto keyOf = [&](const CoreModel &core) {
+        return core.instructions() < instrTarget ? core.now() : kCoreDone;
+    };
+    std::vector<Tick> keys;
+    for (const auto &core : cores)
+        keys.push_back(keyOf(*core));
     u32 untilCheck = kCancelCheckStride;
     while (true) {
-        CoreModel *pick = nullptr;
-        for (const auto &core : cores)
-            if (core->instructions() < instrTarget &&
-                (!pick || core->now() < pick->now()))
-                pick = core.get();
-        if (!pick)
+        u32 pick = earliestCore(keys);
+        if (keys[pick] == kCoreDone)
             break;
-        pick->step();
+        cores[pick]->step();
+        keys[pick] = keyOf(*cores[pick]);
         if (--untilCheck == 0) {
             untilCheck = kCancelCheckStride;
             checkCancellation();

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cache/set_assoc_cache.h"
 #include "common/rng.h"
@@ -16,6 +17,21 @@
 #include "ref_cache.h"
 
 namespace h2::cache {
+
+/** Test access to a cache's recency clock. */
+struct StampClockPeer
+{
+    template <typename Sets>
+    static u32 &
+    clock(BasicSetAssocCache<Sets> &c)
+    {
+        return c.clock;
+    }
+
+    template <typename Cache>
+    static constexpr u32 kLimit = Cache::kStampLimit;
+};
+
 namespace {
 
 using ref::RefCache;
@@ -214,14 +230,28 @@ sameEviction(const std::optional<Eviction> &a,
         (!a || (a->addr == b->addr && a->dirty == b->dirty));
 }
 
+/** A change made to a cache between ops that must not change any of
+ *  its results (called with the cache and the op's index). */
+template <typename Cache>
+using Perturb = void (*)(Cache &, int op);
+
 /** Drive a cache of type @p Cache and RefCache with one seeded op
  *  stream of @p ops operations, asserting equal results, evictions and
- *  counters after every op. */
+ *  counters after every op. With @p perturb, a second cache runs the
+ *  same stream with perturb applied to it before every op, and must
+ *  match too. */
 template <typename Cache>
 void
-runAgainstReference(const CacheParams &p, u64 seed, int ops = 4000)
+runAgainstReference(const CacheParams &p, u64 seed, int ops = 4000,
+                    Perturb<Cache> perturb = nullptr)
 {
     Cache c(p);
+    std::optional<Cache> perturbed;
+    std::vector<Cache *> caches = {&c};
+    if (perturb) {
+        perturbed.emplace(p);
+        caches.push_back(&*perturbed);
+    }
     RefCache ref(p);
     // A working set of ~3x capacity keeps every set under replacement
     // pressure; sub-line offsets alias.
@@ -229,44 +259,56 @@ runAgainstReference(const CacheParams &p, u64 seed, int ops = 4000)
     Rng rng(seed);
     for (int op = 0; op < ops; ++op) {
         SCOPED_TRACE("op " + std::to_string(op));
+        if (perturb)
+            perturb(*perturbed, op);
         Addr a = rng.below(lines) * p.lineBytes + rng.below(p.lineBytes);
-        ASSERT_EQ(c.probe(a), ref.probe(a));
         bool present = ref.probe(a);
+        for (Cache *x : caches)
+            ASSERT_EQ(x->probe(a), present);
         switch (rng.below(6)) {
           case 0:
           case 1: {
             AccessType t =
                 rng.chance(0.3) ? AccessType::Write : AccessType::Read;
-            ASSERT_EQ(c.access(a, t), ref.access(a, t));
+            bool want = ref.access(a, t);
+            for (Cache *x : caches)
+                ASSERT_EQ(x->access(a, t), want);
             break;
           }
           case 2:
           case 3:
             if (!present) {
                 bool dirty = rng.chance(0.4);
-                auto got = c.insert(a, dirty);
                 auto want = ref.insert(a, dirty);
-                ASSERT_TRUE(sameEviction(got, want));
+                for (Cache *x : caches)
+                    ASSERT_TRUE(sameEviction(x->insert(a, dirty), want));
             }
             break;
-          case 4:
-            ASSERT_EQ(c.invalidate(a), ref.invalidate(a));
+          case 4: {
+            auto want = ref.invalidate(a);
+            for (Cache *x : caches)
+                ASSERT_EQ(x->invalidate(a), want);
             break;
+          }
           default: {
             bool dirty = rng.chance(0.5);
-            auto got = c.fill(a, dirty);
             auto want = ref.fill(a, dirty);
-            ASSERT_TRUE(sameEviction(got, want));
-            ASSERT_EQ(c.probeDirty(a), ref.probeDirty(a));
+            for (Cache *x : caches) {
+                ASSERT_TRUE(sameEviction(x->fill(a, dirty), want));
+                ASSERT_EQ(x->probeDirty(a), ref.probeDirty(a));
+            }
             break;
           }
         }
-        ASSERT_EQ(c.hits(), ref.hits);
-        ASSERT_EQ(c.misses(), ref.misses);
-        ASSERT_EQ(c.evictions(), ref.evictions);
-        ASSERT_EQ(c.dirtyEvictions(), ref.dirtyEvictions);
+        for (Cache *x : caches) {
+            ASSERT_EQ(x->hits(), ref.hits);
+            ASSERT_EQ(x->misses(), ref.misses);
+            ASSERT_EQ(x->evictions(), ref.evictions);
+            ASSERT_EQ(x->dirtyEvictions(), ref.dirtyEvictions);
+        }
     }
-    EXPECT_EQ(c.numValidLines(), ref.numValidLines());
+    for (Cache *x : caches)
+        EXPECT_EQ(x->numValidLines(), ref.numValidLines());
     EXPECT_GT(c.evictions(), 0u);
 }
 
@@ -274,7 +316,7 @@ runAgainstReference(const CacheParams &p, u64 seed, int ops = 4000)
  *  power-of-two, a non-power-of-two and a single set. */
 template <typename Cache>
 void
-runSmallGeometriesAgainstReference()
+runSmallGeometriesAgainstReference(Perturb<Cache> perturb = nullptr)
 {
     u64 seed = 0;
     for (u32 ways : {1u, 3u, 8u, 16u}) {
@@ -286,11 +328,20 @@ runSmallGeometriesAgainstReference()
             SCOPED_TRACE("ways=" + std::to_string(ways) +
                          " sets=" + std::to_string(sets));
             ASSERT_EQ(Cache(p).numSets(), sets);
-            runAgainstReference<Cache>(p, ++seed);
+            runAgainstReference<Cache>(p, ++seed, 4000, perturb);
             if (::testing::Test::HasFatalFailure())
                 return;
         }
     }
+}
+
+/** Renumber the cache's stamps every 97 ops. */
+template <typename Cache>
+void
+renumberEvery97(Cache &c, int op)
+{
+    if (op % 97 == 96)
+        c.renumberStamps();
 }
 
 TEST(SetAssocCache, MatchesReferenceModel)
@@ -301,6 +352,46 @@ TEST(SetAssocCache, MatchesReferenceModel)
 TEST(SparseSetAssocCache, MatchesReferenceModel)
 {
     runSmallGeometriesAgainstReference<SparseSetAssocCache>();
+}
+
+TEST(SetAssocCache, RenumberingStampsKeepsEveryDecision)
+{
+    runSmallGeometriesAgainstReference<SetAssocCache>(
+        renumberEvery97<SetAssocCache>);
+}
+
+TEST(SparseSetAssocCache, RenumberingStampsKeepsEveryDecision)
+{
+    runSmallGeometriesAgainstReference<SparseSetAssocCache>(
+        renumberEvery97<SparseSetAssocCache>);
+}
+
+/** Move the clock to 300 ticks before its limit at op 1000 (every
+ *  stamp given so far is below it, so no order changes), and check at
+ *  op 3999 that the clock ran out and was renumbered since. */
+template <typename Cache>
+void
+runClockToItsLimit(Cache &c, int op)
+{
+    constexpr u32 limit = StampClockPeer::kLimit<Cache>;
+    u32 &clock = StampClockPeer::clock(c);
+    if (op == 1000) {
+        ASSERT_LT(clock, limit - 300);
+        clock = limit - 300;
+    }
+    if (op == 3999) {
+        EXPECT_LT(clock, limit - 300);
+    }
+}
+
+TEST(SetAssocCache, ClockRenumbersAtThe31BitLimit)
+{
+    // 4,000 ops stamp well over 300 times after op 1000, so the clock
+    // reaches kStampLimit and the next stamp renumbers the sets first.
+    runSmallGeometriesAgainstReference<SetAssocCache>(
+        runClockToItsLimit<SetAssocCache>);
+    runSmallGeometriesAgainstReference<SparseSetAssocCache>(
+        runClockToItsLimit<SparseSetAssocCache>);
 }
 
 /** A DRAM-cache tag store's shape: many sets, 16 ways, 1 KiB lines. */

@@ -141,9 +141,13 @@ show(const JsonValue &v)
     case JsonValue::Type::Number: return v.scalar;
     case JsonValue::Type::String: return '"' + v.scalar + '"';
     case JsonValue::Type::Array:
-        return "[" + std::to_string(v.items.size()) + " items]";
+        return std::string(1, '[')
+            .append(std::to_string(v.items.size()))
+            .append(" items]");
     case JsonValue::Type::Object:
-        return "{" + std::to_string(v.members.size()) + " members}";
+        return std::string(1, '{')
+            .append(std::to_string(v.members.size()))
+            .append(" members}");
     }
     return "?";
 }

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "ref_cache.h"
+#include "resident.h"
 
 namespace h2::cache {
 namespace {
@@ -172,6 +173,28 @@ TEST(Hierarchy, AddrLimitIsTheNarrowestLevels)
     // so its 32-bit tags bound the hierarchy just below 64 TiB.
     CacheHierarchy h(HierarchyParams{});
     EXPECT_EQ(h.addrLimit(), (u64(1) << 32) * 16 * KiB - 16 * KiB);
+}
+
+TEST(Hierarchy, Table1TagStoresStayResidentSmall)
+{
+    // Every core streams over more lines than its L1, L2 and the LLC
+    // hold together, so every set of every level is written. Each way
+    // costs 8 B (a u32 tag and a u32 meta word): 8 cores' L1s (32 KiB)
+    // and L2s (256 KiB) plus the LLC (1 MiB) are 1.28 MiB.
+    // A small hierarchy faults in the access path's code first, so the
+    // growth measured below is the tag stores'.
+    CacheHierarchy warm(tinyHierarchy());
+    for (Addr a = 0; a < 64 * KiB; a += 64)
+        warm.access(0, a, AccessType::Write);
+    HierarchyParams p;
+    u64 before = test::residentBytes();
+    CacheHierarchy h(p);
+    const u64 span = p.l1.sizeBytes + p.l2.sizeBytes + p.llc.sizeBytes;
+    for (CoreId c = 0; c < p.numCores; ++c)
+        for (Addr a = 0; a < span; a += 64)
+            h.access(c, a, AccessType::Write);
+    EXPECT_LE(test::residentGrowth(before), 1.4 * MiB);
+    EXPECT_GT(h.llcMisses(), p.llc.sizeBytes / 64);
 }
 
 // ---------------------------------------------------------------------

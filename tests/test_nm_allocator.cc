@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/units.h"
 #include "core/nm_allocator.h"
+#include "resident.h"
 
 namespace h2::core {
 namespace {
@@ -100,6 +105,64 @@ TEST(NmAllocator, OwnerTransitions)
     EXPECT_EQ(a.owner(victim), NmAllocator::Owner::CacheData);
     a.pushPool(victim);
     EXPECT_EQ(a.owner(victim), NmAllocator::Owner::CachePool);
+}
+
+TEST(NmAllocator, PoolOrderMatchesAStackOverTheBootRange)
+{
+    // The pool behaves as one LIFO stack that starts as the boot range
+    // 0, 1, ..., cacheSectors - 1 (last on top): a std::vector model
+    // of it gives every pop.
+    const u64 boot = 40;
+    NmAllocator a(100, boot);
+    std::vector<u64> model;
+    for (u64 loc = 0; loc < boot; ++loc)
+        model.push_back(loc);
+    std::vector<u64> taken;
+    Rng rng(3);
+    for (int op = 0; op < 5000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        bool pop = !model.empty() && (taken.empty() || rng.chance(0.5));
+        if (pop) {
+            u64 loc = a.popPool();
+            ASSERT_EQ(loc, model.back());
+            model.pop_back();
+            taken.push_back(loc);
+            ASSERT_EQ(a.owner(loc), NmAllocator::Owner::CacheData);
+        } else {
+            u64 i = rng.below(taken.size());
+            u64 loc = taken[i];
+            taken[i] = taken.back();
+            taken.pop_back();
+            a.pushPool(loc);
+            model.push_back(loc);
+            ASSERT_EQ(a.owner(loc), NmAllocator::Owner::CachePool);
+        }
+        ASSERT_EQ(a.poolSize(), model.size());
+        ASSERT_EQ(a.poolEmpty(), model.empty());
+    }
+    for (u64 loc : model)
+        EXPECT_EQ(a.owner(loc), NmAllocator::Owner::CachePool);
+    for (u64 loc : taken)
+        EXPECT_EQ(a.owner(loc), NmAllocator::Owner::CacheData);
+    EXPECT_EQ(a.flatCount(), 100 - boot);
+}
+
+TEST(NmAllocator, ConstructionAtPaperScaleStaysResidentSmall)
+{
+    // Hybrid2 at 1 GiB NM: 2 KiB locations, 64 MiB of them boot as the
+    // DRAM cache's pool. Construction writes no owner and pushes no
+    // pool entry, so it touches next to no memory (the bound leaves
+    // room for the code pages the first calls fault in; eager tables
+    // cost 0.75 MiB).
+    const u64 locs = 1 * GiB / (2 * KiB);
+    const u64 cacheSectors = 64 * MiB / (2 * KiB);
+    u64 before = test::residentBytes();
+    NmAllocator a(locs, cacheSectors);
+    EXPECT_LT(test::residentGrowth(before), 256 * KiB);
+    EXPECT_EQ(a.poolSize(), cacheSectors);
+    EXPECT_EQ(a.owner(cacheSectors - 1), NmAllocator::Owner::CachePool);
+    EXPECT_EQ(a.owner(cacheSectors), NmAllocator::Owner::Flat);
+    EXPECT_EQ(a.popPool(), cacheSectors - 1);
 }
 
 TEST(NmAllocatorDeath, PopEmptyPool)
